@@ -10,7 +10,7 @@ from .geometry import (CostParams, GeometricGraph, adjacency_lengths,
 from .ggd import (InexactMatching, InstanceTooLargeError, enumerate_matchings,
                   ggd_exact, matching_cost)
 from .gmd import GmdResult, gmd, gmd_bruteforce
-from .ground_cost import GroundCostMatrix, deletion_cost, ground_cost_matrix
+from .ground_cost import GroundCostMatrix, ground_cost_matrix
 from .transport import (Flow, InfeasibleInstanceError, TransportInstance,
                         check_flow, solve_transport)
 
@@ -26,7 +26,6 @@ __all__ = [
     "TransportInstance",
     "adjacency_lengths",
     "check_flow",
-    "deletion_cost",
     "enumerate_matchings",
     "ggd_exact",
     "gmd",

@@ -15,18 +15,11 @@ from pathlib import Path
 
 from . import experiments
 from .dataset import (DISTORTION_LEVELS, GraphFormatError, load_letter_directory,
-                      load_prototypes, planarize, read_gxl_letter, read_json_graph,
-                      write_json_graph)
-from .geometry import CostParams, GeometricGraph
+                      load_prototypes, planarize, read_graph_file, write_json_graph)
+from .geometry import CostParams
 from .ggd import MAX_EXACT_VERTICES, ggd_exact
 from .gmd import gmd
-
-
-def _load_graph(path: str) -> GeometricGraph:
-    data = Path(path).read_bytes()
-    if path.lower().endswith(".gxl"):
-        return read_gxl_letter(data)
-    return read_json_graph(data)
+from .letters import write_letter_dataset
 
 
 def _cost_params(args) -> CostParams:
@@ -47,14 +40,18 @@ def _add_cost_flags(parser, cv_default=4.5, ce_default=1.0):
                         help="edge length cost coefficient")
 
 
-def _parse_k_list(text: str) -> tuple[int, ...]:
+def _positive_int(text: str) -> int:
     try:
-        ks = tuple(int(part) for part in text.split(","))
+        value = int(text)
     except ValueError:
-        raise argparse.ArgumentTypeError(f"bad k list {text!r}, expected e.g. 1,3,5")
-    if not ks or any(k < 1 for k in ks):
-        raise argparse.ArgumentTypeError("every k must be a positive integer")
-    return ks
+        value = 0
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"expected a positive integer, got {text!r}")
+    return value
+
+
+def _positive_int_list(text: str) -> tuple[int, ...]:
+    return tuple(_positive_int(part) for part in text.split(","))
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -90,9 +87,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_cls.add_argument("--prototypes", default=None,
                        help="directory of <LETTER>.json prototypes (default: built-in)")
     _add_cost_flags(p_cls)
-    p_cls.add_argument("--k", type=_parse_k_list, default=(1, 3, 5),
+    p_cls.add_argument("--k", type=_positive_int_list, default=(1, 3, 5),
                        help="comma-separated list of cutoffs, default 1,3,5")
-    p_cls.add_argument("--jobs", type=int, default=os.cpu_count(),
+    p_cls.add_argument("--jobs", type=_positive_int, default=os.cpu_count(),
                        help="worker pool size")
     p_cls.add_argument("--format", choices=("text", "csv", "json"), default="text")
     p_cls.add_argument("--out", help="write the report here instead of stdout")
@@ -100,27 +97,32 @@ def build_parser() -> argparse.ArgumentParser:
                        help="directory for per-level confusion matrix CSVs")
 
     p_stab = sub.add_parser("stability", help="distance-vs-perturbation bound trials")
-    p_stab.add_argument("--trials", type=int, default=100)
+    p_stab.add_argument("--trials", type=_positive_int, default=100)
     p_stab.add_argument("--seed", type=int, default=0)
     _add_cost_flags(p_stab, cv_default=1.0, ce_default=1.0)
     p_stab.add_argument("--format", choices=("text", "csv", "json"), default="text")
     p_stab.add_argument("--out")
 
     p_bench = sub.add_parser("bench", help="median distance runtime per graph size")
-    p_bench.add_argument("--sizes", default="50,100,200",
-                         help="comma-separated vertex counts")
-    p_bench.add_argument("--trials", type=int, default=3)
+    p_bench.add_argument("--sizes", type=_positive_int_list, default=(50, 100, 200),
+                         help="comma-separated vertex counts, default 50,100,200")
+    p_bench.add_argument("--trials", type=_positive_int, default=3)
     p_bench.add_argument("--seed", type=int, default=0)
     _add_cost_flags(p_bench, cv_default=1.0, ce_default=1.0)
-    p_bench.add_argument("--jobs", type=int, default=os.cpu_count())
     p_bench.add_argument("--format", choices=("text", "csv", "json"), default="text")
     p_bench.add_argument("--out")
+
+    p_synth = sub.add_parser("synth", help="write a synthetic letter dataset")
+    p_synth.add_argument("--out", required=True, help="dataset root directory")
+    p_synth.add_argument("--per-letter", type=_positive_int, default=150,
+                         help="drawings per letter and level (150 -> 2250 per level)")
+    p_synth.add_argument("--seed", type=int, default=7)
     return parser
 
 
 def _run_pair_distance(args, exact: bool) -> int:
-    g = _load_graph(args.first)
-    h = _load_graph(args.second)
+    g = read_graph_file(args.first)
+    h = read_graph_file(args.second)
     params = _cost_params(args)
     if exact:
         for name, graph in (("first", g), ("second", h)):
@@ -200,13 +202,8 @@ def _run_stability(args) -> int:
 
 
 def _run_bench(args) -> int:
-    try:
-        sizes = [int(part) for part in args.sizes.split(",")]
-    except ValueError:
-        print(f"error: bad --sizes {args.sizes!r}", file=sys.stderr)
-        return 2
-    rows = experiments.scaling_benchmark(sizes, trials=args.trials, seed=args.seed,
-                                         params=_cost_params(args), jobs=args.jobs)
+    rows = experiments.scaling_benchmark(args.sizes, trials=args.trials, seed=args.seed,
+                                         params=_cost_params(args))
     if args.format == "csv":
         _emit(experiments.bench_csv(rows), args.out)
     elif args.format == "json":
@@ -227,11 +224,11 @@ def main(argv=None) -> int:
         if args.command == "ggd":
             return _run_pair_distance(args, exact=True)
         if args.command == "planarize":
-            out = write_json_graph(planarize(_load_graph(args.input), args.eps))
+            out = write_json_graph(planarize(read_graph_file(args.input), args.eps))
             _emit(out + "\n", args.out)
             return 0
         if args.command == "convert":
-            _emit(write_json_graph(_load_graph(args.input)) + "\n", args.out)
+            _emit(write_json_graph(read_graph_file(args.input)) + "\n", args.out)
             return 0
         if args.command == "classify":
             return _run_classify(args)
@@ -239,6 +236,9 @@ def main(argv=None) -> int:
             return _run_stability(args)
         if args.command == "bench":
             return _run_bench(args)
+        if args.command == "synth":
+            write_letter_dataset(args.out, per_letter=args.per_letter, seed=args.seed)
+            return 0
     except (GraphFormatError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

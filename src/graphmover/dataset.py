@@ -235,7 +235,9 @@ def read_class_index(data: Union[bytes, str]) -> list[tuple[str, str]]:
     return pairs
 
 
-def _read_graph_file(path: Path) -> GeometricGraph:
+def read_graph_file(path) -> GeometricGraph:
+    """Read a graph file: GXL when the suffix is ``.gxl`` (any case), else native JSON."""
+    path = Path(path)
     data = path.read_bytes()
     if path.suffix.lower() == ".gxl":
         return read_gxl_letter(data)
@@ -272,7 +274,7 @@ def load_letter_directory(path, distortion: Optional[str] = None, *,
         entries = entries[:limit]
     records = []
     for fname, label in entries:
-        graph = _read_graph_file(root / fname)
+        graph = read_graph_file(root / fname)
         if run_planarize:
             graph = planarize(graph, eps)
         records.append(LetterRecord(graph, label, distortion, Path(fname).stem))

@@ -284,33 +284,25 @@ class BenchRow:
     median_seconds: float
 
 
-def _timed_gmd(task: tuple[GeometricGraph, GeometricGraph, CostParams]) -> float:
-    g, h, params = task
-    start = time.perf_counter()
-    gmd(g, h, params)
-    return time.perf_counter() - start
-
-
 def scaling_benchmark(sizes: Sequence[int] = (50, 100, 200), trials: int = 3,
-                      seed: int = 0, params: CostParams = CostParams(1.0, 1.0),
-                      jobs: Optional[int] = None) -> list[BenchRow]:
+                      seed: int = 0,
+                      params: CostParams = CostParams(1.0, 1.0)) -> list[BenchRow]:
     """Median wall time of the distance on random graph pairs per size.
 
-    Each call is timed individually, so with `jobs` > 1 the trials of a size
-    run concurrently but the medians still measure single solves.
+    Trials run one after another in this process, so no other trial competes
+    with a solve for the CPU while it is timed.
     """
     rng = np.random.default_rng(seed)
     warm = random_graph(rng, 8)
     gmd(warm, warm, params)
     rows = []
     for n in sizes:
-        tasks = [(random_graph(rng, n), random_graph(rng, n), params)
-                 for _ in range(trials)]
-        if jobs is not None and jobs > 1 and trials > 1:
-            with ProcessPoolExecutor(max_workers=jobs) as pool:
-                times = list(pool.map(_timed_gmd, tasks))
-        else:
-            times = [_timed_gmd(task) for task in tasks]
+        times = []
+        for _ in range(trials):
+            g, h = random_graph(rng, n), random_graph(rng, n)
+            start = time.perf_counter()
+            gmd(g, h, params)
+            times.append(time.perf_counter() - start)
         rows.append(BenchRow(int(n), float(median(times))))
     return rows
 

@@ -10,7 +10,6 @@ incident edges, and the dummy-to-dummy corner is free.
 
 from __future__ import annotations
 
-import io
 from dataclasses import dataclass
 
 import numpy as np
@@ -46,19 +45,3 @@ def ground_cost_matrix(g: GeometricGraph, h: GeometricGraph,
         out[:m, n] = params.edge_cost * eg.sum(axis=1)
     out.flags.writeable = False
     return GroundCostMatrix(out, m, n)
-
-
-def deletion_cost(vec: np.ndarray, params: CostParams) -> float:
-    """Cost of deleting a vertex with the given incident-edge length vector."""
-    return params.edge_cost * float(np.abs(np.asarray(vec, dtype=float)).sum())
-
-
-def ground_cost_csv(matrix: GroundCostMatrix, params: CostParams) -> str:
-    """Debug dump: one header line with m, n and the cost coefficients, then
-    the matrix in row-major order."""
-    buf = io.StringIO()
-    buf.write("m,n,vertex_cost,edge_cost\n")
-    buf.write(f"{matrix.m},{matrix.n},{params.vertex_cost!r},{params.edge_cost!r}\n")
-    for row in matrix.entries:
-        buf.write(",".join(repr(float(x)) for x in row) + "\n")
-    return buf.getvalue()

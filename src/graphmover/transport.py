@@ -10,7 +10,6 @@ by lowest index, so the returned flow is deterministic for a fixed instance.
 
 from __future__ import annotations
 
-import io
 from dataclasses import dataclass
 
 import numpy as np
@@ -176,12 +175,3 @@ def check_flow(inst: TransportInstance, flow: Flow, tol: float = 1e-9) -> list[s
         problems.append(f"objective {flow.objective!r} does not match flow cost "
                         f"{recomputed!r} (residual {recomputed - flow.objective!r})")
     return problems
-
-
-def flow_csv(flow: Flow) -> str:
-    """Debug dump of the flow matrix, one row per supplier."""
-    buf = io.StringIO()
-    buf.write(f"objective,{flow.objective!r}\n")
-    for row in flow.values:
-        buf.write(",".join(repr(float(x)) for x in row) + "\n")
-    return buf.getvalue()

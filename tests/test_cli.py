@@ -5,7 +5,6 @@ import pytest
 from graphmover.cli import main
 from graphmover.dataset import packaged_graph, read_json_graph, write_json_graph
 from graphmover.geometry import GeometricGraph, validate_graph
-from graphmover.letters import write_letter_dataset
 
 GXL_SAMPLE = """<gxl><graph edgemode="undirected">
 <node id="_0"><attr name="x"><float>0.0</float></attr><attr name="y"><float>0.0</float></attr></node>
@@ -72,6 +71,22 @@ def test_usage_errors_exit_2():
     assert exc.value.code == 2
 
 
+@pytest.mark.parametrize("argv", [
+    ["stability", "--trials", "0", "--format", "json"],
+    ["stability", "--trials", "-2"],
+    ["bench", "--trials", "0"],
+    ["bench", "--sizes", "4,x"],
+    ["bench", "--sizes", "0"],
+    ["classify", "--dataset", "letters", "--k", "1,0"],
+    ["classify", "--dataset", "letters", "--jobs", "0"],
+    ["synth", "--out", "letters", "--per-letter", "0"],
+])
+def test_bad_counts_are_usage_errors(argv):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+
+
 def test_planarize_command(tmp_path, capsys):
     crossing = GeometricGraph.build([(0, 0), (2, 2), (0, 2), (2, 0)], [(0, 1), (2, 3)])
     src = tmp_path / "crossing.json"
@@ -102,7 +117,7 @@ def test_gmd_reads_gxl_directly(tmp_path, capsys):
 
 def test_classify_end_to_end(tmp_path, capsys):
     dataset = tmp_path / "letters"
-    write_letter_dataset(dataset, per_letter=1, seed=3, levels=("LOW",))
+    assert main(["synth", "--out", str(dataset), "--per-letter", "1", "--seed", "3"]) == 0
     out = tmp_path / "report.csv"
     code = main(["classify", "--dataset", str(dataset), "--distortion", "LOW",
                  "--k", "1,3", "--jobs", "1", "--format", "csv", "--out", str(out),
@@ -133,8 +148,7 @@ def test_stability_command_text_and_csv(capsys):
 
 
 def test_bench_command(capsys):
-    assert main(["bench", "--sizes", "4,8", "--trials", "1", "--jobs", "1",
-                 "--format", "csv"]) == 0
+    assert main(["bench", "--sizes", "4,8", "--trials", "1", "--format", "csv"]) == 0
     out = capsys.readouterr().out
     assert out.splitlines()[0] == "n_vertices,median_seconds"
     assert len(out.splitlines()) == 3

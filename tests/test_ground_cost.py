@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 
 from graphmover.geometry import CostParams, GeometricGraph, translate
-from graphmover.ground_cost import deletion_cost, ground_cost_csv, ground_cost_matrix
+from graphmover.ground_cost import ground_cost_matrix
 
 from conftest import UNIT_COSTS, geometric_graphs
 from helpers import naive_ground_cost
@@ -52,13 +52,6 @@ def test_degenerate_empty_sides():
     assert both.entries[0, 0] == 0.0
 
 
-def test_deletion_cost_examples():
-    assert deletion_cost(np.zeros(4), UNIT_COSTS) == 0.0
-    vec = np.array([0.0, 0.0, 0.0, 2.0, math.sqrt(2.0)])
-    assert deletion_cost(vec, UNIT_COSTS) == pytest.approx(2.0 + math.sqrt(2.0))
-    assert deletion_cost(np.array([3.0, 0.0, 1.0]), CostParams(1.0, 2.0)) == pytest.approx(8.0)
-
-
 @settings(max_examples=40, deadline=None)
 @given(geometric_graphs(max_vertices=5), geometric_graphs(max_vertices=5))
 def test_matches_naive_oracle_and_transpose_symmetry(g, h):
@@ -92,14 +85,3 @@ def test_real_entries_dominate_displacement_term(g, h):
             gap = params.vertex_cost * math.dist(g.vertices[i], h.vertices[j])
             assert mat[i, j] >= gap - 1e-12
             assert mat[i, j] >= 0.0
-
-
-def test_csv_dump_round_trips_shape(segment_pair):
-    g, h = segment_pair
-    mat = ground_cost_matrix(g, h, UNIT_COSTS)
-    text = ground_cost_csv(mat, UNIT_COSTS)
-    lines = text.strip().splitlines()
-    assert lines[0] == "m,n,vertex_cost,edge_cost"
-    assert lines[1].startswith("3,2,")
-    rows = [[float(x) for x in line.split(",")] for line in lines[2:]]
-    assert np.allclose(np.array(rows), mat.entries)

@@ -4,7 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from graphmover.transport import (Flow, InfeasibleInstanceError, TransportInstance,
-                                  check_flow, flow_csv, solve_transport)
+                                  check_flow, solve_transport)
 
 from helpers import min_integral_flow_cost, random_integer_transport
 
@@ -137,11 +137,3 @@ def test_float_weights_solve_and_validate():
         inst = make(s, d, rng.uniform(0.0, 10.0, (m, n)))
         flow = solve_transport(inst)
         assert check_flow(inst, flow, tol=1e-7) == []
-
-
-def test_flow_csv_contains_objective_and_rows():
-    flow = solve_transport(make([1, 1], [2], [[1], [3]]))
-    text = flow_csv(flow)
-    lines = text.strip().splitlines()
-    assert lines[0].startswith("objective,")
-    assert len(lines) == 3
