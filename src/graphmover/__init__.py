@@ -5,8 +5,8 @@ ground costs; the exact distance enumerates inexact matchings and is only
 feasible for small graphs, where it doubles as an oracle.
 """
 
-from .geometry import (CostParams, GeometricGraph, adjacency_lengths,
-                       hausdorff_vertices, perturb, translate, validate_graph)
+from .geometry import (CostParams, GeometricGraph, hausdorff_vertices, perturb,
+                       translate, validate_graph)
 from .ggd import (InexactMatching, InstanceTooLargeError, enumerate_matchings,
                   ggd_exact, matching_cost)
 from .gmd import GmdResult, gmd, gmd_bruteforce
@@ -24,7 +24,6 @@ __all__ = [
     "InfeasibleInstanceError",
     "InstanceTooLargeError",
     "TransportInstance",
-    "adjacency_lengths",
     "check_flow",
     "enumerate_matchings",
     "ggd_exact",

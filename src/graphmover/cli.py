@@ -9,13 +9,13 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
+import math
 import sys
 from pathlib import Path
 
 from . import experiments
-from .dataset import (DISTORTION_LEVELS, GraphFormatError, load_letter_directory,
-                      load_prototypes, planarize, read_graph_file, write_json_graph)
+from .dataset import (DISTORTION_LEVELS, load_letter_directory, load_prototypes,
+                      planarize, read_graph_file, write_json_graph)
 from .geometry import CostParams
 from .ggd import MAX_EXACT_VERTICES, ggd_exact
 from .gmd import gmd
@@ -54,6 +54,16 @@ def _positive_int_list(text: str) -> tuple[int, ...]:
     return tuple(_positive_int(part) for part in text.split(","))
 
 
+def _tolerance(text: str) -> float:
+    try:
+        value = float(text)
+    except ValueError:
+        value = math.nan
+    if not (math.isfinite(value) and value >= 0):
+        raise argparse.ArgumentTypeError(f"expected a finite number >= 0, got {text!r}")
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="graphmover",
@@ -73,7 +83,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_plan = sub.add_parser("planarize", help="insert vertices at edge crossings")
     p_plan.add_argument("input")
     p_plan.add_argument("--out", help="output path (default: stdout)")
-    p_plan.add_argument("--eps", type=float, default=1e-9)
+    p_plan.add_argument("--eps", type=_tolerance, default=1e-9)
 
     p_conv = sub.add_parser("convert", help="convert GXL or native JSON to native JSON")
     p_conv.add_argument("input")
@@ -89,8 +99,8 @@ def build_parser() -> argparse.ArgumentParser:
     _add_cost_flags(p_cls)
     p_cls.add_argument("--k", type=_positive_int_list, default=(1, 3, 5),
                        help="comma-separated list of cutoffs, default 1,3,5")
-    p_cls.add_argument("--jobs", type=_positive_int, default=os.cpu_count(),
-                       help="worker pool size")
+    p_cls.add_argument("--jobs", type=_positive_int, default=None,
+                       help="worker pool size (default: all processors)")
     p_cls.add_argument("--format", choices=("text", "csv", "json"), default="text")
     p_cls.add_argument("--out", help="write the report here instead of stdout")
     p_cls.add_argument("--confusion-out",
@@ -239,7 +249,7 @@ def main(argv=None) -> int:
         if args.command == "synth":
             write_letter_dataset(args.out, per_letter=args.per_letter, seed=args.seed)
             return 0
-    except (GraphFormatError, ValueError, OSError) as exc:
+    except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     raise AssertionError(f"unhandled command {args.command}")

@@ -61,7 +61,7 @@ def read_json_graph(data: Union[bytes, str]) -> GeometricGraph:
     if missing:
         raise GraphFormatError(f"missing keys: {sorted(missing)}")
     dim = doc["d"]
-    if not isinstance(dim, int) or dim < 1:
+    if type(dim) is not int or dim < 1:
         raise GraphFormatError(f"'d' must be a positive integer, got {dim!r}")
     vertices = doc["vertices"]
     edges = doc["edges"]
@@ -69,11 +69,11 @@ def read_json_graph(data: Union[bytes, str]) -> GeometricGraph:
         raise GraphFormatError("'vertices' and 'edges' must be arrays")
     for v in vertices:
         if not (isinstance(v, list) and len(v) == dim
-                and all(isinstance(x, (int, float)) for x in v)):
+                and all(type(x) in (int, float) for x in v)):
             raise GraphFormatError(f"bad vertex {v!r}")
     for e in edges:
         if not (isinstance(e, list) and len(e) == 2
-                and all(isinstance(x, int) for x in e)):
+                and all(type(x) is int for x in e)):
             raise GraphFormatError(f"bad edge {e!r}")
     try:
         graph = GeometricGraph(dim, tuple(tuple(v) for v in vertices),
@@ -244,15 +244,13 @@ def read_graph_file(path) -> GeometricGraph:
     return read_json_graph(data)
 
 
-def load_letter_directory(path, distortion: Optional[str] = None, *,
-                          run_planarize: bool = True, eps: float = 1e-9,
-                          limit: Optional[int] = None) -> list[LetterRecord]:
+def load_letter_directory(path, distortion: Optional[str] = None) -> list[LetterRecord]:
     """Load one distortion directory of letter drawings.
 
     Labels come from the directory's class files (any ``*.cxl``, concatenated
     in sorted filename order) or from a ``labels.json`` object mapping file
-    names to letters. Graphs are planarized by default so that downstream
-    consumers see valid geometric graphs.
+    names to letters. Graphs are planarized so that downstream consumers see
+    valid geometric graphs.
     """
     root = Path(path)
     if distortion is None:
@@ -270,15 +268,9 @@ def load_letter_directory(path, distortion: Optional[str] = None, *,
             entries.extend(read_class_index(cf.read_bytes()))
     else:
         raise GraphFormatError(f"no labels.json or *.cxl class file in {root}")
-    if limit is not None:
-        entries = entries[:limit]
-    records = []
-    for fname, label in entries:
-        graph = read_graph_file(root / fname)
-        if run_planarize:
-            graph = planarize(graph, eps)
-        records.append(LetterRecord(graph, label, distortion, Path(fname).stem))
-    return records
+    return [LetterRecord(planarize(read_graph_file(root / fname)), label, distortion,
+                         Path(fname).stem)
+            for fname, label in entries]
 
 
 def load_prototypes(path=None) -> dict[str, GeometricGraph]:
@@ -290,14 +282,12 @@ def load_prototypes(path=None) -> dict[str, GeometricGraph]:
     protos = {}
     for label in LETTER_LABELS:
         if path is None:
-            text = (resources.files("graphmover") / "data" / "prototypes"
-                    / f"{label}.json").read_text()
+            protos[label] = packaged_graph(f"prototypes/{label}")
         else:
             target = Path(path) / f"{label}.json"
             if not target.exists():
                 raise GraphFormatError(f"missing prototype for letter {label}: {target}")
-            text = target.read_text()
-        protos[label] = read_json_graph(text)
+            protos[label] = read_json_graph(target.read_text())
     return protos
 
 

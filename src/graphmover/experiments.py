@@ -11,9 +11,10 @@ import os
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
+from functools import partial
 from itertools import combinations
 from statistics import median
-from typing import Iterable, Optional, Sequence
+from typing import Callable, Iterable, Optional, Sequence
 
 import numpy as np
 
@@ -32,27 +33,14 @@ class RetrievalReport:
     ks: tuple[int, ...]
     accuracy: dict[int, float]
     confusion: np.ndarray  # rows: true letter, cols: top-1 prediction
-    params: CostParams
     n_tests: int
     runtime_seconds: float
-
-
-_POOL_STATE: dict = {}
-
-
-def _pool_init(proto_graphs, params):
-    _POOL_STATE["protos"] = proto_graphs
-    _POOL_STATE["params"] = params
 
 
 def _rank_letters(graph: GeometricGraph, proto_graphs, params) -> list[int]:
     distances = [gmd(graph, proto, params).value for proto in proto_graphs]
     # ties broken by alphabetical letter order: proto_graphs is label-ordered
     return sorted(range(len(proto_graphs)), key=lambda a: (distances[a], a))
-
-
-def _pool_rank(graph: GeometricGraph) -> list[int]:
-    return _rank_letters(graph, _POOL_STATE["protos"], _POOL_STATE["params"])
 
 
 def classify_topk(tests: Sequence[LetterRecord], prototypes: dict[str, GeometricGraph],
@@ -80,10 +68,10 @@ def classify_topk(tests: Sequence[LetterRecord], prototypes: dict[str, Geometric
     if jobs is None:
         jobs = os.cpu_count() or 1
     if jobs > 1 and len(tests) > 1:
-        with ProcessPoolExecutor(max_workers=jobs, initializer=_pool_init,
-                                 initargs=(proto_graphs, params)) as pool:
+        rank = partial(_rank_letters, proto_graphs=proto_graphs, params=params)
+        with ProcessPoolExecutor(max_workers=jobs) as pool:
             chunk = max(1, len(tests) // (8 * jobs))
-            orders = list(pool.map(_pool_rank, [r.graph for r in tests], chunksize=chunk))
+            orders = list(pool.map(rank, [r.graph for r in tests], chunksize=chunk))
     else:
         orders = [_rank_letters(r.graph, proto_graphs, params) for r in tests]
 
@@ -98,7 +86,7 @@ def classify_topk(tests: Sequence[LetterRecord], prototypes: dict[str, Geometric
         confusion[true_idx, order[0]] += 1
     n = len(tests)
     accuracy = {k: (hits[k] / n if n else 0.0) for k in ks}
-    return RetrievalReport(distortion, ks, accuracy, confusion, params, n,
+    return RetrievalReport(distortion, ks, accuracy, confusion, n,
                            time.perf_counter() - start)
 
 
@@ -123,17 +111,18 @@ def confusion_csv(report: RetrievalReport) -> str:
 # random graphs for trials and benchmarks
 
 
-def random_graph(rng: np.random.Generator, n_vertices: int, dim: int = 2,
-                 box: float = 10.0, mean_degree: float = 2.0) -> GeometricGraph:
-    """Random ordered graph: uniform vertices in a box, random distinct edges."""
-    pts = rng.uniform(0.0, box, size=(n_vertices, dim))
+def random_graph(rng: np.random.Generator, n_vertices: int,
+                 box: float = 10.0) -> GeometricGraph:
+    """Random ordered 2D graph: uniform vertices in a box, one random distinct
+    edge per vertex (capped by the number of vertex pairs)."""
+    pts = rng.uniform(0.0, box, size=(n_vertices, 2))
     pairs = list(combinations(range(n_vertices), 2))
-    n_edges = min(len(pairs), round(mean_degree * n_vertices / 2))
+    n_edges = min(len(pairs), n_vertices)
     edges = []
     if n_edges:
         chosen = rng.choice(len(pairs), size=n_edges, replace=False)
         edges = [pairs[i] for i in sorted(chosen)]
-    return GeometricGraph.build(pts, edges, dim=dim)
+    return GeometricGraph.build(pts, edges, dim=2)
 
 
 # ---------------------------------------------------------------------------
@@ -181,53 +170,51 @@ def ggd_perturbation_trial(g: GeometricGraph, delta: float, seed: int,
     return value, bound
 
 
-def _run_suite(name: str, trial_values: list[tuple[float, float]],
-               tol: float = 1e-9) -> StabilityReport:
+def _stability_suite(name: str, trials: int, seed: int, max_vertices: int,
+                     trial: Callable[[GeometricGraph, np.random.Generator, int],
+                                     tuple[float, float]]) -> StabilityReport:
+    """Count the trials whose distance exceeds its bound on random graphs.
+
+    Each trial draws its graph size and graph from one stream seeded by
+    `seed`; `trial(g, rng, index)` draws what else it needs from the same
+    stream and returns (distance, bound).
+    """
+    rng = np.random.default_rng(seed)
     violations = 0
     max_ratio = 0.0
-    for value, bound in trial_values:
-        if value > bound + tol:
+    for index in range(trials):
+        g = random_graph(rng, int(rng.integers(1, max_vertices + 1)))
+        value, bound = trial(g, rng, index)
+        if value > bound + 1e-9:
             violations += 1
-        if bound > tol:
+        if bound > 1e-9:
             max_ratio = max(max_ratio, value / bound)
-    return StabilityReport(name, len(trial_values), violations, max_ratio)
+    return StabilityReport(name, trials, violations, max_ratio)
 
 
 def run_gmd_translation_suite(trials: int = 100, seed: int = 0,
                               params: CostParams = CostParams(1.0, 1.0),
                               max_vertices: int = 8) -> StabilityReport:
-    rng = np.random.default_rng(seed)
-    results = []
-    for _ in range(trials):
-        g = random_graph(rng, int(rng.integers(1, max_vertices + 1)))
-        t = rng.uniform(-5.0, 5.0, size=2)
-        results.append(gmd_translation_trial(g, t, params))
-    return _run_suite("gmd-translation", results)
+    return _stability_suite(
+        "gmd-translation", trials, seed, max_vertices,
+        lambda g, rng, index: gmd_translation_trial(g, rng.uniform(-5.0, 5.0, size=2), params))
 
 
 def run_ggd_translation_suite(trials: int = 100, seed: int = 0,
                               params: CostParams = CostParams(1.0, 1.0),
                               max_vertices: int = 5) -> StabilityReport:
-    rng = np.random.default_rng(seed)
-    results = []
-    for _ in range(trials):
-        g = random_graph(rng, int(rng.integers(1, max_vertices + 1)))
-        t = rng.uniform(-5.0, 5.0, size=2)
-        results.append(ggd_translation_trial(g, t, params))
-    return _run_suite("ggd-translation-literal", results)
+    return _stability_suite(
+        "ggd-translation-literal", trials, seed, max_vertices,
+        lambda g, rng, index: ggd_translation_trial(g, rng.uniform(-5.0, 5.0, size=2), params))
 
 
 def run_ggd_perturbation_suite(trials: int = 100, seed: int = 0,
                                params: CostParams = CostParams(1.0, 1.0),
-                               max_vertices: int = 5,
-                               max_delta: float = 1.0) -> StabilityReport:
-    rng = np.random.default_rng(seed)
-    results = []
-    for trial in range(trials):
-        g = random_graph(rng, int(rng.integers(1, max_vertices + 1)))
-        delta = float(rng.uniform(0.0, max_delta))
-        results.append(ggd_perturbation_trial(g, delta, seed * 100003 + trial, params))
-    return _run_suite("ggd-perturbation-corrected", results)
+                               max_vertices: int = 5) -> StabilityReport:
+    return _stability_suite(
+        "ggd-perturbation-corrected", trials, seed, max_vertices,
+        lambda g, rng, index: ggd_perturbation_trial(
+            g, float(rng.uniform(0.0, 1.0)), seed * 100003 + index, params))
 
 
 def stability_csv(reports: Sequence[StabilityReport]) -> str:
@@ -250,9 +237,8 @@ class TriangleReport:
 
 
 def triangle_inequality_survey(trials: int = 100, seed: int = 0,
-                               params: CostParams = CostParams(1.0, 1.0),
-                               max_vertices: int = 6, tol: float = 1e-9) -> TriangleReport:
-    """Empirical check of d(a,c) <= d(a,b) + d(b,c) on random graph triples.
+                               params: CostParams = CostParams(1.0, 1.0)) -> TriangleReport:
+    """Empirical check of d(a,c) <= d(a,b) + d(b,c) on triples of 1-6 vertex graphs.
 
     The survey reports violations instead of asserting: with graphs of
     different sizes, the adjacency vectors are truncated differently per pair,
@@ -262,14 +248,13 @@ def triangle_inequality_survey(trials: int = 100, seed: int = 0,
     violations = 0
     worst = -np.inf
     for _ in range(trials):
-        a, b, c = (random_graph(rng, int(rng.integers(1, max_vertices + 1)))
-                   for _ in range(3))
+        a, b, c = (random_graph(rng, int(rng.integers(1, 7))) for _ in range(3))
         d_ab = gmd(a, b, params).value
         d_bc = gmd(b, c, params).value
         d_ac = gmd(a, c, params).value
         excess = d_ac - d_ab - d_bc
         worst = max(worst, excess)
-        if excess > tol:
+        if excess > 1e-9:
             violations += 1
     return TriangleReport(trials, violations, float(worst))
 

@@ -114,17 +114,6 @@ class GeometricGraph:
         return sum(self.edge_length(e) for e in self.edges)
 
 
-def adjacency_lengths(g: GeometricGraph, i: int) -> np.ndarray:
-    """Length vector of the edges incident to vertex i, indexed by neighbor.
-
-    Entry k is the Euclidean length of edge (i, k) when that edge exists and 0
-    otherwise; the vector has one entry per vertex of `g`.
-    """
-    if not 0 <= i < g.n_vertices:
-        raise IndexError(f"vertex index {i} out of range for graph with {g.n_vertices} vertices")
-    return g.adjacency_length_matrix[i].copy()
-
-
 def validate_graph(g: GeometricGraph, check_embedding: bool = False,
                    eps: float = 1e-9) -> list[str]:
     """Report structural violations; an empty list means the graph is valid.

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import combinations, permutations
-from math import comb
+from math import comb, perm
 from typing import Iterator, Optional
 
 import numpy as np
@@ -69,14 +69,7 @@ class InexactMatching:
 
 def matching_count(m: int, n: int) -> int:
     """Number of inexact matchings between vertex sets of sizes m and n."""
-    return sum(comb(m, k) * comb(n, k) * _factorial(k) for k in range(min(m, n) + 1))
-
-
-def _factorial(k: int) -> int:
-    out = 1
-    for i in range(2, k + 1):
-        out *= i
-    return out
+    return sum(comb(m, k) * perm(n, k) for k in range(min(m, n) + 1))
 
 
 def enumerate_matchings(g: GeometricGraph, h: GeometricGraph) -> Iterator[InexactMatching]:

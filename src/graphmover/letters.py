@@ -102,8 +102,7 @@ def make_letter_records(distortion: str, per_letter: int = 150, seed: int = 7,
     return records
 
 
-def write_letter_dataset(root, per_letter: int = 150, seed: int = 7,
-                         levels=DISTORTION_LEVELS) -> None:
+def write_letter_dataset(root, per_letter: int = 150, seed: int = 7) -> None:
     """Write a synthetic dataset in the native on-disk layout.
 
     One directory per distortion level with graph JSON files and a
@@ -115,7 +114,7 @@ def write_letter_dataset(root, per_letter: int = 150, seed: int = 7,
     proto_dir.mkdir(parents=True, exist_ok=True)
     for label, g in protos.items():
         (proto_dir / f"{label}.json").write_text(write_json_graph(g))
-    for level in levels:
+    for level in DISTORTION_LEVELS:
         level_dir = root / level
         level_dir.mkdir(parents=True, exist_ok=True)
         labels = {}

@@ -80,6 +80,9 @@ def test_usage_errors_exit_2():
     ["classify", "--dataset", "letters", "--k", "1,0"],
     ["classify", "--dataset", "letters", "--jobs", "0"],
     ["synth", "--out", "letters", "--per-letter", "0"],
+    ["planarize", "drawing.json", "--eps", "nan"],
+    ["planarize", "drawing.json", "--eps", "inf"],
+    ["planarize", "drawing.json", "--eps", "-1"],
 ])
 def test_bad_counts_are_usage_errors(argv):
     with pytest.raises(SystemExit) as exc:

@@ -6,8 +6,8 @@ from hypothesis import assume, given, settings
 
 from graphmover.dataset import (CollinearOverlapError, GraphFormatError, LetterRecord,
                                 load_letter_directory, load_prototypes, packaged_graph,
-                                planarize, read_class_index, read_gxl_letter,
-                                read_json_graph, write_json_graph)
+                                planarize, read_class_index, read_graph_file,
+                                read_gxl_letter, read_json_graph, write_json_graph)
 from graphmover.geometry import GeometricGraph, validate_graph
 
 from conftest import geometric_graphs
@@ -50,6 +50,12 @@ def test_json_reader_rejects_bad_documents():
         read_json_graph('{"d":2,"vertices":[[0,0],[1,1]],"edges":[[1,1]]}')
     with pytest.raises(GraphFormatError, match="duplicate"):
         read_json_graph('{"d":2,"vertices":[[0,0],[1,1]],"edges":[[0,1],[1,0]]}')
+    with pytest.raises(GraphFormatError, match="'d'"):
+        read_json_graph('{"d":true,"vertices":[[0.0],[1.0]],"edges":[[0,1]]}')
+    with pytest.raises(GraphFormatError, match="bad edge"):
+        read_json_graph('{"d":1,"vertices":[[0.0],[1.0]],"edges":[[true,false]]}')
+    with pytest.raises(GraphFormatError, match="bad vertex"):
+        read_json_graph('{"d":2,"vertices":[[true,0],[1,2]],"edges":[]}')
 
 
 @settings(max_examples=40, deadline=None)
@@ -205,8 +211,7 @@ def test_load_letter_directory_planarizes_crossings(tmp_path):
     (level / "labels.json").write_text(json.dumps({"x.json": "X"}))
     records = load_letter_directory(level)
     assert records[0].graph.n_vertices == 5
-    raw = load_letter_directory(level, run_planarize=False)
-    assert raw[0].graph == crossing
+    assert read_graph_file(level / "x.json") == crossing
 
 
 def test_load_letter_directory_requires_labels(tmp_path):

@@ -129,6 +129,17 @@ def test_stability_suites_have_no_violations():
     assert text.splitlines()[0] == "bound,trials,violations,max_ratio"
 
 
+def test_stability_suites_are_pinned():
+    reports = [suite(trials=20, seed=3, params=UNIT_COSTS)
+               for suite in (run_gmd_translation_suite, run_ggd_translation_suite,
+                             run_ggd_perturbation_suite)]
+    assert stability_csv(reports) == (
+        "bound,trials,violations,max_ratio\n"
+        "gmd-translation,20,0,1.000000000\n"
+        "ggd-translation-literal,20,0,1.000000000\n"
+        "ggd-perturbation-corrected,20,0,0.822208106\n")
+
+
 def test_triangle_survey_reports_consistently():
     report = triangle_inequality_survey(trials=30, seed=3, params=UNIT_COSTS)
     assert report.trials == 30

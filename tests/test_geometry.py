@@ -4,9 +4,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 
-from graphmover.geometry import (CostParams, GeometricGraph, adjacency_lengths,
-                                 hausdorff_vertices, perturb, translate,
-                                 validate_graph)
+from graphmover.geometry import (CostParams, GeometricGraph, hausdorff_vertices,
+                                 perturb, translate, validate_graph)
 
 from conftest import geometric_graphs
 
@@ -71,22 +70,18 @@ def test_adjacency_lengths_zero_distance_twin_row():
     from graphmover.dataset import packaged_graph
 
     g = packaged_graph("figures/zero_gmd_twin_G")
-    row = adjacency_lengths(g, 0)
+    row = g.adjacency_length_matrix[0]
     assert row == pytest.approx([0.0, 0.0, 0.0, 2.0, math.sqrt(2.0)])
 
 
 def test_adjacency_lengths_subdivided_segment_middle_vertex(segment_pair):
     g, _ = segment_pair
-    assert adjacency_lengths(g, 1) == pytest.approx([3.0, 0.0, 1.0])
+    assert g.adjacency_length_matrix[1] == pytest.approx([3.0, 0.0, 1.0])
 
 
 def test_adjacency_lengths_isolated_vertex_and_range():
     g = GeometricGraph.build([(0, 0), (5, 5), (9, 1)], [(0, 2)])
-    assert adjacency_lengths(g, 1).tolist() == [0.0, 0.0, 0.0]
-    with pytest.raises(IndexError):
-        adjacency_lengths(g, 3)
-    with pytest.raises(IndexError):
-        adjacency_lengths(g, -1)
+    assert g.adjacency_length_matrix[1].tolist() == [0.0, 0.0, 0.0]
 
 
 @settings(max_examples=60, deadline=None)
@@ -94,8 +89,7 @@ def test_adjacency_lengths_isolated_vertex_and_range():
 def test_adjacency_matrix_is_symmetric_and_counts_each_edge_twice(g):
     mat = g.adjacency_length_matrix
     assert np.array_equal(mat, mat.T)
-    total = sum(adjacency_lengths(g, i).sum() for i in range(g.n_vertices))
-    assert total == pytest.approx(2.0 * g.total_edge_length(), abs=1e-9)
+    assert mat.sum() == pytest.approx(2.0 * g.total_edge_length(), abs=1e-9)
 
 
 def test_hausdorff_identical_and_shared_sets(shared_vertex_pair):
@@ -165,5 +159,5 @@ def test_translate_preserves_adjacency_vectors(g):
     # shifted coordinates round, so lengths agree to the last few ulps only
     moved = translate(g, (2.5, -1.25))
     for i in range(g.n_vertices):
-        assert np.allclose(adjacency_lengths(g, i), adjacency_lengths(moved, i),
+        assert np.allclose(g.adjacency_length_matrix[i], moved.adjacency_length_matrix[i],
                            atol=1e-12, rtol=1e-12)

@@ -59,14 +59,15 @@ def test_levels_use_independent_streams():
 
 
 def test_write_letter_dataset_round_trips(tmp_path):
-    write_letter_dataset(tmp_path, per_letter=2, seed=9, levels=("LOW",))
-    labels = json.loads((tmp_path / "LOW" / "labels.json").read_text())
-    assert len(labels) == 2 * len(LETTER_LABELS)
-    records = load_letter_directory(tmp_path / "LOW")
-    assert len(records) == 2 * len(LETTER_LABELS)
-    regenerated = make_letter_records("LOW", per_letter=2, seed=9)
-    by_id = {r.source_id: r for r in regenerated}
-    for rec in records:
-        assert rec.graph == by_id[rec.source_id].graph
+    write_letter_dataset(tmp_path, per_letter=2, seed=9)
+    for level in DISTORTION_LEVELS:
+        labels = json.loads((tmp_path / level / "labels.json").read_text())
+        assert len(labels) == 2 * len(LETTER_LABELS)
+        records = load_letter_directory(tmp_path / level)
+        assert len(records) == 2 * len(LETTER_LABELS)
+        regenerated = make_letter_records(level, per_letter=2, seed=9)
+        by_id = {r.source_id: r for r in regenerated}
+        for rec in records:
+            assert rec.graph == by_id[rec.source_id].graph
     protos = load_prototypes(tmp_path / "prototypes")
     assert protos == load_prototypes()
