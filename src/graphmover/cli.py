@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import sys
 from pathlib import Path
 
@@ -17,7 +16,7 @@ from . import experiments
 from .dataset import (DISTORTION_LEVELS, load_letter_directory, load_prototypes,
                       planarize, read_graph_file, write_json_graph)
 from .geometry import CostParams
-from .ggd import MAX_EXACT_VERTICES, ggd_exact
+from .ggd import ggd_exact
 from .gmd import gmd
 from .letters import write_letter_dataset
 
@@ -54,16 +53,6 @@ def _positive_int_list(text: str) -> tuple[int, ...]:
     return tuple(_positive_int(part) for part in text.split(","))
 
 
-def _tolerance(text: str) -> float:
-    try:
-        value = float(text)
-    except ValueError:
-        value = math.nan
-    if not (math.isfinite(value) and value >= 0):
-        raise argparse.ArgumentTypeError(f"expected a finite number >= 0, got {text!r}")
-    return value
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="graphmover",
@@ -83,7 +72,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_plan = sub.add_parser("planarize", help="insert vertices at edge crossings")
     p_plan.add_argument("input")
     p_plan.add_argument("--out", help="output path (default: stdout)")
-    p_plan.add_argument("--eps", type=_tolerance, default=1e-9)
 
     p_conv = sub.add_parser("convert", help="convert GXL or native JSON to native JSON")
     p_conv.add_argument("input")
@@ -135,12 +123,6 @@ def _run_pair_distance(args, exact: bool) -> int:
     h = read_graph_file(args.second)
     params = _cost_params(args)
     if exact:
-        for name, graph in (("first", g), ("second", h)):
-            if graph.n_vertices > MAX_EXACT_VERTICES:
-                print(f"error: {name} graph has {graph.n_vertices} vertices; the exact "
-                      f"solver enumerates matchings and is capped at "
-                      f"{MAX_EXACT_VERTICES} vertices per graph", file=sys.stderr)
-                return 1
         value, _ = ggd_exact(g, h, params)
     else:
         value = gmd(g, h, params).value
@@ -234,7 +216,7 @@ def main(argv=None) -> int:
         if args.command == "ggd":
             return _run_pair_distance(args, exact=True)
         if args.command == "planarize":
-            out = write_json_graph(planarize(read_graph_file(args.input), args.eps))
+            out = write_json_graph(planarize(read_graph_file(args.input)))
             _emit(out + "\n", args.out)
             return 0
         if args.command == "convert":

@@ -16,6 +16,9 @@ import numpy as np
 
 Point = tuple[float, ...]
 
+# Drawing tolerance: segments, crossings and endpoints closer than this coincide.
+EPS = 1e-9
+
 
 @dataclass(frozen=True)
 class CostParams:
@@ -35,9 +38,11 @@ class CostParams:
 class GeometricGraph:
     """Ordered geometric graph: vertices are points of R^dim, edges index pairs.
 
-    Edges are stored normalized (i < j where possible) and lexicographically
-    sorted; duplicates and self-loops are kept so that `validate_graph` can
-    report them. Instances are immutable and hashable.
+    Edges are stored normalized (i < j) and lexicographically sorted. The
+    constructor is the one place that decides whether a graph is valid: a
+    bool or non-positive dim, a coordinate that is not a finite float, an
+    edge index out of range, a self-loop or a duplicate edge raises
+    ValueError. Instances are immutable and hashable.
     """
 
     dim: int
@@ -45,34 +50,46 @@ class GeometricGraph:
     edges: tuple[tuple[int, int], ...]
 
     def __post_init__(self):
-        if not isinstance(self.dim, int) or self.dim < 1:
+        if type(self.dim) is bool or not isinstance(self.dim, int) or self.dim < 1:
             raise ValueError(f"dim must be a positive integer, got {self.dim!r}")
         verts = []
-        for v in self.vertices:
-            p = tuple(float(x) for x in v)
+        for index, v in enumerate(self.vertices):
+            try:
+                p = tuple(float(x) for x in v)
+            except OverflowError:
+                raise ValueError(
+                    f"vertex {index} has a coordinate too large for a float") from None
             if len(p) != self.dim:
                 raise ValueError(f"vertex {v!r} does not have dimension {self.dim}")
             if not all(math.isfinite(x) for x in p):
                 raise ValueError(f"vertex {v!r} has a non-finite coordinate")
             verts.append(p)
         pairs = []
-        for e in self.edges:
-            i, j = e
+        for i, j in self.edges:
             i, j = int(i), int(j)
             pairs.append((i, j) if i <= j else (j, i))
         pairs.sort()
+        n = len(verts)
+        # sorted, so duplicates are adjacent and e[0] <= e[1]
+        for previous, e in zip([None] + pairs, pairs):
+            if e[0] < 0 or e[1] >= n:
+                raise ValueError(f"edge {e}: index out of range for {n} vertices")
+            if e[0] == e[1]:
+                raise ValueError(f"edge {e}: self-loop")
+            if e == previous:
+                raise ValueError(f"edge {e}: duplicate edge")
         object.__setattr__(self, "vertices", tuple(verts))
         object.__setattr__(self, "edges", tuple(pairs))
 
     @classmethod
     def build(cls, points: Iterable[Sequence[float]], edges: Iterable[Sequence[int]],
               dim: Optional[int] = None) -> "GeometricGraph":
-        pts = [tuple(float(x) for x in p) for p in points]
+        pts = tuple(tuple(p) for p in points)
         if dim is None:
             if not pts:
                 raise ValueError("dim is required for a graph with no vertices")
             dim = len(pts[0])
-        return cls(dim, tuple(pts), tuple((int(i), int(j)) for i, j in edges))
+        return cls(dim, pts, tuple(tuple(e) for e in edges))
 
     @property
     def n_vertices(self) -> int:
@@ -98,66 +115,35 @@ class GeometricGraph:
         n = self.n_vertices
         mat = np.zeros((n, n))
         for i, j in self.edges:
-            if i == j:
-                continue
             length = float(np.linalg.norm(self.coords[i] - self.coords[j]))
             mat[i, j] = length
             mat[j, i] = length
         mat.flags.writeable = False
         return mat
 
-    def edge_length(self, edge: tuple[int, int]) -> float:
-        i, j = edge
-        return float(np.linalg.norm(self.coords[i] - self.coords[j]))
 
-    def total_edge_length(self) -> float:
-        return sum(self.edge_length(e) for e in self.edges)
+def validate_graph(g: GeometricGraph) -> list[str]:
+    """Report edge pairs of a 2D drawing that meet other than at a shared endpoint.
 
-
-def validate_graph(g: GeometricGraph, check_embedding: bool = False,
-                   eps: float = 1e-9) -> list[str]:
-    """Report structural violations; an empty list means the graph is valid.
-
-    Checks edge index range, self-loops and duplicate edges. With
-    `check_embedding` (2D only) also reports edge pairs whose closed segments
-    meet anywhere other than a shared endpoint, within tolerance `eps`.
+    An empty list means the drawing is planar within `EPS`; a graph that is not
+    2D gives []. This is the test oracle for `dataset.planarize`, so it keeps
+    its own endpoint test instead of sharing the planarizer's.
     """
-    problems = []
-    n = g.n_vertices
-    seen: set[tuple[int, int]] = set()
-    clean = []
-    for e in g.edges:
-        i, j = e
-        if not (0 <= i < n and 0 <= j < n):
-            problems.append(f"edge {e}: index out of range for {n} vertices")
-            continue
-        if i == j:
-            problems.append(f"edge {e}: self-loop")
-            continue
-        if e in seen:
-            problems.append(f"edge {e}: duplicate edge")
-            continue
-        seen.add(e)
-        clean.append(e)
-    if check_embedding and g.dim == 2:
-        problems.extend(_embedding_violations(g, clean, eps))
-    return problems
-
-
-def _embedding_violations(g: GeometricGraph, edges: list[tuple[int, int]],
-                          eps: float) -> list[str]:
+    if g.dim != 2:
+        return []
     problems = []
     pts = g.coords
+    edges = g.edges
     for a in range(len(edges)):
         for b in range(a + 1, len(edges)):
             e1, e2 = edges[a], edges[b]
             kind, point, _, _ = segment_intersection(
-                pts[e1[0]], pts[e1[1]], pts[e2[0]], pts[e2[1]], eps=eps)
+                pts[e1[0]], pts[e1[1]], pts[e2[0]], pts[e2[1]])
             if kind == "overlap":
                 problems.append(f"edges {e1} and {e2}: collinear overlap")
             elif kind == "point":
-                at1 = _endpoint_near(pts, e1, point, eps)
-                at2 = _endpoint_near(pts, e2, point, eps)
+                at1 = _endpoint_near(pts, e1, point)
+                at2 = _endpoint_near(pts, e2, point)
                 x, y = point
                 if at1 is None and at2 is None:
                     problems.append(
@@ -169,11 +155,11 @@ def _embedding_violations(g: GeometricGraph, edges: list[tuple[int, int]],
     return problems
 
 
-def _endpoint_near(pts: np.ndarray, edge: tuple[int, int], point: Sequence[float],
-                   eps: float) -> Optional[int]:
-    """Index of the endpoint of `edge` within eps of `point`, or None."""
+def _endpoint_near(pts: np.ndarray, edge: tuple[int, int],
+                   point: Sequence[float]) -> Optional[int]:
+    """Index of the endpoint of `edge` within EPS of `point`, or None."""
     best = None
-    best_d = eps
+    best_d = EPS
     for k in edge:
         d = math.hypot(pts[k][0] - point[0], pts[k][1] - point[1])
         if d <= best_d:
@@ -181,13 +167,13 @@ def _endpoint_near(pts: np.ndarray, edge: tuple[int, int], point: Sequence[float
     return best
 
 
-def segment_intersection(a, b, c, d, eps: float = 1e-9):
+def segment_intersection(a, b, c, d):
     """Intersection of the closed 2D segments ab and cd.
 
     Returns (kind, point, t, u) where kind is "none", "point" or "overlap".
     For "point", `point` is the location and t, u are the parameters along ab
     and cd in [0, 1]. "overlap" means the segments are collinear and share a
-    stretch longer than eps.
+    stretch longer than EPS.
     """
     ax, ay = float(a[0]), float(a[1])
     bx, by = float(b[0]), float(b[1])
@@ -197,23 +183,23 @@ def segment_intersection(a, b, c, d, eps: float = 1e-9):
     sx, sy = dx - cx, dy - cy
     len_r = math.hypot(rx, ry)
     len_s = math.hypot(sx, sy)
-    if len_r <= eps or len_s <= eps:
+    if len_r <= EPS or len_s <= EPS:
         return "none", None, None, None
     denom = rx * sy - ry * sx
     acx, acy = cx - ax, cy - ay
     if abs(denom) <= 1e-12 * len_r * len_s:
         # parallel: intersect only if collinear
-        if abs(acx * ry - acy * rx) / len_r > eps:
+        if abs(acx * ry - acy * rx) / len_r > EPS:
             return "none", None, None, None
-        if abs((dx - ax) * ry - (dy - ay) * rx) / len_r > eps:
+        if abs((dx - ax) * ry - (dy - ay) * rx) / len_r > EPS:
             return "none", None, None, None
         t_c = (acx * rx + acy * ry) / (len_r * len_r)
         t_d = ((dx - ax) * rx + (dy - ay) * ry) / (len_r * len_r)
         lo = max(0.0, min(t_c, t_d))
         hi = min(1.0, max(t_c, t_d))
-        if (hi - lo) * len_r > eps:
+        if (hi - lo) * len_r > EPS:
             return "overlap", None, None, None
-        if hi < lo - eps / len_r:
+        if hi < lo - EPS / len_r:
             return "none", None, None, None
         t = 0.5 * (lo + hi)
         px, py = ax + t * rx, ay + t * ry
@@ -221,7 +207,7 @@ def segment_intersection(a, b, c, d, eps: float = 1e-9):
         return "point", (px, py), t, min(1.0, max(0.0, u))
     t = (acx * sy - acy * sx) / denom
     u = (acx * ry - acy * rx) / denom
-    if -eps / len_r <= t <= 1 + eps / len_r and -eps / len_s <= u <= 1 + eps / len_s:
+    if -EPS / len_r <= t <= 1 + EPS / len_r and -EPS / len_s <= u <= 1 + EPS / len_s:
         t = min(1.0, max(0.0, t))
         u = min(1.0, max(0.0, u))
         return "point", (ax + t * rx, ay + t * ry), t, u

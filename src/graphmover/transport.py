@@ -52,10 +52,6 @@ class TransportInstance:
         object.__setattr__(self, "demands", d)
         object.__setattr__(self, "costs", c)
 
-    @property
-    def total(self) -> float:
-        return float(self.supplies.sum())
-
 
 @dataclass(frozen=True, eq=False)
 class Flow:

@@ -79,6 +79,11 @@ def min_integral_flow_cost(supplies, demands, costs) -> float:
     return best
 
 
+def total_length(g: GeometricGraph) -> float:
+    """Sum of the Euclidean edge lengths."""
+    return sum(math.dist(g.vertices[i], g.vertices[j]) for i, j in g.edges)
+
+
 def sample_realization(g: GeometricGraph, per_unit: int = 64) -> np.ndarray:
     """Dense point sample of the drawn graph (vertices plus edge interiors)."""
     points = [np.asarray(v, dtype=float) for v in g.vertices]

@@ -11,6 +11,7 @@ from graphmover.dataset import (CollinearOverlapError, GraphFormatError, LetterR
 from graphmover.geometry import GeometricGraph, validate_graph
 
 from conftest import geometric_graphs
+from helpers import total_length
 
 GXL_MINIMAL = """<?xml version="1.0" encoding="UTF-8"?>
 <!DOCTYPE gxl SYSTEM "http://www.gupro.de/GXL/gxl-1.0.dtd">
@@ -56,6 +57,8 @@ def test_json_reader_rejects_bad_documents():
         read_json_graph('{"d":1,"vertices":[[0.0],[1.0]],"edges":[[true,false]]}')
     with pytest.raises(GraphFormatError, match="bad vertex"):
         read_json_graph('{"d":2,"vertices":[[true,0],[1,2]],"edges":[]}')
+    with pytest.raises(GraphFormatError, match="vertex 0 has a coordinate too large"):
+        read_json_graph('{"d":1,"vertices":[[1%s],[0]],"edges":[]}' % ("0" * 399))
 
 
 @settings(max_examples=40, deadline=None)
@@ -105,7 +108,7 @@ def test_planarize_crossing_diagonals():
     assert flat.n_edges == 4
     assert flat.vertices[4] == pytest.approx((1.0, 1.0))
     assert flat.vertices[:4] == g.vertices
-    assert validate_graph(flat, check_embedding=True) == []
+    assert validate_graph(flat) == []
 
 
 def test_planarize_keeps_planar_graph_unchanged():
@@ -121,7 +124,7 @@ def test_planarize_three_concurrent_segments():
     assert flat.n_vertices == 7
     assert flat.n_edges == 6
     assert flat.vertices[6] == pytest.approx((0.0, 0.0))
-    assert validate_graph(flat, check_embedding=True) == []
+    assert validate_graph(flat) == []
 
 
 def test_planarize_splits_edge_at_touching_vertex():
@@ -130,7 +133,7 @@ def test_planarize_splits_edge_at_touching_vertex():
     flat = planarize(g)
     assert flat.n_vertices == 4
     assert set(flat.edges) == {(0, 2), (1, 2), (2, 3)}
-    assert validate_graph(flat, check_embedding=True) == []
+    assert validate_graph(flat) == []
 
 
 def test_planarize_rejects_collinear_overlap():
@@ -153,10 +156,10 @@ def test_planarize_idempotent_valid_and_length_preserving(g):
     except CollinearOverlapError:
         assume(False)
         return
-    assert validate_graph(flat, check_embedding=True) == []
+    assert validate_graph(flat) == []
     assert planarize(flat) == flat
-    assert flat.total_edge_length() == pytest.approx(
-        g.total_edge_length(), abs=1e-9 * max(1.0, g.total_edge_length()))
+    assert total_length(flat) == pytest.approx(
+        total_length(g), abs=1e-9 * max(1.0, total_length(g)))
     assert flat.vertices[:g.n_vertices] == g.vertices
 
 
@@ -231,7 +234,7 @@ def test_builtin_prototypes_are_valid_planar_letters():
         assert g.dim == 2
         assert g.n_vertices >= 3
         assert g.n_edges >= 2
-        assert validate_graph(g, check_embedding=True) == [], letter
+        assert validate_graph(g) == [], letter
         assert planarize(g) == g
 
 

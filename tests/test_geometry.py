@@ -8,6 +8,7 @@ from graphmover.geometry import (CostParams, GeometricGraph, hausdorff_vertices,
                                  perturb, translate, validate_graph)
 
 from conftest import geometric_graphs
+from helpers import total_length
 
 
 def test_cost_params_require_positive_coefficients():
@@ -34,34 +35,41 @@ def test_graph_rejects_bad_vertices():
         GeometricGraph(2, ((0.0, float("inf")),), ())
     with pytest.raises(ValueError):
         GeometricGraph(0, (), ())
+    with pytest.raises(ValueError, match="dim"):
+        GeometricGraph(True, ((0.0,),), ())
+    with pytest.raises(ValueError, match="vertex 1 has a coordinate too large") as exc:
+        GeometricGraph(1, ((0,), (10 ** 399,)), ())
+    assert "000" not in str(exc.value)
+    with pytest.raises(ValueError, match="vertex 0 has a coordinate too large"):
+        GeometricGraph.build([(10 ** 399, 0)], [])
+
+
+@pytest.mark.parametrize("edges, message", [
+    ([(0, 1), (5, 0)], r"^edge \(0, 5\): index out of range for 2 vertices$"),
+    ([(0, 1), (1, 1)], r"^edge \(1, 1\): self-loop$"),
+    ([(0, 1), (1, 0)], r"^edge \(0, 1\): duplicate edge$"),
+], ids=["out-of-range", "self-loop", "duplicate"])
+def test_graph_rejects_bad_edges(edges, message):
+    with pytest.raises(ValueError, match=message):
+        GeometricGraph.build([(0, 0), (1, 0)], edges)
 
 
 def test_validate_planar_triangle_is_clean():
     g = GeometricGraph.build([(0, 0), (1, 0), (0, 1)], [(0, 1), (1, 2), (0, 2)])
-    assert validate_graph(g, check_embedding=True) == []
-
-
-def test_validate_reports_self_loop_duplicate_and_bad_index():
-    g = GeometricGraph.build([(0, 0), (1, 0)], [(0, 0), (0, 1), (1, 0), (1, 5)])
-    problems = validate_graph(g)
-    assert any("self-loop" in p for p in problems)
-    assert any("duplicate" in p for p in problems)
-    assert any("out of range" in p for p in problems)
+    assert validate_graph(g) == []
 
 
 def test_validate_reports_interior_crossing_with_location():
     g = GeometricGraph.build([(0, 0), (2, 2), (0, 2), (2, 0)], [(0, 1), (2, 3)])
-    problems = validate_graph(g, check_embedding=True)
+    problems = validate_graph(g)
     assert len(problems) == 1
     assert "interior crossing" in problems[0]
     assert "(1, 1)" in problems[0]
-    # the same graph is clean without the embedding check
-    assert validate_graph(g) == []
 
 
 def test_validate_reports_endpoint_on_edge_interior():
     g = GeometricGraph.build([(0, 0), (2, 0), (1, 0), (1, 1)], [(0, 1), (2, 3)])
-    problems = validate_graph(g, check_embedding=True)
+    problems = validate_graph(g)
     assert len(problems) == 1
     assert "interior" in problems[0]
 
@@ -89,7 +97,7 @@ def test_adjacency_lengths_isolated_vertex_and_range():
 def test_adjacency_matrix_is_symmetric_and_counts_each_edge_twice(g):
     mat = g.adjacency_length_matrix
     assert np.array_equal(mat, mat.T)
-    assert mat.sum() == pytest.approx(2.0 * g.total_edge_length(), abs=1e-9)
+    assert mat.sum() == pytest.approx(2.0 * total_length(g), abs=1e-9)
 
 
 def test_hausdorff_identical_and_shared_sets(shared_vertex_pair):

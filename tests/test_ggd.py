@@ -6,7 +6,7 @@ from graphmover.ggd import (InexactMatching, InstanceTooLargeError, enumerate_ma
                             ggd_exact, matching_cost, matching_count)
 
 from conftest import UNIT_COSTS
-from helpers import hausdorff_point_sets, random_graph_pair, sample_realization
+from helpers import hausdorff_point_sets, random_graph_pair, sample_realization, total_length
 
 
 def pair_graphs(n, m):
@@ -97,7 +97,7 @@ def test_certificate_and_delete_everything_bounds():
         g, h = random_graph_pair(rng, max_vertices=4)
         value, _ = ggd_exact(g, h, UNIT_COSTS)
         assert value >= -1e-12
-        wipe = UNIT_COSTS.edge_cost * (g.total_edge_length() + h.total_edge_length())
+        wipe = UNIT_COSTS.edge_cost * (total_length(g) + total_length(h))
         assert value <= wipe + 1e-9
         for pi in list(enumerate_matchings(g, h))[::7]:
             assert value <= matching_cost(g, h, pi, UNIT_COSTS) + 1e-9

