@@ -5,8 +5,7 @@ ground costs; the exact distance enumerates inexact matchings and is only
 feasible for small graphs, where it doubles as an oracle.
 """
 
-from .geometry import (CostParams, GeometricGraph, hausdorff_vertices, perturb,
-                       translate, validate_graph)
+from .geometry import CostParams, GeometricGraph, perturb, translate, validate_graph
 from .ggd import (InexactMatching, InstanceTooLargeError, enumerate_matchings,
                   ggd_exact, matching_cost)
 from .gmd import GmdResult, gmd, gmd_bruteforce
@@ -30,7 +29,6 @@ __all__ = [
     "gmd",
     "gmd_bruteforce",
     "ground_cost_matrix",
-    "hausdorff_vertices",
     "matching_cost",
     "perturb",
     "solve_transport",

@@ -16,7 +16,6 @@ from dataclasses import dataclass
 from importlib import resources
 from pathlib import Path
 from typing import Optional, Union
-from xml.etree import ElementTree
 
 from .geometry import EPS, GeometricGraph, segment_intersection
 
@@ -91,12 +90,19 @@ def write_json_graph(g: GeometricGraph) -> str:
     return json.dumps(doc)
 
 
-def read_gxl_letter(data: Union[bytes, str]) -> GeometricGraph:
-    """Parse a GXL letter drawing: 2D nodes with float attrs x, y, undirected edges."""
+def _parse_xml(data: Union[bytes, str]):
+    """The root element of an XML document; imports the XML parser on first use."""
+    from xml.etree import ElementTree
+
     try:
-        root = ElementTree.fromstring(data)
+        return ElementTree.fromstring(data)
     except ElementTree.ParseError as exc:
         raise GraphFormatError(f"not valid XML: {exc}") from exc
+
+
+def read_gxl_letter(data: Union[bytes, str]) -> GeometricGraph:
+    """Parse a GXL letter drawing: 2D nodes with float attrs x, y, undirected edges."""
+    root = _parse_xml(data)
     index: dict[str, int] = {}
     points: list[tuple[float, float]] = []
     for node in root.iter("node"):
@@ -217,10 +223,7 @@ def _nearest_endpoint(pts, edge, point) -> Optional[int]:
 
 def read_class_index(data: Union[bytes, str]) -> list[tuple[str, str]]:
     """(file, class) pairs from an XML class file, in document order."""
-    try:
-        root = ElementTree.fromstring(data)
-    except ElementTree.ParseError as exc:
-        raise GraphFormatError(f"not valid XML: {exc}") from exc
+    root = _parse_xml(data)
     pairs = [(el.get("file"), el.get("class"))
              for el in root.iter()
              if el.get("file") is not None and el.get("class") is not None]

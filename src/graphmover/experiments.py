@@ -9,11 +9,9 @@ from __future__ import annotations
 import io
 import os
 import time
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from functools import partial
 from itertools import combinations
-from statistics import median
 from typing import Callable, Iterable, Optional, Sequence
 
 import numpy as np
@@ -68,6 +66,8 @@ def classify_topk(tests: Sequence[LetterRecord], prototypes: dict[str, Geometric
     if jobs is None:
         jobs = os.cpu_count() or 1
     if jobs > 1 and len(tests) > 1:
+        from concurrent.futures import ProcessPoolExecutor  # the serial path never loads it
+
         rank = partial(_rank_letters, proto_graphs=proto_graphs, params=params)
         with ProcessPoolExecutor(max_workers=jobs) as pool:
             chunk = max(1, len(tests) // (8 * jobs))
@@ -288,7 +288,7 @@ def scaling_benchmark(sizes: Sequence[int] = (50, 100, 200), trials: int = 3,
             start = time.perf_counter()
             gmd(g, h, params)
             times.append(time.perf_counter() - start)
-        rows.append(BenchRow(int(n), float(median(times))))
+        rows.append(BenchRow(int(n), float(np.median(times))))
     return rows
 
 

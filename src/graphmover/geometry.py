@@ -8,6 +8,7 @@ were given.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable, Optional, Sequence
@@ -41,8 +42,9 @@ class GeometricGraph:
     Edges are stored normalized (i < j) and lexicographically sorted. The
     constructor is the one place that decides whether a graph is valid: a
     bool or non-positive dim, a coordinate that is not a finite float, an
-    edge index out of range, a self-loop or a duplicate edge raises
-    ValueError. Instances are immutable and hashable.
+    edge index that is not an integer (a bool or a float is not) or is out
+    of range, a self-loop or a duplicate edge raises ValueError. Instances
+    are immutable and hashable.
     """
 
     dim: int
@@ -65,8 +67,10 @@ class GeometricGraph:
                 raise ValueError(f"vertex {v!r} has a non-finite coordinate")
             verts.append(p)
         pairs = []
-        for i, j in self.edges:
-            i, j = int(i), int(j)
+        for e in self.edges:
+            i, j = e
+            if type(i) is not int or type(j) is not int:
+                i, j = _edge_index(i, e), _edge_index(j, e)
             pairs.append((i, j) if i <= j else (j, i))
         pairs.sort()
         n = len(verts)
@@ -120,6 +124,16 @@ class GeometricGraph:
             mat[j, i] = length
         mat.flags.writeable = False
         return mat
+
+
+def _edge_index(x, edge) -> int:
+    """x as a Python int: an int or numpy integer, never a bool or a float."""
+    if not isinstance(x, (bool, np.bool_)):
+        try:
+            return operator.index(x)
+        except TypeError:
+            pass
+    raise ValueError(f"edge {tuple(edge)!r}: index {x!r} is not an integer")
 
 
 def validate_graph(g: GeometricGraph) -> list[str]:
@@ -212,17 +226,6 @@ def segment_intersection(a, b, c, d):
         u = min(1.0, max(0.0, u))
         return "point", (ax + t * rx, ay + t * ry), t, u
     return "none", None, None, None
-
-
-def hausdorff_vertices(a: GeometricGraph, b: GeometricGraph) -> float:
-    """Symmetric Hausdorff distance between the two vertex point sets."""
-    if a.dim != b.dim:
-        raise ValueError(f"dimension mismatch: {a.dim} vs {b.dim}")
-    if a.n_vertices == 0 or b.n_vertices == 0:
-        raise ValueError("Hausdorff distance needs non-empty vertex sets")
-    diff = a.coords[:, None, :] - b.coords[None, :, :]
-    dist = np.sqrt((diff * diff).sum(axis=-1))
-    return float(max(dist.min(axis=1).max(), dist.min(axis=0).max()))
 
 
 def translate(g: GeometricGraph, t: Sequence[float]) -> GeometricGraph:

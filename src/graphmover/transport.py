@@ -1,11 +1,20 @@
-"""Exact solver for the balanced transportation problem.
+"""Exact solvers for the balanced transportation and the assignment problem.
 
-Minimizes sum_ij f_ij * c_ij over flows f >= 0 whose row sums equal the
-supplies and whose column sums equal the demands. The solver runs successive
-shortest augmenting paths with node potentials (Dijkstra on the residual
-bipartite network), which is exact for non-negative costs and returns an
-integral flow whenever all supplies and demands are integers. Tie-breaking is
-by lowest index, so the returned flow is deterministic for a fixed instance.
+`solve_transport` minimizes sum_ij f_ij * c_ij over flows f >= 0 whose row
+sums equal the supplies and whose column sums equal the demands. It runs
+successive shortest augmenting paths with node potentials (Dijkstra on the
+residual bipartite network), which is exact for non-negative costs and
+returns an integral flow whenever all supplies and demands are integers.
+Tie-breaking is by lowest index, so the returned flow is deterministic for a
+fixed instance. It is the generic solver and the oracle the faster paths are
+tested against.
+
+`solve_assignment` is the special case that `gmd` needs: every row of an
+m x n cost matrix (m <= n, any finite signs) goes to a distinct column at
+least total cost. It augments along one shortest path per row with row and
+column potentials (the Jonker-Volgenant scheme as described by Crouse, 2016)
+over plain Python lists, which beats array code on the small matrices of
+letter drawings.
 """
 
 from __future__ import annotations
@@ -148,6 +157,76 @@ def solve_transport(inst: TransportInstance) -> Flow:
 
     flow.flags.writeable = False
     return Flow(flow, float((flow * costs).sum()))
+
+
+def solve_assignment(cost) -> tuple[list[int], list[int]]:
+    """Assign every row of an m x n matrix (m <= n) to a distinct column at least cost.
+
+    Returns (rows, cols) with rows = [0, ..., m-1] and cols[i] the column of
+    row i. Rows are added one at a time, each along a shortest augmenting path
+    in reduced costs cost[i][j] - u[i] - v[j], which stay non-negative on the
+    rows already assigned; among tied columns a free one ends the path.
+    """
+    c = np.asarray(cost, dtype=float)
+    if c.ndim != 2:
+        raise ValueError(f"cost must be a two-dimensional matrix, got shape {c.shape}")
+    m, n = c.shape
+    if m > n:
+        raise ValueError(f"cost has more rows than columns: {m} x {n}")
+    if not np.isfinite(c).all():
+        raise ValueError("cost contains a non-finite entry")
+    cost_rows = c.tolist()
+    u = [0.0] * m
+    v = [0.0] * n
+    col4row = [-1] * m
+    row4col = [-1] * n
+    inf = float("inf")
+    for start in range(m):
+        shortest = [inf] * n
+        path = [-1] * n
+        seen_rows = []
+        seen_cols = []
+        remaining = list(range(n))
+        i = start
+        low = 0.0
+        while True:
+            seen_rows.append(i)
+            row = cost_rows[i]
+            base = low - u[i]
+            best = inf
+            best_k = -1
+            for k, j in enumerate(remaining):
+                r = base + row[j] - v[j]
+                if r < shortest[j]:
+                    shortest[j] = r
+                    path[j] = i
+                else:
+                    r = shortest[j]
+                if r < best or (r == best and row4col[j] < 0):
+                    best = r
+                    best_k = k
+            low = best
+            j = remaining[best_k]
+            seen_cols.append(j)
+            remaining[best_k] = remaining[-1]
+            remaining.pop()
+            if row4col[j] < 0:
+                break
+            i = row4col[j]
+        # move the potentials so that the path found has reduced cost 0
+        u[start] += low
+        for i in seen_rows[1:]:
+            u[i] += low - shortest[col4row[i]]
+        for j in seen_cols:
+            v[j] -= low - shortest[j]
+        # augment: flip the matching along the path back to the start row
+        while True:
+            i = path[j]
+            row4col[j] = i
+            col4row[i], j = j, col4row[i]
+            if i == start:
+                break
+    return list(range(m)), col4row
 
 
 def check_flow(inst: TransportInstance, flow: Flow, tol: float = 1e-9) -> list[str]:

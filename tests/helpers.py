@@ -95,6 +95,15 @@ def sample_realization(g: GeometricGraph, per_unit: int = 64) -> np.ndarray:
     return np.vstack(points)
 
 
+def hausdorff_vertices(a: GeometricGraph, b: GeometricGraph) -> float:
+    """Symmetric Hausdorff distance between the two vertex point sets."""
+    if a.dim != b.dim:
+        raise ValueError(f"dimension mismatch: {a.dim} vs {b.dim}")
+    if a.n_vertices == 0 or b.n_vertices == 0:
+        raise ValueError("Hausdorff distance needs non-empty vertex sets")
+    return hausdorff_point_sets(a.coords, b.coords)
+
+
 def hausdorff_point_sets(a: np.ndarray, b: np.ndarray) -> float:
     diff = a[:, None, :] - b[None, :, :]
     dist = np.sqrt((diff * diff).sum(axis=-1))

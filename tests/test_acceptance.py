@@ -18,13 +18,13 @@ from graphmover.experiments import (classify_topk, retrieval_csv,
                                     run_ggd_translation_suite,
                                     run_gmd_translation_suite, scaling_benchmark,
                                     triangle_inequality_survey)
-from graphmover.geometry import CostParams, GeometricGraph, hausdorff_vertices, translate
+from graphmover.geometry import CostParams, GeometricGraph, translate
 from graphmover.ggd import ggd_exact
 from graphmover.gmd import gmd, gmd_bruteforce
 from graphmover.letters import make_letter_records
 from graphmover.transport import TransportInstance, solve_transport
 
-from helpers import min_integral_flow_cost, random_integer_transport
+from helpers import hausdorff_vertices, min_integral_flow_cost, random_integer_transport
 
 UNIT = CostParams(1.0, 1.0)
 LETTER = CostParams(4.5, 1.0)

@@ -1,6 +1,12 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+import graphmover
 from graphmover.dataset import LETTER_LABELS, LetterRecord, load_prototypes
 from graphmover.experiments import (bench_csv, classify_topk, confusion_csv,
                                     ggd_perturbation_trial, ggd_translation_trial,
@@ -167,3 +173,16 @@ def test_scaling_benchmark_single_vertex_completes_fast():
     rows = scaling_benchmark(sizes=(1,), trials=2, seed=0, params=UNIT_COSTS)
     assert rows[0].n_vertices == 1
     assert rows[0].median_seconds < 0.05
+
+
+def test_library_import_leaves_optional_modules_unloaded():
+    # scipy is no dependency; the pool, the XML parser and statistics load only when used
+    code = ("import sys, graphmover.experiments, graphmover.letters; "
+            "print(sorted(m for m in ('scipy', 'concurrent.futures.process', "
+            "'xml.etree.ElementTree', 'statistics') if m in sys.modules))")
+    src = str(Path(graphmover.__file__).resolve().parent.parent)
+    env = {**os.environ,
+           "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, check=True, timeout=60)
+    assert out.stdout.strip() == "[]"

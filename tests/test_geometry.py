@@ -4,11 +4,11 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 
-from graphmover.geometry import (CostParams, GeometricGraph, hausdorff_vertices,
-                                 perturb, translate, validate_graph)
+from graphmover.geometry import (CostParams, GeometricGraph, perturb, translate,
+                                 validate_graph)
 
 from conftest import geometric_graphs
-from helpers import total_length
+from helpers import hausdorff_vertices, total_length
 
 
 def test_cost_params_require_positive_coefficients():
@@ -48,10 +48,18 @@ def test_graph_rejects_bad_vertices():
     ([(0, 1), (5, 0)], r"^edge \(0, 5\): index out of range for 2 vertices$"),
     ([(0, 1), (1, 1)], r"^edge \(1, 1\): self-loop$"),
     ([(0, 1), (1, 0)], r"^edge \(0, 1\): duplicate edge$"),
-], ids=["out-of-range", "self-loop", "duplicate"])
+    ([(0.9, 2.7)], r"^edge \(0\.9, 2\.7\): index 0\.9 is not an integer$"),
+    ([(True, False)], r"^edge \(True, False\): index True is not an integer$"),
+], ids=["out-of-range", "self-loop", "duplicate", "float-index", "bool-index"])
 def test_graph_rejects_bad_edges(edges, message):
     with pytest.raises(ValueError, match=message):
         GeometricGraph.build([(0, 0), (1, 0)], edges)
+
+
+def test_graph_accepts_numpy_integer_indices():
+    g = GeometricGraph.build([(0, 0), (1, 0), (0, 1)], [(np.int64(2), np.int32(0))])
+    assert g.edges == ((0, 2),)
+    assert all(type(i) is int for i in g.edges[0])
 
 
 def test_validate_planar_triangle_is_clean():

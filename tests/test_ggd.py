@@ -1,12 +1,13 @@
 import numpy as np
 import pytest
 
-from graphmover.geometry import CostParams, GeometricGraph, hausdorff_vertices, translate
+from graphmover.geometry import CostParams, GeometricGraph, translate
 from graphmover.ggd import (InexactMatching, InstanceTooLargeError, enumerate_matchings,
                             ggd_exact, matching_cost, matching_count)
 
 from conftest import UNIT_COSTS
-from helpers import hausdorff_point_sets, random_graph_pair, sample_realization, total_length
+from helpers import (hausdorff_point_sets, hausdorff_vertices, random_graph_pair,
+                     sample_realization, total_length)
 
 
 def pair_graphs(n, m):

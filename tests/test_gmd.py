@@ -1,10 +1,14 @@
+from itertools import combinations
+
+import hypothesis.strategies as st
 import numpy as np
 import pytest
+from hypothesis import given, settings
 
-from graphmover.geometry import GeometricGraph, translate
+from graphmover.geometry import CostParams, GeometricGraph, translate
 from graphmover.ggd import InstanceTooLargeError
 from graphmover.gmd import gmd, gmd_bruteforce
-from graphmover.transport import TransportInstance, check_flow
+from graphmover.transport import TransportInstance, check_flow, solve_transport
 
 from conftest import LETTER_COSTS, UNIT_COSTS
 from helpers import random_graph_pair
@@ -103,3 +107,47 @@ def test_vertex_order_matters():
     reversed_path = GeometricGraph.build([(3, 0), (1, 0), (0, 0)], [(2, 1), (1, 0)])
     assert gmd(path, path, UNIT_COSTS).value == 0.0
     assert gmd(path, reversed_path, UNIT_COSTS).value > 0.5
+
+
+def gmd_instance(result) -> TransportInstance:
+    m, n = result.matrix.m, result.matrix.n
+    supplies = np.ones(m + 1)
+    supplies[m] = n
+    demands = np.ones(n + 1)
+    demands[n] = m
+    return TransportInstance(supplies, demands, result.matrix.entries)
+
+
+@st.composite
+def hard_graph_pairs(draw):
+    """Two graphs of 0-6 vertices in 2 or 3 dimensions, on a coarse grid (so
+    vertices coincide and costs tie) scaled by a power of ten from 1e-6 to 1e6."""
+    dim = draw(st.sampled_from((2, 3)))
+    scale = 10.0 ** draw(st.integers(-6, 6))
+
+    def graph():
+        n = draw(st.integers(0, 6))
+        points = [tuple(scale * draw(st.integers(0, 3)) for _ in range(dim)) for _ in range(n)]
+        pairs = list(combinations(range(n), 2))
+        edges = draw(st.sets(st.sampled_from(pairs))) if pairs else set()
+        return GeometricGraph(dim, tuple(points), tuple(sorted(edges)))
+
+    return graph(), graph()
+
+
+@settings(max_examples=150, deadline=None)
+@given(hard_graph_pairs(),
+       st.sampled_from((CostParams(), CostParams(1.0, 1.0), CostParams(0.1, 3.0))))
+def test_assignment_path_matches_transport_and_bruteforce(pair, params):
+    g, h = pair
+    result = gmd(g, h, params)
+    inst = gmd_instance(result)
+    tol = 1e-9 * max(1.0, abs(result.value))
+    assert abs(result.value - solve_transport(inst).objective) <= tol
+    assert abs(result.value - gmd_bruteforce(g, h, params)) <= tol
+    assert abs(result.value - gmd(h, g, params).value) <= tol
+    assert gmd(g, g, params).value == 0.0
+    assert gmd(h, h, params).value == 0.0
+    assert np.array_equal(result.flow.values, np.round(result.flow.values))
+    assert result.flow.objective == result.value
+    assert check_flow(inst, result.flow, tol) == []

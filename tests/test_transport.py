@@ -1,10 +1,12 @@
+from itertools import permutations
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from graphmover.transport import (Flow, InfeasibleInstanceError, TransportInstance,
-                                  check_flow, solve_transport)
+                                  check_flow, solve_assignment, solve_transport)
 
 from helpers import min_integral_flow_cost, random_integer_transport
 
@@ -137,3 +139,56 @@ def test_float_weights_solve_and_validate():
         inst = make(s, d, rng.uniform(0.0, 10.0, (m, n)))
         flow = solve_transport(inst)
         assert check_flow(inst, flow, tol=1e-7) == []
+
+
+def brute_force_assignment(cost) -> float:
+    """Least total cost over every injective row-to-column map."""
+    m, n = cost.shape
+    return min(sum(cost[i, cols[i]] for i in range(m)) for cols in permutations(range(n), m))
+
+
+def assignment_cost(cost, rows, cols) -> float:
+    assert list(rows) == list(range(cost.shape[0]))
+    assert len(set(cols)) == len(cols)
+    assert all(0 <= j < cost.shape[1] for j in cols)
+    return sum(cost[i, j] for i, j in zip(rows, cols))
+
+
+def test_assignment_square():
+    cost = np.array([[4.0, 1.0, 3.0], [2.0, 0.0, 5.0], [3.0, 2.0, 2.0]])
+    rows, cols = solve_assignment(cost)
+    assert (rows, cols) == ([0, 1, 2], [1, 0, 2])
+    assert assignment_cost(cost, rows, cols) == 5.0
+
+
+def test_assignment_rectangular_with_negative_costs():
+    cost = np.array([[0.0, -2.0, -3.0, 1.0], [-1.0, -4.0, 0.0, -1.0]])
+    rows, cols = solve_assignment(cost)
+    assert cols == [2, 1]
+    assert assignment_cost(cost, rows, cols) == -7.0
+
+
+def test_assignment_all_zero_and_empty():
+    rows, cols = solve_assignment(np.zeros((3, 5)))
+    assert rows == [0, 1, 2] and len(set(cols)) == 3
+    assert solve_assignment(np.zeros((0, 4))) == ([], [])
+    assert solve_assignment(np.zeros((0, 0))) == ([], [])
+
+
+def test_assignment_with_ties_matches_brute_force():
+    rng = np.random.default_rng(5)
+    for _ in range(300):
+        m = int(rng.integers(1, 5))
+        n = int(rng.integers(m, 6))
+        cost = rng.integers(-1, 2, size=(m, n)).astype(float)
+        rows, cols = solve_assignment(cost)
+        assert assignment_cost(cost, rows, cols) == brute_force_assignment(cost)
+
+
+def test_assignment_rejects_bad_matrices():
+    with pytest.raises(ValueError, match="more rows than columns"):
+        solve_assignment(np.zeros((3, 2)))
+    with pytest.raises(ValueError, match="non-finite"):
+        solve_assignment(np.array([[0.0, np.inf]]))
+    with pytest.raises(ValueError, match="two-dimensional"):
+        solve_assignment(np.zeros(3))
