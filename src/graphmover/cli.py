@@ -87,8 +87,6 @@ def build_parser() -> argparse.ArgumentParser:
     _add_cost_flags(p_cls)
     p_cls.add_argument("--k", type=_positive_int_list, default=(1, 3, 5),
                        help="comma-separated list of cutoffs, default 1,3,5")
-    p_cls.add_argument("--jobs", type=_positive_int, default=None,
-                       help="worker pool size (default: all processors)")
     p_cls.add_argument("--format", choices=("text", "csv", "json"), default="text")
     p_cls.add_argument("--out", help="write the report here instead of stdout")
     p_cls.add_argument("--confusion-out",
@@ -140,9 +138,8 @@ def _run_classify(args) -> int:
     params = _cost_params(args)
     reports = []
     for level in levels:
-        records = load_letter_directory(root / level, level)
-        reports.append(experiments.classify_topk(records, protos, params,
-                                                 ks=args.k, jobs=args.jobs))
+        records = load_letter_directory(root / level)
+        reports.append(experiments.classify_topk(records, protos, params, ks=args.k))
     if args.confusion_out:
         conf_dir = Path(args.confusion_out)
         conf_dir.mkdir(parents=True, exist_ok=True)

@@ -48,6 +48,7 @@ class LetterRecord:
 
 
 def read_json_graph(data: Union[bytes, str]) -> GeometricGraph:
+    """Parse the native format; the GeometricGraph constructor checks the graph."""
     if isinstance(data, bytes):
         data = data.decode("utf-8")
     try:
@@ -59,27 +60,13 @@ def read_json_graph(data: Union[bytes, str]) -> GeometricGraph:
     missing = {"d", "vertices", "edges"} - doc.keys()
     if missing:
         raise GraphFormatError(f"missing keys: {sorted(missing)}")
-    dim = doc["d"]
-    if type(dim) is not int or dim < 1:
-        raise GraphFormatError(f"'d' must be a positive integer, got {dim!r}")
-    vertices = doc["vertices"]
-    edges = doc["edges"]
-    if not isinstance(vertices, list) or not isinstance(edges, list):
+    # the constructor takes any iterable, so {} or "" would load as an empty graph
+    if not isinstance(doc["vertices"], list) or not isinstance(doc["edges"], list):
         raise GraphFormatError("'vertices' and 'edges' must be arrays")
-    for v in vertices:
-        if not (isinstance(v, list) and len(v) == dim
-                and all(type(x) in (int, float) for x in v)):
-            raise GraphFormatError(f"bad vertex {v!r}")
-    for e in edges:
-        if not (isinstance(e, list) and len(e) == 2
-                and all(type(x) is int for x in e)):
-            raise GraphFormatError(f"bad edge {e!r}")
     try:
-        graph = GeometricGraph(dim, tuple(tuple(v) for v in vertices),
-                               tuple((e[0], e[1]) for e in edges))
+        return GeometricGraph(doc["d"], doc["vertices"], doc["edges"])
     except ValueError as exc:
         raise GraphFormatError(str(exc)) from exc
-    return graph
 
 
 def write_json_graph(g: GeometricGraph) -> str:
@@ -133,15 +120,11 @@ def read_gxl_letter(data: Union[bytes, str]) -> GeometricGraph:
         src, dst = edge.get("from"), edge.get("to")
         if src not in index or dst not in index:
             raise GraphFormatError(f"edge references unknown node: {src!r} -> {dst!r}")
-        i, j = index[src], index[dst]
-        if i == j:
-            raise GraphFormatError(f"edge from node {src!r} to itself")
-        edges.append((i, j))
+        edges.append((index[src], index[dst]))
     try:
-        graph = GeometricGraph(2, tuple(points), tuple(edges))
+        return GeometricGraph(2, points, edges)
     except ValueError as exc:
         raise GraphFormatError(str(exc)) from exc
-    return graph
 
 
 def planarize(g: GeometricGraph) -> GeometricGraph:
@@ -208,7 +191,7 @@ def planarize(g: GeometricGraph) -> GeometricGraph:
         for v0, v1 in zip(chain, chain[1:]):
             if v0 != v1:
                 new_edges.append((v0, v1))
-    return GeometricGraph(2, tuple(new_vertices), tuple(new_edges))
+    return GeometricGraph(2, new_vertices, new_edges)
 
 
 def _nearest_endpoint(pts, edge, point) -> Optional[int]:
@@ -241,17 +224,17 @@ def read_graph_file(path) -> GeometricGraph:
     return read_json_graph(data)
 
 
-def load_letter_directory(path, distortion: Optional[str] = None) -> list[LetterRecord]:
+def load_letter_directory(path) -> list[LetterRecord]:
     """Load one distortion directory of letter drawings.
 
-    Labels come from the directory's class files (any ``*.cxl``, concatenated
-    in sorted filename order) or from a ``labels.json`` object mapping file
-    names to letters. Graphs are planarized so that downstream consumers see
-    valid geometric graphs.
+    The directory's name, in any case, is the distortion level. Labels come
+    from the directory's class files (any ``*.cxl``, concatenated in sorted
+    filename order) or from a ``labels.json`` object mapping file names to
+    letters. Graphs are planarized so that downstream consumers see valid
+    geometric graphs.
     """
     root = Path(path)
-    if distortion is None:
-        distortion = root.name.upper()
+    distortion = root.name.upper()
     if distortion not in DISTORTION_LEVELS:
         raise ValueError(f"distortion must be one of {DISTORTION_LEVELS}, got {distortion!r}")
     entries: list[tuple[str, str]] = []

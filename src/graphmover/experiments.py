@@ -12,7 +12,7 @@ import time
 from dataclasses import dataclass
 from functools import partial
 from itertools import combinations
-from typing import Callable, Iterable, Optional, Sequence
+from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
@@ -41,14 +41,20 @@ def _rank_letters(graph: GeometricGraph, proto_graphs, params) -> list[int]:
     return sorted(range(len(proto_graphs)), key=lambda a: (distances[a], a))
 
 
+def _usable_cpus() -> int:
+    """The CPUs this process may run on (its affinity set where the platform has one)."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
 def classify_topk(tests: Sequence[LetterRecord], prototypes: dict[str, GeometricGraph],
-                  params: CostParams, ks: Iterable[int] = (1, 3, 5),
-                  jobs: Optional[int] = None) -> RetrievalReport:
+                  params: CostParams, ks: Iterable[int] = (1, 3, 5)) -> RetrievalReport:
     """Rank the 15 prototypes by distance for each test drawing.
 
     A test counts as a hit at k when its true letter is among the k closest
-    prototypes. `jobs` controls the size of the scoring worker pool (default:
-    all processors; 1 runs in-process).
+    prototypes. The drawings are scored by a pool with one worker per usable
+    CPU, at most one per drawing; with one worker they are scored in-process.
     """
     ks = tuple(sorted(set(int(k) for k in ks)))
     if any(k < 1 for k in ks):
@@ -63,14 +69,13 @@ def classify_topk(tests: Sequence[LetterRecord], prototypes: dict[str, Geometric
     distortion = levels.pop() if len(levels) == 1 else "MIXED"
 
     start = time.perf_counter()
-    if jobs is None:
-        jobs = os.cpu_count() or 1
-    if jobs > 1 and len(tests) > 1:
+    workers = min(_usable_cpus(), len(tests))
+    if workers > 1:
         from concurrent.futures import ProcessPoolExecutor  # the serial path never loads it
 
         rank = partial(_rank_letters, proto_graphs=proto_graphs, params=params)
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            chunk = max(1, len(tests) // (8 * jobs))
+        with ProcessPoolExecutor(max_workers=workers) as pool:
+            chunk = max(1, len(tests) // (8 * workers))
             orders = list(pool.map(rank, [r.graph for r in tests], chunksize=chunk))
     else:
         orders = [_rank_letters(r.graph, proto_graphs, params) for r in tests]
@@ -111,11 +116,10 @@ def confusion_csv(report: RetrievalReport) -> str:
 # random graphs for trials and benchmarks
 
 
-def random_graph(rng: np.random.Generator, n_vertices: int,
-                 box: float = 10.0) -> GeometricGraph:
-    """Random ordered 2D graph: uniform vertices in a box, one random distinct
-    edge per vertex (capped by the number of vertex pairs)."""
-    pts = rng.uniform(0.0, box, size=(n_vertices, 2))
+def random_graph(rng: np.random.Generator, n_vertices: int) -> GeometricGraph:
+    """Random ordered 2D graph: uniform vertices in the box [0, 10)^2, one
+    random distinct edge per vertex (capped by the number of vertex pairs)."""
+    pts = rng.uniform(0.0, 10.0, size=(n_vertices, 2))
     pairs = list(combinations(range(n_vertices), 2))
     n_edges = min(len(pairs), n_vertices)
     edges = []
@@ -193,26 +197,23 @@ def _stability_suite(name: str, trials: int, seed: int, max_vertices: int,
 
 
 def run_gmd_translation_suite(trials: int = 100, seed: int = 0,
-                              params: CostParams = CostParams(1.0, 1.0),
-                              max_vertices: int = 8) -> StabilityReport:
+                              params: CostParams = CostParams(1.0, 1.0)) -> StabilityReport:
     return _stability_suite(
-        "gmd-translation", trials, seed, max_vertices,
+        "gmd-translation", trials, seed, 8,
         lambda g, rng, index: gmd_translation_trial(g, rng.uniform(-5.0, 5.0, size=2), params))
 
 
 def run_ggd_translation_suite(trials: int = 100, seed: int = 0,
-                              params: CostParams = CostParams(1.0, 1.0),
-                              max_vertices: int = 5) -> StabilityReport:
+                              params: CostParams = CostParams(1.0, 1.0)) -> StabilityReport:
     return _stability_suite(
-        "ggd-translation-literal", trials, seed, max_vertices,
+        "ggd-translation-literal", trials, seed, 5,
         lambda g, rng, index: ggd_translation_trial(g, rng.uniform(-5.0, 5.0, size=2), params))
 
 
 def run_ggd_perturbation_suite(trials: int = 100, seed: int = 0,
-                               params: CostParams = CostParams(1.0, 1.0),
-                               max_vertices: int = 5) -> StabilityReport:
+                               params: CostParams = CostParams(1.0, 1.0)) -> StabilityReport:
     return _stability_suite(
-        "ggd-perturbation-corrected", trials, seed, max_vertices,
+        "ggd-perturbation-corrected", trials, seed, 5,
         lambda g, rng, index: ggd_perturbation_trial(
             g, float(rng.uniform(0.0, 1.0)), seed * 100003 + index, params))
 

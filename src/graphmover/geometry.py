@@ -8,7 +8,9 @@ were given.
 from __future__ import annotations
 
 import math
+import numbers
 import operator
+import reprlib
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable, Optional, Sequence
@@ -19,6 +21,8 @@ Point = tuple[float, ...]
 
 # Drawing tolerance: segments, crossings and endpoints closer than this coincide.
 EPS = 1e-9
+
+_PLAIN_NUMBERS = frozenset((float, int))  # exact types: a bool still takes the Real test
 
 
 @dataclass(frozen=True)
@@ -40,11 +44,12 @@ class GeometricGraph:
     """Ordered geometric graph: vertices are points of R^dim, edges index pairs.
 
     Edges are stored normalized (i < j) and lexicographically sorted. The
-    constructor is the one place that decides whether a graph is valid: a
-    bool or non-positive dim, a coordinate that is not a finite float, an
-    edge index that is not an integer (a bool or a float is not) or is out
-    of range, a self-loop or a duplicate edge raises ValueError. Instances
-    are immutable and hashable.
+    constructor is the one place that decides whether a graph is valid; the
+    file readers check only their syntax. A bool or non-positive dim, a
+    vertex that is not `dim` real numbers (a bool, str or bytes is not one)
+    finite as floats, an edge that is not two integer indices (a bool or a
+    float is not one) in range, a self-loop or a duplicate edge raises
+    ValueError. Instances are immutable and hashable.
     """
 
     dim: int
@@ -53,31 +58,43 @@ class GeometricGraph:
 
     def __post_init__(self):
         if type(self.dim) is bool or not isinstance(self.dim, int) or self.dim < 1:
-            raise ValueError(f"dim must be a positive integer, got {self.dim!r}")
+            raise ValueError(f"dim must be a positive integer, got {reprlib.repr(self.dim)}")
         verts = []
         for index, v in enumerate(self.vertices):
             try:
-                p = tuple(float(x) for x in v)
+                p = tuple(v)
+            except TypeError:
+                raise ValueError(f"vertex {index} is not a sequence of coordinates") from None
+            if len(p) != self.dim:
+                raise ValueError(f"vertex {index} does not have dimension {self.dim}")
+            if not _PLAIN_NUMBERS.issuperset(map(type, p)):
+                for x in p:
+                    if isinstance(x, bool) or not isinstance(x, numbers.Real):
+                        raise ValueError(
+                            f"vertex {index}: coordinate {reprlib.repr(x)} is not a number")
+            try:
+                p = tuple(map(float, p))
             except OverflowError:
                 raise ValueError(
                     f"vertex {index} has a coordinate too large for a float") from None
-            if len(p) != self.dim:
-                raise ValueError(f"vertex {v!r} does not have dimension {self.dim}")
-            if not all(math.isfinite(x) for x in p):
-                raise ValueError(f"vertex {v!r} has a non-finite coordinate")
+            if not all(map(math.isfinite, p)):
+                raise ValueError(f"vertex {index} has a non-finite coordinate")
             verts.append(p)
         pairs = []
-        for e in self.edges:
-            i, j = e
+        for index, e in enumerate(self.edges):
+            try:
+                i, j = e
+            except (TypeError, ValueError):
+                raise ValueError(f"edge {index} is not a pair of vertex indices") from None
             if type(i) is not int or type(j) is not int:
-                i, j = _edge_index(i, e), _edge_index(j, e)
+                i, j = _edge_index(i, index), _edge_index(j, index)
             pairs.append((i, j) if i <= j else (j, i))
         pairs.sort()
         n = len(verts)
         # sorted, so duplicates are adjacent and e[0] <= e[1]
         for previous, e in zip([None] + pairs, pairs):
             if e[0] < 0 or e[1] >= n:
-                raise ValueError(f"edge {e}: index out of range for {n} vertices")
+                raise ValueError(f"edge {reprlib.repr(e)}: index out of range for {n} vertices")
             if e[0] == e[1]:
                 raise ValueError(f"edge {e}: self-loop")
             if e == previous:
@@ -88,12 +105,12 @@ class GeometricGraph:
     @classmethod
     def build(cls, points: Iterable[Sequence[float]], edges: Iterable[Sequence[int]],
               dim: Optional[int] = None) -> "GeometricGraph":
-        pts = tuple(tuple(p) for p in points)
         if dim is None:
-            if not pts:
+            points = tuple(points)
+            if not points:
                 raise ValueError("dim is required for a graph with no vertices")
-            dim = len(pts[0])
-        return cls(dim, pts, tuple(tuple(e) for e in edges))
+            dim = len(points[0])
+        return cls(dim, points, edges)
 
     @property
     def n_vertices(self) -> int:
@@ -126,14 +143,14 @@ class GeometricGraph:
         return mat
 
 
-def _edge_index(x, edge) -> int:
+def _edge_index(x, index: int) -> int:
     """x as a Python int: an int or numpy integer, never a bool or a float."""
     if not isinstance(x, (bool, np.bool_)):
         try:
             return operator.index(x)
         except TypeError:
             pass
-    raise ValueError(f"edge {tuple(edge)!r}: index {x!r} is not an integer")
+    raise ValueError(f"edge {index}: index {reprlib.repr(x)} is not an integer")
 
 
 def validate_graph(g: GeometricGraph) -> list[str]:
@@ -260,4 +277,4 @@ def perturb(g: GeometricGraph, delta: float, seed: int) -> GeometricGraph:
         radius = delta * rng.uniform() ** (1.0 / g.dim)
         step = direction * (radius / norm)
         moved.append(tuple(x + float(s) for x, s in zip(v, step)))
-    return GeometricGraph(g.dim, tuple(moved), g.edges)
+    return GeometricGraph(g.dim, moved, g.edges)

@@ -57,14 +57,12 @@ class InexactMatching:
         hit = {t for t in self.targets if t is not None}
         return tuple(j for j in range(self.n_right) if j not in hit)
 
-    def inverse(self, n_left: Optional[int] = None) -> "InexactMatching":
-        if n_left is None:
-            n_left = len(self.targets)
+    def inverse(self) -> "InexactMatching":
         back: list[Optional[int]] = [None] * self.n_right
         for i, t in enumerate(self.targets):
             if t is not None:
                 back[t] = i
-        return InexactMatching(tuple(back), n_left)
+        return InexactMatching(tuple(back), len(self.targets))
 
 
 def matching_count(m: int, n: int) -> int:
@@ -120,7 +118,7 @@ def matching_cost(g: GeometricGraph, h: GeometricGraph, pi: InexactMatching,
                 total += ce * abs(length - h.adjacency_length_matrix[image[0], image[1]])
                 continue
         total += ce * length
-    back = pi.inverse(g.n_vertices).targets
+    back = pi.inverse().targets
     for c, d in h.edges:
         pc, pd = back[c], back[d]
         if pc is not None and pd is not None:

@@ -128,9 +128,9 @@ def grid_points(rng, n, spread=10.0):
     return rng.uniform(0.0, spread, size=(n, 2))
 
 
-def random_graph_pair(rng, max_vertices=5, box=10.0):
+def random_graph_pair(rng, max_vertices=5):
     from graphmover.experiments import random_graph
 
-    g = random_graph(rng, int(rng.integers(1, max_vertices + 1)), box=box)
-    h = random_graph(rng, int(rng.integers(1, max_vertices + 1)), box=box)
+    g = random_graph(rng, int(rng.integers(1, max_vertices + 1)))
+    h = random_graph(rng, int(rng.integers(1, max_vertices + 1)))
     return g, h

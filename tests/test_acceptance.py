@@ -13,7 +13,7 @@ from pathlib import Path
 import numpy as np
 
 from graphmover.dataset import load_letter_directory, load_prototypes, packaged_graph
-from graphmover.experiments import (classify_topk, retrieval_csv,
+from graphmover.experiments import (classify_topk, random_graph, retrieval_csv,
                                     run_ggd_perturbation_suite,
                                     run_ggd_translation_suite,
                                     run_gmd_translation_suite, scaling_benchmark,
@@ -81,8 +81,8 @@ def test_criterion_3_oracle_equivalence():
     worst = 0.0
     integral = True
     for _ in range(200):
-        g = _random_graph(rng, int(rng.integers(1, 6)))
-        h = _random_graph(rng, int(rng.integers(1, 6)))
+        g = random_graph(rng, int(rng.integers(1, 6)))
+        h = random_graph(rng, int(rng.integers(1, 6)))
         result = gmd(g, h, UNIT)
         oracle = gmd_bruteforce(g, h, UNIT)
         worst = max(worst, abs(result.value - oracle))
@@ -92,12 +92,6 @@ def test_criterion_3_oracle_equivalence():
     check(3, "solver equals partial-injection oracle on 200 random pairs",
           worst <= 1e-9 and integral and elapsed < 30.0,
           f"worst gap={worst:.2e}, integral={integral}, runtime={elapsed:.1f}s")
-
-
-def _random_graph(rng, n):
-    from graphmover.experiments import random_graph
-
-    return random_graph(rng, n, box=10.0)
 
 
 def test_criterion_4_transport_exactness():
@@ -117,8 +111,8 @@ def test_criterion_5_metric_property_suite():
     rng = np.random.default_rng(55)
     ok = True
     for _ in range(100):
-        g = _random_graph(rng, int(rng.integers(1, 7)))
-        h = _random_graph(rng, int(rng.integers(1, 7)))
+        g = random_graph(rng, int(rng.integers(1, 7)))
+        h = random_graph(rng, int(rng.integers(1, 7)))
         d = gmd(g, h, UNIT).value
         ok &= d >= 0.0
         ok &= abs(gmd(h, g, UNIT).value - d) <= 1e-9
@@ -140,10 +134,8 @@ def test_criterion_5_metric_property_suite():
 
 def test_criterion_6_stability_suites():
     gmd_suite = run_gmd_translation_suite(trials=100, seed=11, params=UNIT)
-    ggd_corrected = run_ggd_perturbation_suite(trials=100, seed=12, params=UNIT,
-                                               max_vertices=5)
-    ggd_literal = run_ggd_translation_suite(trials=100, seed=13, params=UNIT,
-                                            max_vertices=5)
+    ggd_corrected = run_ggd_perturbation_suite(trials=100, seed=12, params=UNIT)
+    ggd_literal = run_ggd_translation_suite(trials=100, seed=13, params=UNIT)
     check(6, "translation/perturbation bounds hold over 100 trials each",
           gmd_suite.violations == 0 and ggd_corrected.violations == 0
           and ggd_literal.violations == 0,
@@ -159,7 +151,7 @@ def test_criterion_7_letter_retrieval(tmp_path):
     external = os.environ.get("GRAPHMOVER_LETTER_DIR")
     for level in ("LOW", "MED", "HIGH"):
         if external:
-            records = load_letter_directory(Path(external) / level, level)
+            records = load_letter_directory(Path(external) / level)
         else:
             records = make_letter_records(level, per_letter=150, seed=7,
                                           prototypes=prototypes)

@@ -87,7 +87,6 @@ def test_usage_errors_exit_2():
     ["bench", "--sizes", "4,x"],
     ["bench", "--sizes", "0"],
     ["classify", "--dataset", "letters", "--k", "1,0"],
-    ["classify", "--dataset", "letters", "--jobs", "0"],
     ["synth", "--out", "letters", "--per-letter", "0"],
 ])
 def test_bad_counts_are_usage_errors(argv):
@@ -129,7 +128,7 @@ def test_classify_end_to_end(tmp_path, capsys):
     assert main(["synth", "--out", str(dataset), "--per-letter", "1", "--seed", "3"]) == 0
     out = tmp_path / "report.csv"
     code = main(["classify", "--dataset", str(dataset), "--distortion", "LOW",
-                 "--k", "1,3", "--jobs", "1", "--format", "csv", "--out", str(out),
+                 "--k", "1,3", "--format", "csv", "--out", str(out),
                  "--confusion-out", str(tmp_path / "conf")])
     assert code == 0
     lines = out.read_text().splitlines()

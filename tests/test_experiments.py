@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 import graphmover
+from graphmover import experiments
 from graphmover.dataset import LETTER_LABELS, LetterRecord, load_prototypes
 from graphmover.experiments import (bench_csv, classify_topk, confusion_csv,
                                     ggd_perturbation_trial, ggd_translation_trial,
@@ -31,7 +32,7 @@ def as_records(graph_label_pairs, distortion="LOW"):
 
 def test_prototypes_classify_themselves(prototypes):
     tests = as_records([(prototypes[label], label) for label in LETTER_LABELS])
-    report = classify_topk(tests, prototypes, LETTER_COSTS, ks=(1, 3, 5, 15), jobs=1)
+    report = classify_topk(tests, prototypes, LETTER_COSTS, ks=(1, 3, 5, 15))
     assert report.accuracy[1] == 1.0
     assert report.accuracy[15] == 1.0
     assert report.n_tests == 15
@@ -42,7 +43,7 @@ def test_accuracy_non_decreasing_in_k(prototypes):
     rng = np.random.default_rng(12)
     tests = as_records([(perturb(prototypes[label], 0.6, int(rng.integers(1 << 30))), label)
                         for label in LETTER_LABELS for _ in range(2)])
-    report = classify_topk(tests, prototypes, LETTER_COSTS, ks=(1, 2, 3, 5, 15), jobs=1)
+    report = classify_topk(tests, prototypes, LETTER_COSTS, ks=(1, 2, 3, 5, 15))
     values = [report.accuracy[k] for k in report.ks]
     assert all(a <= b + 1e-12 for a, b in zip(values, values[1:]))
     assert report.accuracy[15] == 1.0
@@ -61,7 +62,7 @@ def test_small_perturbations_keep_top1(prototypes):
         others = [gmd(rec.graph, prototypes[label], LETTER_COSTS).value
                   for label in LETTER_LABELS if label != rec.label]
         assert d_true < min(others)
-    report = classify_topk(tests, prototypes, LETTER_COSTS, ks=(1,), jobs=1)
+    report = classify_topk(tests, prototypes, LETTER_COSTS, ks=(1,))
     assert report.accuracy[1] == 1.0
 
 
@@ -70,27 +71,42 @@ def test_classify_validates_inputs(prototypes):
     incomplete = dict(prototypes)
     del incomplete["Z"]
     with pytest.raises(ValueError):
-        classify_topk(tests, incomplete, LETTER_COSTS, jobs=1)
+        classify_topk(tests, incomplete, LETTER_COSTS)
     with pytest.raises(ValueError):
-        classify_topk(tests, prototypes, LETTER_COSTS, ks=(0, 1), jobs=1)
+        classify_topk(tests, prototypes, LETTER_COSTS, ks=(0, 1))
     line = GeometricGraph.build([(0,), (1,)], [(0, 1)], dim=1)
     with pytest.raises(ValueError):
-        classify_topk(as_records([(line, "A")]), prototypes, LETTER_COSTS, jobs=1)
+        classify_topk(as_records([(line, "A")]), prototypes, LETTER_COSTS)
 
 
-def test_pool_and_serial_agree(prototypes):
+def test_pool_and_serial_agree(prototypes, monkeypatch):
     rng = np.random.default_rng(4)
     tests = as_records([(perturb(prototypes[label], 0.5, int(rng.integers(1 << 30))), label)
                         for label in LETTER_LABELS])
-    serial = classify_topk(tests, prototypes, LETTER_COSTS, jobs=1)
-    pooled = classify_topk(tests, prototypes, LETTER_COSTS, jobs=2)
+    monkeypatch.setattr(experiments, "_usable_cpus", lambda: 1)
+    serial = classify_topk(tests, prototypes, LETTER_COSTS)
+    monkeypatch.setattr(experiments, "_usable_cpus", lambda: 2)
+    pooled = classify_topk(tests, prototypes, LETTER_COSTS)
     assert serial.accuracy == pooled.accuracy
     assert np.array_equal(serial.confusion, pooled.confusion)
 
 
+def test_one_usable_cpu_scores_in_process(prototypes, monkeypatch):
+    import concurrent.futures
+
+    def no_pool(*args, **kwargs):
+        raise AssertionError("a worker pool was started")
+
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", no_pool)
+    tests = as_records([(prototypes[label], label) for label in LETTER_LABELS])
+    assert classify_topk(tests, prototypes, LETTER_COSTS).accuracy[1] == 1.0
+
+
 def test_report_csvs_are_deterministic(prototypes):
     tests = as_records([(prototypes[label], label) for label in LETTER_LABELS])
-    reports = [classify_topk(tests, prototypes, LETTER_COSTS, jobs=1) for _ in range(2)]
+    reports = [classify_topk(tests, prototypes, LETTER_COSTS) for _ in range(2)]
     assert retrieval_csv(reports[:1]) == retrieval_csv(reports[1:])
     text = retrieval_csv(reports[:1])
     assert text.splitlines()[0] == "distortion,k,accuracy"

@@ -44,13 +44,36 @@ def test_graph_rejects_bad_vertices():
         GeometricGraph.build([(10 ** 399, 0)], [])
 
 
+@pytest.mark.parametrize("vertices, message", [
+    (((0.0,), (True,)), r"^vertex 1: coordinate True is not a number$"),
+    (((np.bool_(False),),), r"^vertex 0: coordinate np.False_ is not a number$"),
+    (((0.0,), ("3",)), r"^vertex 1: coordinate '3' is not a number$"),
+    ((("3" * 10 ** 5,),), r"^vertex 0: coordinate '3{12}\.\.\.3{13}' is not a number$"),
+    (((b"3",),), r"^vertex 0: coordinate b'3' is not a number$"),
+    (((None,),), r"^vertex 0: coordinate None is not a number$"),
+    (((0.0,), 5), r"^vertex 1 is not a sequence of coordinates$"),
+    ((None,), r"^vertex 0 is not a sequence of coordinates$"),
+    (((0.0,), (1.0, 2.0)), r"^vertex 1 does not have dimension 1$"),
+], ids=["bool", "numpy-bool", "str", "long-str", "bytes", "none", "int-vertex", "none-vertex", "arity"])
+def test_graph_rejects_bad_coordinates(vertices, message):
+    with pytest.raises(ValueError, match=message):
+        GeometricGraph(1, vertices, ())
+
+
 @pytest.mark.parametrize("edges, message", [
     ([(0, 1), (5, 0)], r"^edge \(0, 5\): index out of range for 2 vertices$"),
+    ([(0, 10 ** 400)], r"^edge \(0, 10+\.\.\.0+\): index out of range for 2 vertices$"),
     ([(0, 1), (1, 1)], r"^edge \(1, 1\): self-loop$"),
     ([(0, 1), (1, 0)], r"^edge \(0, 1\): duplicate edge$"),
-    ([(0.9, 2.7)], r"^edge \(0\.9, 2\.7\): index 0\.9 is not an integer$"),
-    ([(True, False)], r"^edge \(True, False\): index True is not an integer$"),
-], ids=["out-of-range", "self-loop", "duplicate", "float-index", "bool-index"])
+    ([(0.9, 2.7)], r"^edge 0: index 0\.9 is not an integer$"),
+    ([(True, False)], r"^edge 0: index True is not an integer$"),
+    ([(0, 1), (1,)], r"^edge 1 is not a pair of vertex indices$"),
+    ([(0, 1, 0)], r"^edge 0 is not a pair of vertex indices$"),
+    ([(0, 1), 5], r"^edge 1 is not a pair of vertex indices$"),
+    ([None], r"^edge 0 is not a pair of vertex indices$"),
+    (["01"], r"^edge 0: index '0' is not an integer$"),
+], ids=["out-of-range", "huge-index", "self-loop", "duplicate", "float-index", "bool-index",
+        "one-index", "three-indices", "int-edge", "none-edge", "str-edge"])
 def test_graph_rejects_bad_edges(edges, message):
     with pytest.raises(ValueError, match=message):
         GeometricGraph.build([(0, 0), (1, 0)], edges)

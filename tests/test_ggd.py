@@ -42,7 +42,7 @@ def test_matching_validation():
     assert pi.matched == ((0, 1),)
     assert pi.deleted_left == (1,)
     assert pi.deleted_right == (0,)
-    assert pi.inverse(2).targets == (None, 0)
+    assert pi.inverse().targets == (None, 0)
 
 
 def test_shared_vertex_pair_matching_cost(shared_vertex_pair):
