@@ -87,6 +87,7 @@ def test_usage_errors_exit_2():
     ["bench", "--sizes", "4,x"],
     ["bench", "--sizes", "0"],
     ["classify", "--dataset", "letters", "--k", "1,0"],
+    ["classify", "--dataset", "letters", "--k", "-3"],
     ["synth", "--out", "letters", "--per-letter", "0"],
 ])
 def test_bad_counts_are_usage_errors(argv):
