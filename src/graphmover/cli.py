@@ -1,7 +1,8 @@
 """Command-line interface: pairwise distances, dataset prep, experiments.
 
 All numeric results print with fixed 9-decimal formatting so golden files are
-exact, and every command is deterministic for fixed inputs, flags and seeds.
+exact. Every command is deterministic for fixed inputs, flags and seeds, except
+for the wall times that `classify` (text format) and `bench` report.
 Exit codes: 0 success, 1 data error, 2 usage error.
 """
 
@@ -37,6 +38,11 @@ def _add_cost_flags(parser, cv_default=4.5, ce_default=1.0):
                         help="vertex displacement cost coefficient")
     parser.add_argument("--ce", type=float, default=ce_default,
                         help="edge length cost coefficient")
+
+
+def _add_report_flags(parser):
+    parser.add_argument("--format", choices=("text", "csv", "json"), default="text")
+    parser.add_argument("--out", help="write the report here instead of stdout")
 
 
 def _positive_int(text: str) -> int:
@@ -87,8 +93,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_cost_flags(p_cls)
     p_cls.add_argument("--k", type=_positive_int_list, default=(1, 3, 5),
                        help="comma-separated list of cutoffs, default 1,3,5")
-    p_cls.add_argument("--format", choices=("text", "csv", "json"), default="text")
-    p_cls.add_argument("--out", help="write the report here instead of stdout")
+    _add_report_flags(p_cls)
     p_cls.add_argument("--confusion-out",
                        help="directory for per-level confusion matrix CSVs")
 
@@ -96,8 +101,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_stab.add_argument("--trials", type=_positive_int, default=100)
     p_stab.add_argument("--seed", type=int, default=0)
     _add_cost_flags(p_stab, cv_default=1.0, ce_default=1.0)
-    p_stab.add_argument("--format", choices=("text", "csv", "json"), default="text")
-    p_stab.add_argument("--out")
+    _add_report_flags(p_stab)
 
     p_bench = sub.add_parser("bench", help="median distance runtime per graph size")
     p_bench.add_argument("--sizes", type=_positive_int_list, default=(50, 100, 200),
@@ -105,8 +109,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_bench.add_argument("--trials", type=_positive_int, default=3)
     p_bench.add_argument("--seed", type=int, default=0)
     _add_cost_flags(p_bench, cv_default=1.0, ce_default=1.0)
-    p_bench.add_argument("--format", choices=("text", "csv", "json"), default="text")
-    p_bench.add_argument("--out")
+    _add_report_flags(p_bench)
 
     p_synth = sub.add_parser("synth", help="write a synthetic letter dataset")
     p_synth.add_argument("--out", required=True, help="dataset root directory")

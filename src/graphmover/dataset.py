@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from importlib import resources
 from pathlib import Path
 from typing import Optional, Union
 
@@ -134,8 +133,9 @@ def planarize(g: GeometricGraph) -> GeometricGraph:
     original vertices (original order preserved) and the crossing edges are
     split there, leaving the drawn point set unchanged. Where an endpoint of
     one edge lies inside another edge, the other edge is split at that
-    existing vertex. Crossing points within EPS of each other are merged;
-    collinear overlapping edges are an error.
+    existing vertex. Crossing points within EPS of each other are merged.
+    Collinear overlapping edges are an error, and so are two split pieces
+    that join the same pair of vertices (an overlap within EPS).
     """
     if g.dim != 2:
         raise ValueError(f"planarize needs a 2D graph, got dim {g.dim}")
@@ -184,13 +184,17 @@ def planarize(g: GeometricGraph) -> GeometricGraph:
         return g
 
     new_vertices = list(g.vertices) + [tuple(c) for c in clusters]
-    new_edges: list[tuple[int, int]] = []
+    new_edges: set[tuple[int, int]] = set()
     for idx, (i, j) in enumerate(edges):
         stops = sorted((t, vid) for vid, t in events.get(idx, {}).items())
         chain = [i] + [vid for _, vid in stops] + [j]
         for v0, v1 in zip(chain, chain[1:]):
             if v0 != v1:
-                new_edges.append((v0, v1))
+                piece = (v0, v1) if v0 < v1 else (v1, v0)
+                if piece in new_edges:
+                    raise CollinearOverlapError(
+                        f"edge {edges[idx]} overlaps another edge along {piece} after splitting")
+                new_edges.add(piece)
     return GeometricGraph(2, new_vertices, new_edges)
 
 
@@ -242,6 +246,8 @@ def load_letter_directory(path) -> list[LetterRecord]:
     class_files = sorted(root.glob("*.cxl"))
     if labels_json.exists():
         mapping = json.loads(labels_json.read_text())
+        if not isinstance(mapping, dict):
+            raise GraphFormatError(f"{labels_json} is not a JSON object")
         entries = sorted(mapping.items())
     elif class_files:
         for cf in class_files:
@@ -256,22 +262,14 @@ def load_letter_directory(path) -> list[LetterRecord]:
 def load_prototypes(path=None) -> dict[str, GeometricGraph]:
     """The 15 letter prototypes, keyed by letter, in alphabetical label order.
 
-    With no argument, loads the prototypes shipped with the package; otherwise
-    reads ``<LETTER>.json`` files from the given directory.
+    Reads ``<LETTER>.json`` from the given directory, or from the package's
+    ``data/prototypes`` directory when no path is given.
     """
+    root = Path(__file__).parent / "data" / "prototypes" if path is None else Path(path)
     protos = {}
     for label in LETTER_LABELS:
-        if path is None:
-            protos[label] = packaged_graph(f"prototypes/{label}")
-        else:
-            target = Path(path) / f"{label}.json"
-            if not target.exists():
-                raise GraphFormatError(f"missing prototype for letter {label}: {target}")
-            protos[label] = read_json_graph(target.read_text())
+        target = root / f"{label}.json"
+        if not target.exists():
+            raise GraphFormatError(f"missing prototype for letter {label}: {target}")
+        protos[label] = read_graph_file(target)
     return protos
-
-
-def packaged_graph(name: str) -> GeometricGraph:
-    """A graph fixture shipped with the package, e.g. ``figures/shared_vertices_G``."""
-    text = (resources.files("graphmover") / "data" / f"{name}.json").read_text()
-    return read_json_graph(text)

@@ -11,7 +11,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import combinations, permutations
-from math import comb, perm
 from typing import Iterator, Optional
 
 import numpy as np
@@ -57,18 +56,6 @@ class InexactMatching:
         hit = {t for t in self.targets if t is not None}
         return tuple(j for j in range(self.n_right) if j not in hit)
 
-    def inverse(self) -> "InexactMatching":
-        back: list[Optional[int]] = [None] * self.n_right
-        for i, t in enumerate(self.targets):
-            if t is not None:
-                back[t] = i
-        return InexactMatching(tuple(back), len(self.targets))
-
-
-def matching_count(m: int, n: int) -> int:
-    """Number of inexact matchings between vertex sets of sizes m and n."""
-    return sum(comb(m, k) * perm(n, k) for k in range(min(m, n) + 1))
-
 
 def enumerate_matchings(g: GeometricGraph, h: GeometricGraph) -> Iterator[InexactMatching]:
     """Yield every inexact matching exactly once.
@@ -108,24 +95,20 @@ def matching_cost(g: GeometricGraph, h: GeometricGraph, pi: InexactMatching,
     for i, j in pi.matched:
         total += cv * float(np.linalg.norm(g.coords[i] - h.coords[j]))
     h_edges = h.edge_set
-    g_edges = g.edge_set
+    kept = set()  # edges of h that are the image of an edge of g
     for a, b in g.edges:
         ta, tb = targets[a], targets[b]
         length = g.adjacency_length_matrix[a, b]
         if ta is not None and tb is not None:
             image = (ta, tb) if ta < tb else (tb, ta)
             if image in h_edges:
+                kept.add(image)
                 total += ce * abs(length - h.adjacency_length_matrix[image[0], image[1]])
                 continue
         total += ce * length
-    back = pi.inverse().targets
     for c, d in h.edges:
-        pc, pd = back[c], back[d]
-        if pc is not None and pd is not None:
-            pre = (pc, pd) if pc < pd else (pd, pc)
-            if pre in g_edges:
-                continue
-        total += ce * h.adjacency_length_matrix[c, d]
+        if (c, d) not in kept:
+            total += ce * h.adjacency_length_matrix[c, d]
     return total
 
 

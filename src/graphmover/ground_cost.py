@@ -16,6 +16,12 @@ import numpy as np
 
 from .geometry import CostParams, GeometricGraph
 
+# The L1 term is built in blocks of rows whose m x n x p temporaries (the
+# difference and its absolute value) hold at most this many float64 each, 16 MB,
+# instead of one O(m*n*p) array. A block is at least one row, which exceeds the
+# cap only when n * p > 2**21; letter-sized pairs fit in one block.
+_BLOCK_ENTRIES = 2 ** 21
+
 
 @dataclass(frozen=True, eq=False)
 class GroundCostMatrix:
@@ -36,9 +42,12 @@ def ground_cost_matrix(g: GeometricGraph, h: GeometricGraph,
     out = np.zeros((m + 1, n + 1))
     if m and n:
         diff = g.coords[:, None, :] - h.coords[None, :, :]
-        pos = np.sqrt((diff * diff).sum(axis=-1))
-        adj = np.abs(eg[:, None, :p] - eh[None, :, :p]).sum(axis=-1)
-        out[:m, :n] = params.vertex_cost * pos + params.edge_cost * adj
+        pos = params.vertex_cost * np.sqrt((diff * diff).sum(axis=-1))
+        rows = max(1, _BLOCK_ENTRIES // (n * p))
+        for start in range(0, m, rows):
+            stop = min(start + rows, m)
+            adj = np.abs(eg[start:stop, None, :p] - eh[None, :, :p]).sum(axis=-1)
+            out[start:stop, :n] = pos[start:stop] + params.edge_cost * adj
     if n:
         out[m, :n] = params.edge_cost * eh.sum(axis=1)
     if m:

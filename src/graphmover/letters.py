@@ -78,12 +78,13 @@ def distort(graph: GeometricGraph, rng: np.random.Generator,
     return planarize(GeometricGraph.build(moved, edges, dim=2))
 
 
-def make_letter_records(distortion: str, per_letter: int = 150, seed: int = 7,
-                        prototypes: dict[str, GeometricGraph] | None = None) -> list[LetterRecord]:
-    """Deterministic synthetic test set for one distortion level."""
+def make_letter_records(distortion: str, per_letter: int = 150,
+                        seed: int = 7) -> list[LetterRecord]:
+    """Deterministic synthetic test set for one distortion level, drawn from the
+    packaged prototypes."""
     if distortion not in DISTORTION_LEVELS:
         raise ValueError(f"distortion must be one of {DISTORTION_LEVELS}, got {distortion!r}")
-    protos = prototypes if prototypes is not None else load_prototypes()
+    protos = load_prototypes()
     profile = DISTORTION_PROFILES[distortion]
     rng = np.random.default_rng([seed, DISTORTION_LEVELS.index(distortion)])
     records = []
@@ -118,8 +119,7 @@ def write_letter_dataset(root, per_letter: int = 150, seed: int = 7) -> None:
         level_dir = root / level
         level_dir.mkdir(parents=True, exist_ok=True)
         labels = {}
-        for rec in make_letter_records(level, per_letter=per_letter, seed=seed,
-                                       prototypes=protos):
+        for rec in make_letter_records(level, per_letter=per_letter, seed=seed):
             fname = f"{rec.source_id}.json"
             (level_dir / fname).write_text(write_json_graph(rec.graph))
             labels[fname] = rec.label

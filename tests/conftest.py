@@ -3,8 +3,9 @@ from itertools import combinations
 import hypothesis.strategies as st
 import pytest
 
-from graphmover.dataset import packaged_graph
 from graphmover.geometry import CostParams, GeometricGraph
+
+from helpers import packaged_graph
 
 UNIT_COSTS = CostParams(1.0, 1.0)
 LETTER_COSTS = CostParams(4.5, 1.0)

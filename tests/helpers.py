@@ -8,10 +8,23 @@ of the library's vectorized implementations.
 from __future__ import annotations
 
 import math
+from pathlib import Path
 
 import numpy as np
 
+import graphmover
+from graphmover.dataset import read_graph_file
 from graphmover.geometry import CostParams, GeometricGraph
+
+
+def packaged_graph(name: str) -> GeometricGraph:
+    """A graph fixture shipped with the package, e.g. ``figures/shared_vertices_G``."""
+    return read_graph_file(Path(graphmover.__file__).parent / "data" / f"{name}.json")
+
+
+def matching_count(m: int, n: int) -> int:
+    """Number of inexact matchings between vertex sets of sizes m and n."""
+    return sum(math.comb(m, k) * math.perm(n, k) for k in range(min(m, n) + 1))
 
 
 def naive_ground_cost(g: GeometricGraph, h: GeometricGraph, params: CostParams) -> np.ndarray:

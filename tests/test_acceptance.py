@@ -12,7 +12,7 @@ from pathlib import Path
 
 import numpy as np
 
-from graphmover.dataset import load_letter_directory, load_prototypes, packaged_graph
+from graphmover.dataset import load_letter_directory, load_prototypes
 from graphmover.experiments import (classify_topk, random_graph, retrieval_csv,
                                     run_ggd_perturbation_suite,
                                     run_ggd_translation_suite,
@@ -24,7 +24,8 @@ from graphmover.gmd import gmd, gmd_bruteforce
 from graphmover.letters import make_letter_records
 from graphmover.transport import TransportInstance, solve_transport
 
-from helpers import hausdorff_vertices, min_integral_flow_cost, random_integer_transport
+from helpers import (hausdorff_vertices, min_integral_flow_cost, packaged_graph,
+                     random_integer_transport)
 
 UNIT = CostParams(1.0, 1.0)
 LETTER = CostParams(4.5, 1.0)
@@ -153,8 +154,7 @@ def test_criterion_7_letter_retrieval(tmp_path):
         if external:
             records = load_letter_directory(Path(external) / level)
         else:
-            records = make_letter_records(level, per_letter=150, seed=7,
-                                          prototypes=prototypes)
+            records = make_letter_records(level, per_letter=150, seed=7)
         reports.append(classify_topk(records, prototypes, LETTER, ks=ks))
     by_level = {r.distortion: r for r in reports}
     low, med, high = by_level["LOW"], by_level["MED"], by_level["HIGH"]

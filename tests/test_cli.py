@@ -3,8 +3,10 @@ import json
 import pytest
 
 from graphmover.cli import main
-from graphmover.dataset import packaged_graph, read_json_graph, write_json_graph
+from graphmover.dataset import read_json_graph, write_json_graph
 from graphmover.geometry import GeometricGraph, validate_graph
+
+from helpers import packaged_graph
 
 GXL_SAMPLE = """<gxl><graph edgemode="undirected">
 <node id="_0"><attr name="x"><float>0.0</float></attr><attr name="y"><float>0.0</float></attr></node>
@@ -143,6 +145,32 @@ def test_classify_end_to_end(tmp_path, capsys):
 def test_classify_without_levels_fails(tmp_path, capsys):
     assert main(["classify", "--dataset", str(tmp_path)]) == 1
     assert "no distortion directories" in capsys.readouterr().err
+
+
+def test_labels_json_that_is_not_an_object_is_data_error(tmp_path, capsys):
+    (tmp_path / "LOW").mkdir()
+    (tmp_path / "LOW" / "labels.json").write_text("[]")
+    assert main(["classify", "--dataset", str(tmp_path)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ")
+    assert captured.err.count("\n") == 1
+
+
+def test_entity_expansion_gxl_is_data_error(tmp_path, capsys):
+    # billion laughs: ten nested entities of ten references each expand to 10**10 "lol"s
+    entities = ['<!ENTITY lol0 "lol">'] + [
+        f'<!ENTITY lol{k} "{("&lol%d;" % (k - 1)) * 10}">' for k in range(1, 10)]
+    doc = ("<?xml version=\"1.0\"?>\n<!DOCTYPE gxl [\n" + "\n".join(entities) + "\n]>\n"
+           '<gxl><graph><node id="_0"><attr name="x"><float>&lol9;</float></attr>'
+           "</node></graph></gxl>\n")
+    path = tmp_path / "laughs.gxl"
+    path.write_text(doc)
+    assert main(["convert", str(path)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ")
+    assert captured.err.count("\n") == 1
 
 
 def test_stability_command_text_and_csv(capsys):

@@ -5,13 +5,13 @@ import pytest
 from hypothesis import assume, given, settings
 
 from graphmover.dataset import (CollinearOverlapError, GraphFormatError, LetterRecord,
-                                load_letter_directory, load_prototypes, packaged_graph,
-                                planarize, read_class_index, read_graph_file,
-                                read_gxl_letter, read_json_graph, write_json_graph)
+                                load_letter_directory, load_prototypes, planarize,
+                                read_class_index, read_graph_file, read_gxl_letter,
+                                read_json_graph, write_json_graph)
 from graphmover.geometry import GeometricGraph, validate_graph
 
 from conftest import geometric_graphs
-from helpers import total_length
+from helpers import packaged_graph, total_length
 
 GXL_MINIMAL = """<?xml version="1.0" encoding="UTF-8"?>
 <!DOCTYPE gxl SYSTEM "http://www.gupro.de/GXL/gxl-1.0.dtd">
@@ -141,6 +141,15 @@ def test_planarize_splits_edge_at_touching_vertex():
 
 def test_planarize_rejects_collinear_overlap():
     g = GeometricGraph.build([(0, 0), (3, 0), (1, 0), (2, 0)], [(0, 1), (2, 3)])
+    with pytest.raises(CollinearOverlapError):
+        planarize(g)
+
+
+def test_planarize_rejects_split_pieces_that_coincide():
+    # vertex 0 lies within EPS of edge (1, 4), whose split at vertex 0 would
+    # repeat edge (0, 1): an overlap within the drawing tolerance
+    g = GeometricGraph.build([(1, 0), (0, 1e-9), (0, 0), (0, 1), (2, 0), (0, 0)],
+                             [(0, 1), (0, 3), (1, 4)])
     with pytest.raises(CollinearOverlapError):
         planarize(g)
 

@@ -166,6 +166,8 @@ def test_triangle_survey_reports_consistently():
     report = triangle_inequality_survey(trials=30, seed=3, params=UNIT_COSTS)
     assert report.trials == 30
     assert (report.violations == 0) == (report.worst_excess <= 1e-9)
+    pinned = triangle_inequality_survey(trials=100, seed=0, params=UNIT_COSTS)
+    assert (pinned.violations, f"{pinned.worst_excess:.9f}") == (5, "4.528317817")
 
 
 def test_random_graph_is_deterministic():

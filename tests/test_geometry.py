@@ -8,7 +8,7 @@ from graphmover.geometry import (CostParams, GeometricGraph, perturb, translate,
                                  validate_graph)
 
 from conftest import geometric_graphs
-from helpers import hausdorff_vertices, total_length
+from helpers import hausdorff_vertices, packaged_graph, total_length
 
 
 def test_cost_params_require_positive_coefficients():
@@ -106,8 +106,6 @@ def test_validate_reports_endpoint_on_edge_interior():
 
 
 def test_adjacency_lengths_zero_distance_twin_row():
-    from graphmover.dataset import packaged_graph
-
     g = packaged_graph("figures/zero_gmd_twin_G")
     row = g.adjacency_length_matrix[0]
     assert row == pytest.approx([0.0, 0.0, 0.0, 2.0, math.sqrt(2.0)])

@@ -3,11 +3,11 @@ import pytest
 
 from graphmover.geometry import CostParams, GeometricGraph, translate
 from graphmover.ggd import (InexactMatching, InstanceTooLargeError, enumerate_matchings,
-                            ggd_exact, matching_cost, matching_count)
+                            ggd_exact, matching_cost)
 
 from conftest import UNIT_COSTS
-from helpers import (hausdorff_point_sets, hausdorff_vertices, random_graph_pair,
-                     sample_realization, total_length)
+from helpers import (hausdorff_point_sets, hausdorff_vertices, matching_count,
+                     random_graph_pair, sample_realization, total_length)
 
 
 def pair_graphs(n, m):
@@ -42,7 +42,6 @@ def test_matching_validation():
     assert pi.matched == ((0, 1),)
     assert pi.deleted_left == (1,)
     assert pi.deleted_right == (0,)
-    assert pi.inverse().targets == (None, 0)
 
 
 def test_shared_vertex_pair_matching_cost(shared_vertex_pair):

@@ -1,9 +1,11 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 
+from graphmover.experiments import random_graph
 from graphmover.geometry import CostParams, GeometricGraph, translate
 from graphmover.ground_cost import ground_cost_matrix
 
@@ -85,3 +87,25 @@ def test_real_entries_dominate_displacement_term(g, h):
             gap = params.vertex_cost * math.dist(g.vertices[i], h.vertices[j])
             assert mat[i, j] >= gap - 1e-12
             assert mat[i, j] >= 0.0
+
+
+@pytest.mark.parametrize("n_second", [200, 130])
+def test_blocked_l1_term_is_bounded_and_exact(n_second):
+    """One m*n*p float64 temporary is 64 MB at 200 x 200 and 27 MB at 200 x 130,
+    and a single broadcast makes two; the blocked build stays below 48 MB and
+    equals the single-broadcast formula bit for bit."""
+    rng = np.random.default_rng(200)
+    g, h = random_graph(rng, 200), random_graph(rng, n_second)
+    eg, eh = g.adjacency_length_matrix, h.adjacency_length_matrix  # cached before tracing
+    tracemalloc.start()
+    try:
+        entries = ground_cost_matrix(g, h, UNIT_COSTS).entries
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 48e6
+    p = min(g.n_vertices, h.n_vertices)
+    diff = g.coords[:, None, :] - h.coords[None, :, :]
+    whole = (np.sqrt((diff * diff).sum(axis=-1))
+             + np.abs(eg[:, None, :p] - eh[None, :, :p]).sum(axis=-1))
+    assert entries[:-1, :-1].tobytes() == whole.tobytes()
