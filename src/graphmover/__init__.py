@@ -5,10 +5,10 @@ ground costs; the exact distance enumerates inexact matchings and is only
 feasible for small graphs, where it doubles as an oracle.
 """
 
-from .geometry import CostParams, GeometricGraph, perturb, translate, validate_graph
+from .geometry import CostParams, GeometricGraph, perturb, translate
 from .ggd import (InexactMatching, InstanceTooLargeError, enumerate_matchings,
                   ggd_exact, matching_cost)
-from .gmd import GmdResult, gmd, gmd_bruteforce
+from .gmd import GmdResult, gmd
 from .ground_cost import GroundCostMatrix, ground_cost_matrix
 from .transport import (Flow, InfeasibleInstanceError, TransportInstance,
                         check_flow, solve_transport)
@@ -27,13 +27,11 @@ __all__ = [
     "enumerate_matchings",
     "ggd_exact",
     "gmd",
-    "gmd_bruteforce",
     "ground_cost_matrix",
     "matching_cost",
     "perturb",
     "solve_transport",
     "translate",
-    "validate_graph",
 ]
 
 __version__ = "0.1.0"

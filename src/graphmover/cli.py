@@ -22,10 +22,6 @@ from .gmd import gmd
 from .letters import write_letter_dataset
 
 
-def _cost_params(args) -> CostParams:
-    return CostParams(vertex_cost=args.cv, edge_cost=args.ce)
-
-
 def _emit(text: str, out: str | None) -> None:
     if out:
         Path(out).write_text(text)
@@ -33,11 +29,13 @@ def _emit(text: str, out: str | None) -> None:
         sys.stdout.write(text)
 
 
-def _add_cost_flags(parser, cv_default=4.5, ce_default=1.0):
-    parser.add_argument("--cv", type=float, default=cv_default,
+def _add_cost_flags(parser, defaults: CostParams):
+    """--cv and --ce; `main` turns them into `args.params` or a usage error."""
+    parser.add_argument("--cv", type=float, default=defaults.vertex_cost,
                         help="vertex displacement cost coefficient")
-    parser.add_argument("--ce", type=float, default=ce_default,
+    parser.add_argument("--ce", type=float, default=defaults.edge_cost,
                         help="edge length cost coefficient")
+    parser.set_defaults(usage_error=parser.error)
 
 
 def _add_report_flags(parser):
@@ -45,14 +43,22 @@ def _add_report_flags(parser):
     parser.add_argument("--out", help="write the report here instead of stdout")
 
 
-def _positive_int(text: str) -> int:
+def _int_at_least(text: str, low: int, kind: str) -> int:
     try:
         value = int(text)
     except ValueError:
-        value = 0
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"expected a positive integer, got {text!r}")
+        value = low - 1
+    if value < low:
+        raise argparse.ArgumentTypeError(f"expected a {kind} integer, got {text!r}")
     return value
+
+
+def _positive_int(text: str) -> int:
+    return _int_at_least(text, 1, "positive")
+
+
+def _non_negative_int(text: str) -> int:
+    return _int_at_least(text, 0, "non-negative")
 
 
 def _positive_int_list(text: str) -> tuple[int, ...]:
@@ -68,12 +74,12 @@ def build_parser() -> argparse.ArgumentParser:
     p_gmd = sub.add_parser("gmd", help="graph mover's distance between two graph files")
     p_gmd.add_argument("first")
     p_gmd.add_argument("second")
-    _add_cost_flags(p_gmd)
+    _add_cost_flags(p_gmd, CostParams())
 
     p_ggd = sub.add_parser("ggd", help="exact geometric graph distance (small graphs only)")
     p_ggd.add_argument("first")
     p_ggd.add_argument("second")
-    _add_cost_flags(p_ggd)
+    _add_cost_flags(p_ggd, CostParams())
 
     p_plan = sub.add_parser("planarize", help="insert vertices at edge crossings")
     p_plan.add_argument("input")
@@ -90,7 +96,7 @@ def build_parser() -> argparse.ArgumentParser:
                        default=None, help="levels to run (default: all present)")
     p_cls.add_argument("--prototypes", default=None,
                        help="directory of <LETTER>.json prototypes (default: built-in)")
-    _add_cost_flags(p_cls)
+    _add_cost_flags(p_cls, CostParams())
     p_cls.add_argument("--k", type=_positive_int_list, default=(1, 3, 5),
                        help="comma-separated list of cutoffs, default 1,3,5")
     _add_report_flags(p_cls)
@@ -99,34 +105,33 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_stab = sub.add_parser("stability", help="distance-vs-perturbation bound trials")
     p_stab.add_argument("--trials", type=_positive_int, default=100)
-    p_stab.add_argument("--seed", type=int, default=0)
-    _add_cost_flags(p_stab, cv_default=1.0, ce_default=1.0)
+    p_stab.add_argument("--seed", type=_non_negative_int, default=0)
+    _add_cost_flags(p_stab, experiments.UNIT_COSTS)
     _add_report_flags(p_stab)
 
     p_bench = sub.add_parser("bench", help="median distance runtime per graph size")
     p_bench.add_argument("--sizes", type=_positive_int_list, default=(50, 100, 200),
                          help="comma-separated vertex counts, default 50,100,200")
     p_bench.add_argument("--trials", type=_positive_int, default=3)
-    p_bench.add_argument("--seed", type=int, default=0)
-    _add_cost_flags(p_bench, cv_default=1.0, ce_default=1.0)
+    p_bench.add_argument("--seed", type=_non_negative_int, default=0)
+    _add_cost_flags(p_bench, experiments.UNIT_COSTS)
     _add_report_flags(p_bench)
 
     p_synth = sub.add_parser("synth", help="write a synthetic letter dataset")
     p_synth.add_argument("--out", required=True, help="dataset root directory")
     p_synth.add_argument("--per-letter", type=_positive_int, default=150,
                          help="drawings per letter and level (150 -> 2250 per level)")
-    p_synth.add_argument("--seed", type=int, default=7)
+    p_synth.add_argument("--seed", type=_non_negative_int, default=7)
     return parser
 
 
 def _run_pair_distance(args, exact: bool) -> int:
     g = read_graph_file(args.first)
     h = read_graph_file(args.second)
-    params = _cost_params(args)
     if exact:
-        value, _ = ggd_exact(g, h, params)
+        value, _ = ggd_exact(g, h, args.params)
     else:
-        value = gmd(g, h, params).value
+        value = gmd(g, h, args.params).value
     print(f"{value:.9f}")
     return 0
 
@@ -138,11 +143,10 @@ def _run_classify(args) -> int:
         print(f"error: no distortion directories under {root}", file=sys.stderr)
         return 1
     protos = load_prototypes(args.prototypes)
-    params = _cost_params(args)
     reports = []
     for level in levels:
         records = load_letter_directory(root / level)
-        reports.append(experiments.classify_topk(records, protos, params, ks=args.k))
+        reports.append(experiments.classify_topk(records, protos, args.params, ks=args.k))
     if args.confusion_out:
         conf_dir = Path(args.confusion_out)
         conf_dir.mkdir(parents=True, exist_ok=True)
@@ -167,13 +171,12 @@ def _run_classify(args) -> int:
 
 
 def _run_stability(args) -> int:
-    params = _cost_params(args)
     reports = [
-        experiments.run_gmd_translation_suite(args.trials, args.seed, params),
-        experiments.run_ggd_translation_suite(args.trials, args.seed, params),
-        experiments.run_ggd_perturbation_suite(args.trials, args.seed, params),
+        experiments.run_gmd_translation_suite(args.trials, args.seed, args.params),
+        experiments.run_ggd_translation_suite(args.trials, args.seed, args.params),
+        experiments.run_ggd_perturbation_suite(args.trials, args.seed, args.params),
     ]
-    triangle = experiments.triangle_inequality_survey(args.trials, args.seed, params)
+    triangle = experiments.triangle_inequality_survey(args.trials, args.seed, args.params)
     if args.format == "csv":
         _emit(experiments.stability_csv(reports), args.out)
     elif args.format == "json":
@@ -195,7 +198,7 @@ def _run_stability(args) -> int:
 
 def _run_bench(args) -> int:
     rows = experiments.scaling_benchmark(args.sizes, trials=args.trials, seed=args.seed,
-                                         params=_cost_params(args))
+                                         params=args.params)
     if args.format == "csv":
         _emit(experiments.bench_csv(rows), args.out)
     elif args.format == "json":
@@ -210,6 +213,11 @@ def _run_bench(args) -> int:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
+    if "cv" in args:
+        try:
+            args.params = CostParams(args.cv, args.ce)
+        except ValueError as exc:
+            args.usage_error(str(exc))
     try:
         if args.command == "gmd":
             return _run_pair_distance(args, exact=False)

@@ -21,6 +21,9 @@ from .geometry import CostParams, GeometricGraph, perturb, translate
 from .ggd import ggd_exact
 from .gmd import gmd
 
+# the cost setting of the stability trials and the scaling benchmark
+UNIT_COSTS = CostParams(1.0, 1.0)
+
 # ---------------------------------------------------------------------------
 # prototype retrieval
 
@@ -200,21 +203,21 @@ def _stability_suite(name: str, trials: int, seed: int, max_vertices: int,
 
 
 def run_gmd_translation_suite(trials: int = 100, seed: int = 0,
-                              params: CostParams = CostParams(1.0, 1.0)) -> StabilityReport:
+                              params: CostParams = UNIT_COSTS) -> StabilityReport:
     return _stability_suite(
         "gmd-translation", trials, seed, 8,
         lambda g, rng, index: gmd_translation_trial(g, rng.uniform(-5.0, 5.0, size=2), params))
 
 
 def run_ggd_translation_suite(trials: int = 100, seed: int = 0,
-                              params: CostParams = CostParams(1.0, 1.0)) -> StabilityReport:
+                              params: CostParams = UNIT_COSTS) -> StabilityReport:
     return _stability_suite(
         "ggd-translation-literal", trials, seed, 5,
         lambda g, rng, index: ggd_translation_trial(g, rng.uniform(-5.0, 5.0, size=2), params))
 
 
 def run_ggd_perturbation_suite(trials: int = 100, seed: int = 0,
-                               params: CostParams = CostParams(1.0, 1.0)) -> StabilityReport:
+                               params: CostParams = UNIT_COSTS) -> StabilityReport:
     return _stability_suite(
         "ggd-perturbation-corrected", trials, seed, 5,
         lambda g, rng, index: ggd_perturbation_trial(
@@ -234,7 +237,7 @@ def stability_csv(reports: Sequence[StabilityReport]) -> str:
 
 
 def triangle_inequality_survey(trials: int = 100, seed: int = 0,
-                               params: CostParams = CostParams(1.0, 1.0)) -> StabilityReport:
+                               params: CostParams = UNIT_COSTS) -> StabilityReport:
     """Empirical check of d(a,c) <= d(a,b) + d(b,c) on triples of 1-6 vertex graphs.
 
     The survey reports violations instead of asserting: with graphs of
@@ -265,7 +268,7 @@ class BenchRow:
 
 def scaling_benchmark(sizes: Sequence[int] = (50, 100, 200), trials: int = 3,
                       seed: int = 0,
-                      params: CostParams = CostParams(1.0, 1.0)) -> list[BenchRow]:
+                      params: CostParams = UNIT_COSTS) -> list[BenchRow]:
     """Median wall time of the distance on random graph pairs per size.
 
     Trials run one after another in this process, so no other trial competes

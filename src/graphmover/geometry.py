@@ -153,58 +153,15 @@ def _edge_index(x, index: int) -> int:
     raise ValueError(f"edge {index}: index {reprlib.repr(x)} is not an integer")
 
 
-def validate_graph(g: GeometricGraph) -> list[str]:
-    """Report edge pairs of a 2D drawing that meet other than at a shared endpoint.
-
-    An empty list means the drawing is planar within `EPS`; a graph that is not
-    2D gives []. This is the test oracle for `dataset.planarize`, so it keeps
-    its own endpoint test instead of sharing the planarizer's.
-    """
-    if g.dim != 2:
-        return []
-    problems = []
-    pts = g.coords
-    edges = g.edges
-    for a in range(len(edges)):
-        for b in range(a + 1, len(edges)):
-            e1, e2 = edges[a], edges[b]
-            kind, point, _, _ = segment_intersection(
-                pts[e1[0]], pts[e1[1]], pts[e2[0]], pts[e2[1]])
-            if kind == "overlap":
-                problems.append(f"edges {e1} and {e2}: collinear overlap")
-            elif kind == "point":
-                at1 = _endpoint_near(pts, e1, point)
-                at2 = _endpoint_near(pts, e2, point)
-                x, y = point
-                if at1 is None and at2 is None:
-                    problems.append(
-                        f"edges {e1} and {e2}: interior crossing at ({x:.9g}, {y:.9g})")
-                elif at1 is None or at2 is None:
-                    problems.append(
-                        f"edges {e1} and {e2}: endpoint touches edge interior "
-                        f"at ({x:.9g}, {y:.9g})")
-    return problems
-
-
-def _endpoint_near(pts: np.ndarray, edge: tuple[int, int],
-                   point: Sequence[float]) -> Optional[int]:
-    """Index of the endpoint of `edge` within EPS of `point`, or None."""
-    best = None
-    best_d = EPS
-    for k in edge:
-        d = math.hypot(pts[k][0] - point[0], pts[k][1] - point[1])
-        if d <= best_d:
-            best, best_d = k, d
-    return best
-
-
 def segment_intersection(a, b, c, d):
     """Intersection of the closed 2D segments ab and cd.
 
     Returns (kind, point, t, u) where kind is "none", "point" or "overlap".
     For "point", `point` is the location and t, u are the parameters along ab
     and cd in [0, 1]. "overlap" means the segments are collinear and share a
-    stretch longer than EPS.
+    stretch longer than EPS. Segments that are collinear within EPS but not
+    parallel enough for the 1e-12 test are handled as collinear when rounding
+    moves their crossing by more than EPS.
     """
     ax, ay = float(a[0]), float(a[1])
     bx, by = float(b[0]), float(b[1])
@@ -218,31 +175,38 @@ def segment_intersection(a, b, c, d):
         return "none", None, None, None
     denom = rx * sy - ry * sx
     acx, acy = cx - ax, cy - ay
-    if abs(denom) <= 1e-12 * len_r * len_s:
-        # parallel: intersect only if collinear
-        if abs(acx * ry - acy * rx) / len_r > EPS:
+    # the shorter segment lies within EPS of the line through the longer one
+    if len_r >= len_s:
+        collinear = (abs(acx * ry - acy * rx) / len_r <= EPS
+                     and abs((dx - ax) * ry - (dy - ay) * rx) / len_r <= EPS)
+    else:
+        collinear = (abs(acx * sy - acy * sx) / len_s <= EPS
+                     and abs((bx - cx) * sy - (by - cy) * sx) / len_s <= EPS)
+    if abs(denom) > 1e-12 * len_r * len_s:
+        t = (acx * sy - acy * sx) / denom
+        u = (acx * ry - acy * rx) / denom
+        if not (-EPS / len_r <= t <= 1 + EPS / len_r and -EPS / len_s <= u <= 1 + EPS / len_s):
             return "none", None, None, None
-        if abs((dx - ax) * ry - (dy - ay) * rx) / len_r > EPS:
-            return "none", None, None, None
-        t_c = (acx * rx + acy * ry) / (len_r * len_r)
-        t_d = ((dx - ax) * rx + (dy - ay) * ry) / (len_r * len_r)
-        lo = max(0.0, min(t_c, t_d))
-        hi = min(1.0, max(t_c, t_d))
-        if (hi - lo) * len_r > EPS:
-            return "overlap", None, None, None
-        if hi < lo - EPS / len_r:
-            return "none", None, None, None
-        t = 0.5 * (lo + hi)
-        px, py = ax + t * rx, ay + t * ry
-        u = ((px - cx) * sx + (py - cy) * sy) / (len_s * len_s)
-        return "point", (px, py), t, min(1.0, max(0.0, u))
-    t = (acx * sy - acy * sx) / denom
-    u = (acx * ry - acy * rx) / denom
-    if -EPS / len_r <= t <= 1 + EPS / len_r and -EPS / len_s <= u <= 1 + EPS / len_s:
-        t = min(1.0, max(0.0, t))
-        u = min(1.0, max(0.0, u))
-        return "point", (ax + t * rx, ay + t * ry), t, u
-    return "none", None, None, None
+        # the crossing as found along each segment; rounding parts the two only
+        # when the segments are nearly parallel
+        if not collinear or math.hypot(acx + u * sx - t * rx, acy + u * sy - t * ry) <= EPS:
+            t = min(1.0, max(0.0, t))
+            u = min(1.0, max(0.0, u))
+            return "point", (ax + t * rx, ay + t * ry), t, u
+    elif not collinear:
+        return "none", None, None, None
+    t_c = (acx * rx + acy * ry) / (len_r * len_r)
+    t_d = ((dx - ax) * rx + (dy - ay) * ry) / (len_r * len_r)
+    lo = max(0.0, min(t_c, t_d))
+    hi = min(1.0, max(t_c, t_d))
+    if (hi - lo) * len_r > EPS:
+        return "overlap", None, None, None
+    if hi < lo - EPS / len_r:
+        return "none", None, None, None
+    t = 0.5 * (lo + hi)
+    px, py = ax + t * rx, ay + t * ry
+    u = ((px - cx) * sx + (py - cy) * sy) / (len_s * len_s)
+    return "point", (px, py), t, min(1.0, max(0.0, u))
 
 
 def translate(g: GeometricGraph, t: Sequence[float]) -> GeometricGraph:

@@ -47,15 +47,6 @@ class InexactMatching:
     def matched(self) -> tuple[tuple[int, int], ...]:
         return tuple((i, t) for i, t in enumerate(self.targets) if t is not None)
 
-    @property
-    def deleted_left(self) -> tuple[int, ...]:
-        return tuple(i for i, t in enumerate(self.targets) if t is None)
-
-    @property
-    def deleted_right(self) -> tuple[int, ...]:
-        hit = {t for t in self.targets if t is not None}
-        return tuple(j for j in range(self.n_right) if j not in hit)
-
 
 def enumerate_matchings(g: GeometricGraph, h: GeometricGraph) -> Iterator[InexactMatching]:
     """Yield every inexact matching exactly once.

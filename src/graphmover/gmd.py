@@ -35,11 +35,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .geometry import CostParams, GeometricGraph
-from .ggd import InstanceTooLargeError, enumerate_matchings
 from .ground_cost import GroundCostMatrix, ground_cost_matrix
 from .transport import Flow, solve_assignment
-
-BRUTEFORCE_MAX_VERTICES = 6
 
 
 @dataclass(frozen=True, eq=False)
@@ -73,31 +70,3 @@ def gmd(g: GeometricGraph, h: GeometricGraph, params: CostParams) -> GmdResult:
     flow.flags.writeable = False
     value = float((flow * entries).sum())
     return GmdResult(value, Flow(flow, value), matrix)
-
-
-def gmd_bruteforce(g: GeometricGraph, h: GeometricGraph, params: CostParams) -> float:
-    """Independent small-instance oracle for the graph mover's distance.
-
-    Integral optimal flows route each real vertex either to one partner or to
-    the dummy, so the optimum is the best partial injection between the vertex
-    index sets: matched pairs pay their ground cost, unmatched vertices pay
-    their deletion column/row entry.
-    """
-    m, n = g.n_vertices, h.n_vertices
-    if m > BRUTEFORCE_MAX_VERTICES or n > BRUTEFORCE_MAX_VERTICES:
-        raise InstanceTooLargeError(
-            f"brute force is capped at {BRUTEFORCE_MAX_VERTICES} vertices per graph, "
-            f"got {m} and {n}")
-    costs = ground_cost_matrix(g, h, params).entries
-    best = np.inf
-    for pi in enumerate_matchings(g, h):
-        value = 0.0
-        for i, j in pi.matched:
-            value += costs[i, j]
-        for i in pi.deleted_left:
-            value += costs[i, n]
-        for j in pi.deleted_right:
-            value += costs[m, j]
-        if value < best:
-            best = value
-    return float(best)

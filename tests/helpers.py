@@ -9,12 +9,17 @@ from __future__ import annotations
 
 import math
 from pathlib import Path
+from typing import Optional, Sequence
 
 import numpy as np
 
 import graphmover
 from graphmover.dataset import read_graph_file
-from graphmover.geometry import CostParams, GeometricGraph
+from graphmover.geometry import EPS, CostParams, GeometricGraph, segment_intersection
+from graphmover.ggd import InstanceTooLargeError, enumerate_matchings
+from graphmover.ground_cost import ground_cost_matrix
+
+BRUTEFORCE_MAX_VERTICES = 6
 
 
 def packaged_graph(name: str) -> GeometricGraph:
@@ -55,6 +60,37 @@ def naive_ground_cost(g: GeometricGraph, h: GeometricGraph, params: CostParams) 
     return out
 
 
+def gmd_bruteforce(g: GeometricGraph, h: GeometricGraph, params: CostParams) -> float:
+    """Independent small-instance oracle for the graph mover's distance.
+
+    Integral optimal flows route each real vertex either to one partner or to
+    the dummy, so the optimum is the best partial injection between the vertex
+    index sets: matched pairs pay their ground cost, unmatched vertices pay
+    their deletion column/row entry.
+    """
+    m, n = g.n_vertices, h.n_vertices
+    if m > BRUTEFORCE_MAX_VERTICES or n > BRUTEFORCE_MAX_VERTICES:
+        raise InstanceTooLargeError(
+            f"brute force is capped at {BRUTEFORCE_MAX_VERTICES} vertices per graph, "
+            f"got {m} and {n}")
+    costs = ground_cost_matrix(g, h, params).entries
+    best = np.inf
+    for pi in enumerate_matchings(g, h):
+        value = 0.0
+        for i, j in pi.matched:
+            value += costs[i, j]
+        for i, t in enumerate(pi.targets):
+            if t is None:
+                value += costs[i, n]
+        hit = set(pi.targets)
+        for j in range(n):
+            if j not in hit:
+                value += costs[m, j]
+        if value < best:
+            best = value
+    return float(best)
+
+
 def enumerate_integral_flows(supplies, demands):
     """Every non-negative integer matrix with the given row and column sums."""
     supplies = tuple(int(s) for s in supplies)
@@ -89,6 +125,51 @@ def min_integral_flow_cost(supplies, demands, costs) -> float:
     for flow in enumerate_integral_flows(supplies, demands):
         value = float((np.asarray(flow, dtype=float) * costs).sum())
         best = min(best, value)
+    return best
+
+
+def validate_graph(g: GeometricGraph) -> list[str]:
+    """Report edge pairs of a 2D drawing that meet other than at a shared endpoint.
+
+    An empty list means the drawing is planar within `EPS`; a graph that is not
+    2D gives []. This is the test oracle for `dataset.planarize`, so it keeps
+    its own endpoint test instead of sharing the planarizer's.
+    """
+    if g.dim != 2:
+        return []
+    problems = []
+    pts = g.coords
+    edges = g.edges
+    for a in range(len(edges)):
+        for b in range(a + 1, len(edges)):
+            e1, e2 = edges[a], edges[b]
+            kind, point, _, _ = segment_intersection(
+                pts[e1[0]], pts[e1[1]], pts[e2[0]], pts[e2[1]])
+            if kind == "overlap":
+                problems.append(f"edges {e1} and {e2}: collinear overlap")
+            elif kind == "point":
+                at1 = _endpoint_near(pts, e1, point)
+                at2 = _endpoint_near(pts, e2, point)
+                x, y = point
+                if at1 is None and at2 is None:
+                    problems.append(
+                        f"edges {e1} and {e2}: interior crossing at ({x:.9g}, {y:.9g})")
+                elif at1 is None or at2 is None:
+                    problems.append(
+                        f"edges {e1} and {e2}: endpoint touches edge interior "
+                        f"at ({x:.9g}, {y:.9g})")
+    return problems
+
+
+def _endpoint_near(pts: np.ndarray, edge: tuple[int, int],
+                   point: Sequence[float]) -> Optional[int]:
+    """Index of the endpoint of `edge` within EPS of `point`, or None."""
+    best = None
+    best_d = EPS
+    for k in edge:
+        d = math.hypot(pts[k][0] - point[0], pts[k][1] - point[1])
+        if d <= best_d:
+            best, best_d = k, d
     return best
 
 

@@ -1,12 +1,13 @@
 import json
+import re
 
 import pytest
 
 from graphmover.cli import main
 from graphmover.dataset import read_json_graph, write_json_graph
-from graphmover.geometry import GeometricGraph, validate_graph
+from graphmover.geometry import GeometricGraph
 
-from helpers import packaged_graph
+from helpers import packaged_graph, validate_graph
 
 GXL_SAMPLE = """<gxl><graph edgemode="undirected">
 <node id="_0"><attr name="x"><float>0.0</float></attr><attr name="y"><float>0.0</float></attr></node>
@@ -91,11 +92,21 @@ def test_usage_errors_exit_2():
     ["classify", "--dataset", "letters", "--k", "1,0"],
     ["classify", "--dataset", "letters", "--k", "-3"],
     ["synth", "--out", "letters", "--per-letter", "0"],
+    ["stability", "--seed", "-1"],
+    ["bench", "--seed", "-1"],
+    ["synth", "--out", "letters", "--seed", "-1"],
+    ["gmd", "a.json", "b.json", "--cv", "-1"],
+    ["classify", "--dataset", "letters", "--ce", "nan"],
 ])
-def test_bad_counts_are_usage_errors(argv):
+def test_bad_counts_are_usage_errors(argv, tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
     with pytest.raises(SystemExit) as exc:
         main(argv)
     assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"usage: graphmover {argv[0]} ")
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_planarize_command(tmp_path, capsys):
@@ -142,6 +153,25 @@ def test_classify_end_to_end(tmp_path, capsys):
     assert len(conf) == 16
 
 
+def test_classify_json_and_text_reports(tmp_path, capsys):
+    dataset = tmp_path / "letters"
+    assert main(["synth", "--out", str(dataset), "--per-letter", "1", "--seed", "3"]) == 0
+    assert main(["classify", "--dataset", str(dataset), "--k", "1,3", "--format", "json"]) == 0
+    assert capsys.readouterr().out == json.dumps([
+        {"distortion": "LOW", "n_tests": 15, "accuracy": {"1": 1.0, "3": 1.0}},
+        {"distortion": "MED", "n_tests": 15,
+         "accuracy": {"1": 0.4666666666666667, "3": 0.8}},
+        {"distortion": "HIGH", "n_tests": 15,
+         "accuracy": {"1": 0.6, "3": 0.9333333333333333}},
+    ], indent=2) + "\n"
+    assert main(["classify", "--dataset", str(dataset), "--k", "1,3"]) == 0
+    text = re.sub(r", \d+\.\ds\)", ", Xs)", capsys.readouterr().out)
+    assert text == ("distortion  k=1    k=3  \n"
+                    "LOW         1.0000  1.0000  (15 tests, Xs)\n"
+                    "MED         0.4667  0.8000  (15 tests, Xs)\n"
+                    "HIGH        0.6000  0.9333  (15 tests, Xs)\n")
+
+
 def test_classify_without_levels_fails(tmp_path, capsys):
     assert main(["classify", "--dataset", str(tmp_path)]) == 1
     assert "no distortion directories" in capsys.readouterr().err
@@ -173,6 +203,42 @@ def test_entity_expansion_gxl_is_data_error(tmp_path, capsys):
     assert captured.err.count("\n") == 1
 
 
+STABILITY_JSON_20_3 = """\
+{
+  "bounds": [
+    {
+      "bound": "gmd-translation",
+      "trials": 20,
+      "violations": 0,
+      "max_ratio": 1.0000000000000007
+    },
+    {
+      "bound": "ggd-translation-literal",
+      "trials": 20,
+      "violations": 0,
+      "max_ratio": 1.0000000000000002
+    },
+    {
+      "bound": "ggd-perturbation-corrected",
+      "trials": 20,
+      "violations": 0,
+      "max_ratio": 0.8222081055631157
+    }
+  ],
+  "triangle": {
+    "trials": 20,
+    "violations": 0,
+    "worst_excess": 0.0
+  }
+}
+"""
+
+
+def test_stability_json_report_is_pinned(capsys):
+    assert main(["stability", "--trials", "20", "--seed", "3", "--format", "json"]) == 0
+    assert capsys.readouterr().out == STABILITY_JSON_20_3
+
+
 def test_stability_command_text_and_csv(capsys):
     assert main(["stability", "--trials", "5", "--seed", "1"]) == 0
     out = capsys.readouterr().out
@@ -189,6 +255,17 @@ def test_bench_command(capsys):
     out = capsys.readouterr().out
     assert out.splitlines()[0] == "n_vertices,median_seconds"
     assert len(out.splitlines()) == 3
+
+
+def test_bench_json_and_text_reports(capsys):
+    assert main(["bench", "--sizes", "4,8", "--trials", "1", "--format", "json"]) == 0
+    rows = json.loads(capsys.readouterr().out)
+    assert [sorted(row) for row in rows] == [["median_seconds", "n_vertices"]] * 2
+    assert [row["n_vertices"] for row in rows] == [4, 8]
+    assert main(["bench", "--sizes", "4,8", "--trials", "1"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert [re.sub(r"median \d+\.\d{6}s$", "median Xs", line) for line in lines] == [
+        "n=4: median Xs", "n=8: median Xs"]
 
 
 def test_output_is_stable_across_runs(fixture_files, capsys):

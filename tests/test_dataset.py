@@ -8,10 +8,10 @@ from graphmover.dataset import (CollinearOverlapError, GraphFormatError, LetterR
                                 load_letter_directory, load_prototypes, planarize,
                                 read_class_index, read_graph_file, read_gxl_letter,
                                 read_json_graph, write_json_graph)
-from graphmover.geometry import GeometricGraph, validate_graph
+from graphmover.geometry import GeometricGraph
 
 from conftest import geometric_graphs
-from helpers import packaged_graph, total_length
+from helpers import packaged_graph, total_length, validate_graph
 
 GXL_MINIMAL = """<?xml version="1.0" encoding="UTF-8"?>
 <!DOCTYPE gxl SYSTEM "http://www.gupro.de/GXL/gxl-1.0.dtd">
@@ -62,6 +62,9 @@ def test_json_reader_rejects_bad_documents():
     for arrays in ('"vertices":{},"edges":[]', '"vertices":[],"edges":""'):
         with pytest.raises(GraphFormatError, match="'vertices' and 'edges' must be arrays"):
             read_json_graph('{"d":1,%s}' % arrays)
+    for doc in ("[]", "3"):
+        with pytest.raises(GraphFormatError, match="document is not a JSON object"):
+            read_json_graph(doc)
 
 
 @settings(max_examples=40, deadline=None)
@@ -75,6 +78,10 @@ def test_gxl_minimal_document():
     assert g.n_vertices == 2
     assert g.vertices[0] == (0.5, 1.5)
     assert g.edges == ((0, 1),)
+    labelled = GXL_MINIMAL.replace(
+        '<attr name="y"><float>1.5</float></attr>',
+        '<attr name="y"><float>1.5</float></attr><attr name="type"><string>A</string></attr>', 1)
+    assert read_gxl_letter(labelled) == g
 
 
 def test_gxl_document_order_defines_vertex_order():
@@ -98,6 +105,11 @@ def test_gxl_error_cases():
         read_gxl_letter(GXL_MINIMAL.replace("<float>0.5</float>", "<float>abc</float>"))
     with pytest.raises(GraphFormatError, match="duplicate node id"):
         read_gxl_letter(GXL_MINIMAL.replace('id="_1"', 'id="_0"'))
+    with pytest.raises(GraphFormatError, match="node without id"):
+        read_gxl_letter(GXL_MINIMAL.replace('<node id="_1">', "<node>"))
+    for empty in ("<float/>", ""):
+        with pytest.raises(GraphFormatError, match="attribute 'x' has no value"):
+            read_gxl_letter(GXL_MINIMAL.replace("<float>0.5</float>", empty))
     with pytest.raises(GraphFormatError, match=r"edge \(0, 0\): self-loop"):
         read_gxl_letter(GXL_MINIMAL.replace('to="_1"', 'to="_0"'))
     with pytest.raises(GraphFormatError, match="XML"):
@@ -158,6 +170,22 @@ def test_planarize_rejects_non_2d():
     line = GeometricGraph.build([(0,), (1,)], [(0, 1)], dim=1)
     with pytest.raises(ValueError):
         planarize(line)
+
+
+@pytest.mark.parametrize("points, edges", [
+    # edge (0, 3) crosses edge (1, 2) 1.2e-5 from vertex 2, so one piece of
+    # edge (1, 2) is short and nearly parallel to the other
+    ([(0, 0), (0, 1.75), (1.5, 0), (1.6953125, 1e-5), (0, 0)],
+     [(0, 1), (0, 2), (0, 3), (0, 4), (1, 2)]),
+    # as above, 4.4e-8 from vertex 1, and the short piece comes first in edge order
+    ([(0, 0), (1, 0), (3, 2**-23), (0, 0), (0, 0), (0, 2)], [(0, 1), (0, 2), (1, 5)]),
+    # edge (1, 4) crosses edge (0, 2) 1.1e-9 from vertex 0
+    ([(1, 0), (0, 1e-9), (0, 1), (0, 0), (5, 0), (0, 0)], [(0, 2), (1, 4)]),
+], ids=["short-piece", "short-piece-first", "crossing-near-vertex"])
+def test_planarize_pieces_of_one_edge_meet_only_at_their_vertex(points, edges):
+    flat = planarize(GeometricGraph.build(points, edges))
+    assert validate_graph(flat) == []
+    assert planarize(flat) == flat
 
 
 @settings(max_examples=60, deadline=None)

@@ -4,11 +4,11 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 
-from graphmover.geometry import (CostParams, GeometricGraph, perturb, translate,
-                                 validate_graph)
+from graphmover.geometry import (CostParams, GeometricGraph, perturb, segment_intersection,
+                                 translate)
 
 from conftest import geometric_graphs
-from helpers import hausdorff_vertices, packaged_graph, total_length
+from helpers import hausdorff_vertices, packaged_graph, total_length, validate_graph
 
 
 def test_cost_params_require_positive_coefficients():
@@ -103,6 +103,25 @@ def test_validate_reports_endpoint_on_edge_interior():
     problems = validate_graph(g)
     assert len(problems) == 1
     assert "interior" in problems[0]
+
+
+def test_validate_reports_collinear_overlap():
+    g = GeometricGraph.build([(0, 0), (2, 0), (1, 0), (3, 0)], [(0, 1), (2, 3)])
+    assert validate_graph(g) == ["edges (0, 1) and (2, 3): collinear overlap"]
+
+
+@pytest.mark.parametrize("long_end, short_end, shared", [
+    ((0.0, 1.75), (1.5, 0.0), (1.4999924161015434, 8.847881532764866e-06)),
+    ((0.0, 2.0), (1.0, 0.0), (0.9999999801317856, 3.9736429060768506e-08)),
+], ids=["1e-5-piece", "4e-8-piece"])
+def test_nearly_parallel_pieces_meet_at_their_shared_vertex(long_end, short_end, shared):
+    # two pieces of one split edge; rounding of the split vertex tilts the
+    # short piece against the long one by more than the 1e-12 parallel test
+    for a, c in ((long_end, short_end), (short_end, long_end)):
+        kind, point, t, u = segment_intersection(a, shared, c, shared)
+        assert kind == "point"
+        assert point == pytest.approx(shared, abs=1e-15)
+        assert (t, u) == pytest.approx((1.0, 1.0), abs=1e-9)
 
 
 def test_adjacency_lengths_zero_distance_twin_row():

@@ -40,8 +40,6 @@ def test_matching_validation():
         InexactMatching((5,), 2)
     pi = InexactMatching((1, None), 2)
     assert pi.matched == ((0, 1),)
-    assert pi.deleted_left == (1,)
-    assert pi.deleted_right == (0,)
 
 
 def test_shared_vertex_pair_matching_cost(shared_vertex_pair):

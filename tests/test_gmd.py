@@ -7,11 +7,11 @@ from hypothesis import given, settings
 
 from graphmover.geometry import CostParams, GeometricGraph, translate
 from graphmover.ggd import InstanceTooLargeError
-from graphmover.gmd import gmd, gmd_bruteforce
+from graphmover.gmd import gmd
 from graphmover.transport import TransportInstance, check_flow, solve_transport
 
 from conftest import LETTER_COSTS, UNIT_COSTS
-from helpers import random_graph_pair
+from helpers import gmd_bruteforce, random_graph_pair
 
 
 def test_zero_distance_pair_is_zero(zero_distance_pair):

@@ -3,11 +3,13 @@ import json
 import numpy as np
 import pytest
 
-from graphmover.dataset import (DISTORTION_LEVELS, LETTER_LABELS, load_letter_directory,
-                                load_prototypes)
-from graphmover.geometry import validate_graph
+from graphmover import letters
+from graphmover.dataset import (DISTORTION_LEVELS, LETTER_LABELS, CollinearOverlapError,
+                                load_letter_directory, load_prototypes)
 from graphmover.letters import (DISTORTION_PROFILES, distort, make_letter_records,
                                 write_letter_dataset)
+
+from helpers import validate_graph
 
 
 def test_profiles_cover_all_levels():
@@ -42,6 +44,34 @@ def test_make_letter_records_shape_and_ids():
     assert len(set(ids)) == len(ids)
     with pytest.raises(ValueError):
         make_letter_records("WILD", per_letter=1)
+
+
+def test_make_letter_records_redraws_after_collinear_overlap(monkeypatch):
+    expected = make_letter_records("LOW", per_letter=1, seed=5)
+    calls = []
+
+    def fails_once(*args):
+        calls.append(args)
+        if len(calls) == 1:
+            raise CollinearOverlapError("edges overlap")
+        return distort(*args)
+
+    monkeypatch.setattr(letters, "distort", fails_once)
+    assert make_letter_records("LOW", per_letter=1, seed=5) == expected
+    assert len(calls) == len(LETTER_LABELS) + 1
+
+
+def test_make_letter_records_gives_up_after_16_overlaps(monkeypatch):
+    calls = []
+
+    def always_fails(*args):
+        calls.append(args)
+        raise CollinearOverlapError("edges overlap")
+
+    monkeypatch.setattr(letters, "distort", always_fails)
+    with pytest.raises(RuntimeError, match="could not distort prototype A"):
+        make_letter_records("LOW", per_letter=1, seed=5)
+    assert len(calls) == 16
 
 
 def test_low_distortion_records_stay_letter_sized():
