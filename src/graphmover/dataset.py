@@ -12,6 +12,7 @@ document order likewise defines the vertex order.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Optional, Union
@@ -133,29 +134,56 @@ def planarize(g: GeometricGraph) -> GeometricGraph:
     original vertices (original order preserved) and the crossing edges are
     split there, leaving the drawn point set unchanged. Where an endpoint of
     one edge lies inside another edge, the other edge is split at that
-    existing vertex. Crossing points within EPS of each other are merged.
-    Collinear overlapping edges are an error, and so are two split pieces
-    that join the same pair of vertices (an overlap within EPS).
+    existing vertex. A crossing within EPS of an earlier crossing's vertex
+    (its cluster's representative) merges into the lowest-numbered such
+    vertex; the merge is not transitive. Collinear overlapping edges are an
+    error, and so are two split pieces that join the same pair of vertices
+    (an overlap within EPS).
+
+    Representatives are looked up in a dict keyed by grid cell of side
+    2 * EPS, so a crossing within EPS of one lies in the 3x3 block of cells
+    around it even after rounding in the cell index. Taking the lowest id
+    found in that block returns what a scan of all representatives in
+    creation order would, so the new vertices come out in the same order.
     """
     if g.dim != 2:
         raise ValueError(f"planarize needs a 2D graph, got dim {g.dim}")
-    pts = g.coords
+    pts = g.vertices
     edges = list(g.edges)
     # events[e] maps a vertex id (existing or len(vertices)+cluster) to its
     # parameter along edge e
     events: dict[int, dict[int, float]] = {}
     clusters: list[tuple[float, float]] = []
+    grid: dict[tuple, list[int]] = {}  # cell -> ids of the representatives in it, ascending
+    cell = 2 * EPS
     n = g.n_vertices
 
     def add_event(edge_idx: int, t: float, vertex_id: int) -> None:
         events.setdefault(edge_idx, {}).setdefault(vertex_id, t)
 
+    def cell_index(x: float):
+        q = x / cell
+        # the quotient overflows only where floats are spaced far wider than
+        # EPS, so a point within EPS has the same x and the same inf
+        return math.floor(q) if math.isfinite(q) else q
+
     def cluster_id(point: tuple[float, float]) -> int:
-        for cid, (cx, cy) in enumerate(clusters):
-            if (point[0] - cx) ** 2 + (point[1] - cy) ** 2 <= EPS * EPS:
-                return cid
-        clusters.append(point)
-        return len(clusters) - 1
+        px, py = point
+        i, j = cell_index(px), cell_index(py)
+        best = len(clusters)
+        for ci in (i - 1, i, i + 1):
+            for cj in (j - 1, j, j + 1):
+                for cid in grid.get((ci, cj), ()):
+                    if cid >= best:
+                        break
+                    dx, dy = px - clusters[cid][0], py - clusters[cid][1]
+                    if dx * dx + dy * dy <= EPS * EPS:
+                        best = cid
+                        break
+        if best == len(clusters):
+            clusters.append(point)
+            grid.setdefault((i, j), []).append(best)
+        return best
 
     for a in range(len(edges)):
         for b in range(a + 1, len(edges)):
@@ -183,7 +211,7 @@ def planarize(g: GeometricGraph) -> GeometricGraph:
     if not events:
         return g
 
-    new_vertices = list(g.vertices) + [tuple(c) for c in clusters]
+    new_vertices = list(g.vertices) + clusters
     new_edges: set[tuple[int, int]] = set()
     for idx, (i, j) in enumerate(edges):
         stops = sorted((t, vid) for vid, t in events.get(idx, {}).items())
@@ -202,7 +230,8 @@ def _nearest_endpoint(pts, edge, point) -> Optional[int]:
     best = None
     best_d2 = EPS * EPS
     for k in edge:
-        d2 = (pts[k][0] - point[0]) ** 2 + (pts[k][1] - point[1]) ** 2
+        dx, dy = pts[k][0] - point[0], pts[k][1] - point[1]
+        d2 = dx * dx + dy * dy
         if d2 <= best_d2:
             best, best_d2 = k, d2
     return best

@@ -175,16 +175,23 @@ def segment_intersection(a, b, c, d):
         return "none", None, None, None
     denom = rx * sy - ry * sx
     acx, acy = cx - ax, cy - ay
+    num_t = acx * sy - acy * sx
+    num_u = acx * ry - acy * rx
+    parallel_tol = 1e-12 * len_r * len_s
+    # an overflow here turns a crossing into "none" or a false overlap
+    if not (math.isfinite(denom) and math.isfinite(num_t) and math.isfinite(num_u)
+            and math.isfinite(parallel_tol)):
+        raise ValueError("segment coordinates are too large to intersect in floating point")
     # the shorter segment lies within EPS of the line through the longer one
     if len_r >= len_s:
-        collinear = (abs(acx * ry - acy * rx) / len_r <= EPS
-                     and abs((dx - ax) * ry - (dy - ay) * rx) / len_r <= EPS)
+        collinear = (abs(num_u) / len_r <= EPS
+                     and abs(_checked((dx - ax) * ry - (dy - ay) * rx)) / len_r <= EPS)
     else:
-        collinear = (abs(acx * sy - acy * sx) / len_s <= EPS
-                     and abs((bx - cx) * sy - (by - cy) * sx) / len_s <= EPS)
-    if abs(denom) > 1e-12 * len_r * len_s:
-        t = (acx * sy - acy * sx) / denom
-        u = (acx * ry - acy * rx) / denom
+        collinear = (abs(num_t) / len_s <= EPS
+                     and abs(_checked((bx - cx) * sy - (by - cy) * sx)) / len_s <= EPS)
+    if abs(denom) > parallel_tol:
+        t = num_t / denom
+        u = num_u / denom
         if not (-EPS / len_r <= t <= 1 + EPS / len_r and -EPS / len_s <= u <= 1 + EPS / len_s):
             return "none", None, None, None
         # the crossing as found along each segment; rounding parts the two only
@@ -195,8 +202,9 @@ def segment_intersection(a, b, c, d):
             return "point", (ax + t * rx, ay + t * ry), t, u
     elif not collinear:
         return "none", None, None, None
-    t_c = (acx * rx + acy * ry) / (len_r * len_r)
-    t_d = ((dx - ax) * rx + (dy - ay) * ry) / (len_r * len_r)
+    len_r2 = _checked(len_r * len_r)
+    t_c = _checked(acx * rx + acy * ry) / len_r2
+    t_d = _checked((dx - ax) * rx + (dy - ay) * ry) / len_r2
     lo = max(0.0, min(t_c, t_d))
     hi = min(1.0, max(t_c, t_d))
     if (hi - lo) * len_r > EPS:
@@ -207,6 +215,13 @@ def segment_intersection(a, b, c, d):
     px, py = ax + t * rx, ay + t * ry
     u = ((px - cx) * sx + (py - cy) * sy) / (len_s * len_s)
     return "point", (px, py), t, min(1.0, max(0.0, u))
+
+
+def _checked(x: float) -> float:
+    """x, or ValueError when an intermediate of segment_intersection overflowed."""
+    if not math.isfinite(x):
+        raise ValueError("segment coordinates are too large to intersect in floating point")
+    return x
 
 
 def translate(g: GeometricGraph, t: Sequence[float]) -> GeometricGraph:

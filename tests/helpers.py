@@ -173,6 +173,36 @@ def _endpoint_near(pts: np.ndarray, edge: tuple[int, int],
     return best
 
 
+def crossing_vertices(g: GeometricGraph) -> list[tuple[float, float]]:
+    """The vertices `dataset.planarize` appends to g, found by a linear scan.
+
+    Walks the edge pairs in planarize's order and keeps the crossings with
+    no endpoint of either edge within EPS. Each one joins the first earlier
+    representative within EPS (the same squared-distance test as planarize)
+    or becomes a new representative, so the merge is by representative and
+    not transitive. This is the O(crossings^2) scan that planarize's grid
+    lookup replaced.
+    """
+    pts = g.vertices
+    edges = g.edges
+    clusters: list[tuple[float, float]] = []
+    for a in range(len(edges)):
+        for b in range(a + 1, len(edges)):
+            e1, e2 = edges[a], edges[b]
+            kind, point, _, _ = segment_intersection(
+                pts[e1[0]], pts[e1[1]], pts[e2[0]], pts[e2[1]])
+            if kind != "point" or (_endpoint_near(pts, e1, point) is not None
+                                   or _endpoint_near(pts, e2, point) is not None):
+                continue
+            for cx, cy in clusters:
+                dx, dy = point[0] - cx, point[1] - cy
+                if dx * dx + dy * dy <= EPS * EPS:
+                    break
+            else:
+                clusters.append(point)
+    return clusters
+
+
 def total_length(g: GeometricGraph) -> float:
     """Sum of the Euclidean edge lengths."""
     return sum(math.dist(g.vertices[i], g.vertices[j]) for i, j in g.edges)

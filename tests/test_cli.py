@@ -120,6 +120,18 @@ def test_planarize_command(tmp_path, capsys):
     assert validate_graph(flat) == []
 
 
+@pytest.mark.parametrize("s", [1e154, 1e300])
+def test_planarize_overflowing_crossing_is_data_error(s, tmp_path, capsys):
+    diagonals = GeometricGraph.build([(-s, -s), (s, s), (-s, s), (s, -s)], [(0, 1), (2, 3)])
+    src = tmp_path / "diagonals.json"
+    src.write_text(write_json_graph(diagonals))
+    assert main(["planarize", str(src)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == ("error: segment coordinates are too large to intersect "
+                            "in floating point\n")
+
+
 def test_convert_gxl_to_json(tmp_path, capsys):
     src = tmp_path / "drawing.gxl"
     src.write_text(GXL_SAMPLE)

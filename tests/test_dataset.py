@@ -1,6 +1,7 @@
 import json
 import math
 
+import hypothesis.strategies as st
 import pytest
 from hypothesis import assume, given, settings
 
@@ -8,10 +9,10 @@ from graphmover.dataset import (CollinearOverlapError, GraphFormatError, LetterR
                                 load_letter_directory, load_prototypes, planarize,
                                 read_class_index, read_graph_file, read_gxl_letter,
                                 read_json_graph, write_json_graph)
-from graphmover.geometry import GeometricGraph
+from graphmover.geometry import EPS, GeometricGraph, segment_intersection
 
 from conftest import geometric_graphs
-from helpers import packaged_graph, total_length, validate_graph
+from helpers import crossing_vertices, packaged_graph, total_length, validate_graph
 
 GXL_MINIMAL = """<?xml version="1.0" encoding="UTF-8"?>
 <!DOCTYPE gxl SYSTEM "http://www.gupro.de/GXL/gxl-1.0.dtd">
@@ -201,6 +202,123 @@ def test_planarize_idempotent_valid_and_length_preserving(g):
     assert total_length(flat) == pytest.approx(
         total_length(g), abs=1e-9 * max(1.0, total_length(g)))
     assert flat.vertices[:g.n_vertices] == g.vertices
+
+
+@pytest.mark.parametrize("scale", [1e153, 1e154, 1e300])
+def test_planarize_crossing_diagonals_at_large_coordinates(scale):
+    # from about 1e154 the cross products of segment_intersection overflow
+    g = GeometricGraph.build([(-scale, -scale), (scale, scale), (-scale, scale), (scale, -scale)],
+                             [(0, 1), (2, 3)])
+    if scale < 1e154:
+        assert planarize(g).vertices[4:] == ((0.0, 0.0),)
+    else:
+        with pytest.raises(ValueError, match="too large to intersect"):
+            planarize(g)
+
+
+def test_planarize_crossing_beyond_the_grid_range():
+    # x / (2 * EPS) overflows at x = 1e300, but the crossing itself is finite
+    x = 1e300
+    g = GeometricGraph.build([(x, 0.0), (x, 1.0), (x - math.ulp(x), 0.5), (x + math.ulp(x), 0.5)],
+                             [(0, 1), (2, 3)])
+    assert planarize(g).vertices[4:] == ((x, 0.5),)
+
+
+def _crossing(points, e1, e2):
+    kind, point, _, _ = segment_intersection(points[e1[0]], points[e1[1]],
+                                             points[e2[0]], points[e2[1]])
+    assert kind == "point"
+    return point
+
+
+def _squared_distance(p, q):
+    dx, dy = p[0] - q[0], p[1] - q[1]
+    return dx * dx + dy * dy
+
+
+def test_planarize_crossing_exactly_eps_from_a_representative_joins_it():
+    # (0, 1) x (2, 3) is (1e-9, 0) and (2, 3) x (4, 5) is (0, 0); edge (4, 5)
+    # stops short of edge (0, 1). Kept apart, the two crossings would be two
+    # vertices.
+    points = [(1e-9, -1.0), (1e-9, 1.0), (-1.0, 0.0), (1.0, 0.0), (-0.125, -1.0), (2**-31, 2**-28)]
+    edges = [(0, 1), (2, 3), (4, 5)]
+    first, last = _crossing(points, (0, 1), (2, 3)), _crossing(points, (2, 3), (4, 5))
+    assert _squared_distance(first, last) == EPS * EPS
+    flat = planarize(GeometricGraph.build(points, edges))
+    assert flat.vertices[6:] == ((1e-9, 0.0),)
+    assert flat.edges == ((0, 6), (1, 6), (2, 6), (3, 6), (4, 6), (5, 6))
+
+
+def test_planarize_cluster_merge_is_not_transitive():
+    points = [(-0.72, -0.7), (8e-10, 2.3e-9), (-2.3e-9, -1.6e-9), (0.57, 0.82),
+              (0.88, -0.47), (-0.88, 0.47), (-0.62, -0.79), (0.62, 0.79)]
+    edges = [(0, 1), (2, 3), (4, 5), (6, 7)]
+    a = _crossing(points, (0, 1), (2, 3))
+    b = _crossing(points, (2, 3), (4, 5))
+    c = _crossing(points, (4, 5), (6, 7))
+    assert _squared_distance(b, a) <= EPS * EPS  # b merges into a's vertex
+    assert _squared_distance(c, b) <= EPS * EPS < _squared_distance(c, a)
+    flat = planarize(GeometricGraph.build(points, edges))
+    assert flat.vertices[8:] == (a, c)
+    assert flat.edges == ((0, 8), (1, 8), (2, 8), (3, 8), (4, 9), (5, 8), (6, 9), (7, 9),
+                          (8, 9))
+
+
+def test_planarize_crossing_near_two_representatives_joins_the_lower():
+    points = [(-1.8e-9, -4e-10), (0.89, 0.46), (0.75, -0.66), (-2.7e-9, 1.4e-9),
+              (-0.37, -0.93), (0.37, 0.93), (0.63, -0.78), (-0.63, 0.78)]
+    edges = [(0, 1), (2, 3), (4, 5), (6, 7)]
+    first = _crossing(points, (0, 1), (4, 5))
+    second = _crossing(points, (2, 3), (4, 5))
+    last = _crossing(points, (4, 5), (6, 7))
+    assert EPS * EPS < _squared_distance(first, second)
+    assert max(_squared_distance(last, first), _squared_distance(last, second)) <= EPS * EPS
+    flat = planarize(GeometricGraph.build(points, edges))
+    # joining vertex 9 instead would give edges (4, 5) and (6, 7) a common
+    # piece, which planarize rejects
+    assert flat.vertices[8:10] == (first, second)
+    assert flat.edges == ((0, 3), (0, 8), (0, 9), (1, 8), (2, 10), (4, 9), (5, 8), (6, 10),
+                          (7, 8), (8, 9), (8, 10), (9, 10))
+
+
+@st.composite
+def near_concurrent_drawings(draw):
+    """Random segments plus bundles whose crossings fall a few EPS apart.
+
+    A bundle's segments pass within 1.5 EPS of a centre on a grid line of
+    planarize's 2 * EPS cells, so their crossings straddle cell boundaries;
+    some stop 1.2 to 3 EPS past their anchor. Everything sits at offset 0
+    or at 1e6 (where floats are 1.2e-10 apart).
+    """
+    offset = draw(st.sampled_from([0.0, 1e6]))
+    unit = st.floats(-1.0, 1.0)
+    segments = []
+    for _ in range(draw(st.integers(1, 2))):
+        cx = offset + draw(st.integers(-3, 3)) * 2 * EPS + draw(unit) * 0.5 * EPS
+        cy = offset + draw(st.integers(-3, 3)) * 2 * EPS + draw(unit) * 0.5 * EPS
+        for _ in range(draw(st.integers(2, 5))):
+            angle = draw(st.floats(0.0, math.pi))
+            dx, dy = math.cos(angle), math.sin(angle)
+            px, py = cx + draw(unit) * 1.5 * EPS, cy + draw(unit) * 1.5 * EPS
+            lo, hi = (draw(st.one_of(st.floats(0.5, 3.0), st.floats(1.2 * EPS, 3 * EPS)))
+                      for _ in range(2))
+            segments.append(((px - lo * dx, py - lo * dy), (px + hi * dx, py + hi * dy)))
+    for _ in range(draw(st.integers(0, 4))):
+        segments.append(tuple((offset + draw(st.floats(-3.0, 3.0)),
+                               offset + draw(st.floats(-3.0, 3.0))) for _ in range(2)))
+    points = [p for segment in segments for p in segment]
+    return GeometricGraph.build(points, [(2 * i, 2 * i + 1) for i in range(len(segments))])
+
+
+@settings(max_examples=150, deadline=None)
+@given(near_concurrent_drawings())
+def test_planarize_crossing_vertices_match_a_linear_scan(g):
+    try:
+        flat = planarize(g)
+    except CollinearOverlapError:
+        assume(False)
+        return
+    assert list(flat.vertices[g.n_vertices:]) == crossing_vertices(g)
 
 
 def test_letter_record_validation(segment_pair):

@@ -124,6 +124,17 @@ def test_nearly_parallel_pieces_meet_at_their_shared_vertex(long_end, short_end,
         assert (t, u) == pytest.approx((1.0, 1.0), abs=1e-9)
 
 
+@pytest.mark.parametrize("a, b, c, d", [
+    # crossing diagonals: the cross products overflow
+    ((-1e154, -1e154), (1e154, 1e154), (-1e154, 1e154), (1e154, -1e154)),
+    # collinear and overlapping along [1, 2]: the squared length overflows
+    ((0.0, 0.0), (1e155, 0.0), (1.0, 0.0), (2.0, 0.0)),
+], ids=["crossing", "collinear"])
+def test_intersection_refuses_overflowing_coordinates(a, b, c, d):
+    with pytest.raises(ValueError, match="too large to intersect"):
+        segment_intersection(a, b, c, d)
+
+
 def test_adjacency_lengths_zero_distance_twin_row():
     g = packaged_graph("figures/zero_gmd_twin_G")
     row = g.adjacency_length_matrix[0]
