@@ -120,6 +120,7 @@ def test_planarize_command(tmp_path, capsys):
     assert validate_graph(flat) == []
 
 
+@pytest.mark.filterwarnings("error")
 @pytest.mark.parametrize("s", [1e154, 1e300])
 def test_planarize_overflowing_crossing_is_data_error(s, tmp_path, capsys):
     diagonals = GeometricGraph.build([(-s, -s), (s, s), (-s, s), (s, -s)], [(0, 1), (2, 3)])

@@ -1,10 +1,14 @@
+import itertools
 import json
 import math
+import tracemalloc
 
 import hypothesis.strategies as st
+import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 
+from graphmover import dataset
 from graphmover.dataset import (CollinearOverlapError, GraphFormatError, LetterRecord,
                                 load_letter_directory, load_prototypes, planarize,
                                 read_class_index, read_graph_file, read_gxl_letter,
@@ -204,24 +208,35 @@ def test_planarize_idempotent_valid_and_length_preserving(g):
     assert flat.vertices[:g.n_vertices] == g.vertices
 
 
+# 14 parallel unit segments clear of the drawings below: with them a drawing
+# has enough edge pairs for planarize's numpy pass
+PADDING = [(x, 100.0 + k) for k in range(14) for x in (0.0, 1.0)]
+
+
+def _segments(points):
+    return GeometricGraph.build(points, [(i, i + 1) for i in range(0, len(points), 2)])
+
+
+@pytest.mark.filterwarnings("error")
 @pytest.mark.parametrize("scale", [1e153, 1e154, 1e300])
 def test_planarize_crossing_diagonals_at_large_coordinates(scale):
     # from about 1e154 the cross products of segment_intersection overflow
-    g = GeometricGraph.build([(-scale, -scale), (scale, scale), (-scale, scale), (scale, -scale)],
-                             [(0, 1), (2, 3)])
-    if scale < 1e154:
-        assert planarize(g).vertices[4:] == ((0.0, 0.0),)
-    else:
-        with pytest.raises(ValueError, match="too large to intersect"):
-            planarize(g)
+    diagonals = [(-scale, -scale), (scale, scale), (-scale, scale), (scale, -scale)]
+    for g in (_segments(diagonals), _segments(diagonals + PADDING)):
+        if scale < 1e154:
+            assert planarize(g).vertices[g.n_vertices:] == ((0.0, 0.0),)
+        else:
+            with pytest.raises(ValueError, match="too large to intersect"):
+                planarize(g)
 
 
+@pytest.mark.filterwarnings("error")
 def test_planarize_crossing_beyond_the_grid_range():
     # x / (2 * EPS) overflows at x = 1e300, but the crossing itself is finite
     x = 1e300
-    g = GeometricGraph.build([(x, 0.0), (x, 1.0), (x - math.ulp(x), 0.5), (x + math.ulp(x), 0.5)],
-                             [(0, 1), (2, 3)])
-    assert planarize(g).vertices[4:] == ((x, 0.5),)
+    crossing = [(x, 0.0), (x, 1.0), (x - math.ulp(x), 0.5), (x + math.ulp(x), 0.5)]
+    for g in (_segments(crossing), _segments(crossing + PADDING)):
+        assert planarize(g).vertices[g.n_vertices:] == ((x, 0.5),)
 
 
 def _crossing(points, e1, e2):
@@ -287,8 +302,13 @@ def near_concurrent_drawings(draw):
 
     A bundle's segments pass within 1.5 EPS of a centre on a grid line of
     planarize's 2 * EPS cells, so their crossings straddle cell boundaries;
-    some stop 1.2 to 3 EPS past their anchor. Everything sits at offset 0
-    or at 1e6 (where floats are 1.2e-10 apart).
+    some stop 1.2 to 3 EPS past their anchor. A bundle may also hold a
+    segment only 1 to 3 EPS long, and a line split into two nearly parallel
+    pieces whose joint lies up to 2 EPS off the line. Everything sits at
+    offset 0 or at 1e6 (where floats are 1.2e-10 apart). Up to 12 random
+    segments take some drawings past planarize's cut-over to its numpy pass,
+    and some drawings are scaled by 1e153 to 1e300, where
+    segment_intersection may refuse their pairs.
     """
     offset = draw(st.sampled_from([0.0, 1e6]))
     unit = st.floats(-1.0, 1.0)
@@ -303,10 +323,21 @@ def near_concurrent_drawings(draw):
             lo, hi = (draw(st.one_of(st.floats(0.5, 3.0), st.floats(1.2 * EPS, 3 * EPS)))
                       for _ in range(2))
             segments.append(((px - lo * dx, py - lo * dy), (px + hi * dx, py + hi * dy)))
-    for _ in range(draw(st.integers(0, 4))):
+        angle = draw(st.floats(0.0, math.pi))
+        dx, dy = math.cos(angle), math.sin(angle)
+        if draw(st.booleans()):
+            length = draw(st.floats(1.0, 3.0)) * EPS
+            segments.append(((cx, cy), (cx + length * dx, cy + length * dy)))
+        if draw(st.booleans()):
+            off = draw(unit) * 2 * EPS
+            joint = (cx - off * dy, cy + off * dx)
+            segments.append(((cx - 2 * dx, cy - 2 * dy), joint))
+            segments.append((joint, (cx + 2 * dx, cy + 2 * dy)))
+    for _ in range(draw(st.integers(0, 12))):
         segments.append(tuple((offset + draw(st.floats(-3.0, 3.0)),
                                offset + draw(st.floats(-3.0, 3.0))) for _ in range(2)))
-    points = [p for segment in segments for p in segment]
+    scale = draw(st.one_of(st.just(1.0), st.floats(1e153, 1e300)))
+    points = [(x * scale, y * scale) for segment in segments for x, y in segment]
     return GeometricGraph.build(points, [(2 * i, 2 * i + 1) for i in range(len(segments))])
 
 
@@ -318,7 +349,76 @@ def test_planarize_crossing_vertices_match_a_linear_scan(g):
     except CollinearOverlapError:
         assume(False)
         return
+    except ValueError as exc:
+        # the pass keeps every pair that overflows, so the scan meets the same one
+        assert "too large to intersect" in str(exc)
+        with pytest.raises(ValueError, match="too large to intersect"):
+            crossing_vertices(g)
+        return
     assert list(flat.vertices[g.n_vertices:]) == crossing_vertices(g)
+
+
+@pytest.mark.filterwarnings("error")
+@settings(max_examples=150, deadline=None)
+@given(near_concurrent_drawings())
+def test_pair_pass_drops_only_pairs_that_do_not_meet(g):
+    pts, edges = g.vertices, g.edges
+    kept = list(dataset._pairs_that_may_meet(pts, edges))
+    assert kept == sorted(set(kept))
+    kept = set(kept)
+    for a, b in itertools.combinations(range(len(edges)), 2):
+        if (a, b) not in kept:
+            (i, j), (k, l) = edges[a], edges[b]
+            # raises if the pair overflows
+            assert segment_intersection(pts[i], pts[j], pts[k], pts[l])[0] == "none"
+
+
+@pytest.mark.parametrize("block", [1, 7, 100])
+def test_pair_pass_blocks_keep_the_pairs_and_their_order(block, monkeypatch):
+    rng = np.random.default_rng(40)
+    g = _segments([tuple(p) for p in rng.uniform(0.0, 10.0, size=(80, 2))])
+    expected = list(dataset._pairs_that_may_meet(g.vertices, g.edges))
+    assert 0 < len(expected) < 40 * 39 // 2
+    monkeypatch.setattr(dataset, "_PAIR_BLOCK", block)
+    assert list(dataset._pairs_that_may_meet(g.vertices, g.edges)) == expected
+
+
+@pytest.mark.filterwarnings("error")
+def test_pair_pass_keeps_a_pair_that_overflows():
+    # denom is 1e10, but num_t = 1e300 * 1e10 overflows: a t of inf would
+    # be out of range and drop the pair
+    pts = ((0.0, 0.0), (1.0, 1.0), (1e300, 0.0), (1e300, 1e10))
+    with pytest.raises(ValueError, match="too large to intersect"):
+        segment_intersection(*pts)
+    assert list(dataset._pairs_that_may_meet(pts, ((0, 1), (2, 3)))) == [(0, 1)]
+
+
+@pytest.mark.filterwarnings("error")
+def test_pair_pass_coordinate_bound_overflows_nothing():
+    m = dataset._PASS_MAX_COORD
+    corners = [(x, y) for x in (-m, 0.0, m) for y in (-m, 0.0, m)]
+    g = GeometricGraph.build(corners, list(itertools.combinations(range(9), 2)))
+    for (i, j), (k, l) in itertools.combinations(g.edges, 2):
+        segment_intersection(corners[i], corners[j], corners[k], corners[l])
+    assert list(dataset._pairs_that_may_meet(g.vertices, g.edges))
+
+
+def test_planarize_memory_is_bounded_on_3000_edges():
+    # 4.5 million edge pairs: one float64 array over all of them is 36 MB,
+    # a block of the pass 32 KB
+    rng = np.random.default_rng(3000)
+    centres = rng.uniform(0.0, 55.0, size=(3000, 2))
+    angles = rng.uniform(0.0, np.pi, size=3000)
+    half = 0.25 * np.stack([np.cos(angles), np.sin(angles)], axis=1)
+    g = _segments([tuple(p) for pair in zip(centres - half, centres + half) for p in pair])
+    tracemalloc.start()
+    try:
+        flat = planarize(g)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert flat.n_vertices > g.n_vertices
+    assert peak < 4 * 2 ** 20
 
 
 def test_letter_record_validation(segment_pair):
