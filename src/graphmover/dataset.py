@@ -35,11 +35,6 @@ DISTORTION_LEVELS = ("LOW", "MED", "HIGH")
 _PASS_MIN_PAIRS = 80
 # pairs per block of that pass: bounds its temporaries to a few dozen KB
 _PAIR_BLOCK = 2 ** 12
-# with coordinates up to 2**510 (3.4e153), differences of coordinates stay
-# within 2**511 and sums of two of their products within 2**1023, so no
-# intermediate of segment_intersection or of the pass overflows; the crossing
-# diagonals of the box at 1e154 already do
-_PASS_MAX_COORD = 2.0 ** 510
 
 
 class GraphFormatError(ValueError):
@@ -170,11 +165,16 @@ def planarize(g: GeometricGraph) -> GeometricGraph:
     clearly outside one segment's range, with a margin over the rounding of
     the lengths: such a pair is one `segment_intersection` calls "none", so
     skipping it changes nothing. A pair the pass cannot decide for certain
-    (nearly parallel segments, coordinates beyond 2**510) is kept. The kept
+    (nearly parallel segments) is kept. The kept
     pairs go to `segment_intersection`, the only decider, in the same
     lexicographic order as without the pass, so cluster ids do not change.
     Below that count (letter drawings have about 10 pairs) the pass's fixed
     numpy cost exceeds the loop's, and every pair is tested.
+
+    A new vertex stays within `geometry.MAX_COORD`, so the output is valid: a
+    crossing is ax + t*rx with t in [0, 1] (or within EPS of ax), rounding
+    is monotone, and ax + fl(MAX_COORD - ax) exceeds MAX_COORD by at most
+    half an ulp of a number below 2**511, which rounds back to MAX_COORD.
     """
     if g.dim != 2:
         raise ValueError(f"planarize needs a 2D graph, got dim {g.dim}")
@@ -191,15 +191,9 @@ def planarize(g: GeometricGraph) -> GeometricGraph:
     def add_event(edge_idx: int, t: float, vertex_id: int) -> None:
         events.setdefault(edge_idx, {}).setdefault(vertex_id, t)
 
-    def cell_index(x: float):
-        q = x / cell
-        # the quotient overflows only where floats are spaced far wider than
-        # EPS, so a point within EPS has the same x and the same inf
-        return math.floor(q) if math.isfinite(q) else q
-
     def cluster_id(point: tuple[float, float]) -> int:
         px, py = point
-        i, j = cell_index(px), cell_index(py)
+        i, j = math.floor(px / cell), math.floor(py / cell)
         best = len(clusters)
         for ci in (i - 1, i, i + 1):
             for cj in (j - 1, j, j + 1):
@@ -269,14 +263,11 @@ def _pairs_that_may_meet(pts, edges):
     range [-EPS/len, 1 + EPS/len]. denom, t and u are the same float
     operations as there and round alike; only `len` (numpy's hypot against
     math.hypot) may round differently, so the pass asks for twice the
-    tolerance and widens each range by 2 * EPS/len + 1e-9. An edge with a
-    coordinate beyond _PASS_MAX_COORD takes part as a zero-length segment,
-    whose denom is 0, so none of its pairs is dropped and no intermediate
-    overflows; `segment_intersection` then refuses or decides them. The
-    pairs are tested in blocks of at most _PAIR_BLOCK.
+    tolerance and widens each range by 2 * EPS/len + 1e-9. With coordinates
+    within MAX_COORD, as a GeometricGraph's are, no intermediate overflows.
+    The pairs are tested in blocks of at most _PAIR_BLOCK.
     """
     ends = np.array([pts[i] + pts[j] for i, j in edges])  # x0, y0, x1, y1 per edge
-    ends[np.abs(ends).max(axis=1) > _PASS_MAX_COORD] = 0.0
     x0, y0, x1, y1 = ends.T
     rx, ry = x1 - x0, y1 - y0
     length = np.hypot(rx, ry)

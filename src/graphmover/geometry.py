@@ -21,6 +21,11 @@ Point = tuple[float, ...]
 
 # Drawing tolerance: segments, crossings and endpoints closer than this coincide.
 EPS = 1e-9
+# Largest coordinate magnitude of a graph. Differences of two coordinates stay
+# within 2**511 and sums of two of their products within 2**1023, so no
+# intermediate of segment_intersection or of planarize's numpy pass overflows;
+# the crossing diagonals of the box at 1e154 already do.
+MAX_COORD = 2.0 ** 510
 
 _PLAIN_NUMBERS = frozenset((float, int))  # exact types: a bool still takes the Real test
 
@@ -47,9 +52,10 @@ class GeometricGraph:
     constructor is the one place that decides whether a graph is valid; the
     file readers check only their syntax. A bool or non-positive dim, a
     vertex that is not `dim` real numbers (a bool, str or bytes is not one)
-    finite as floats, an edge that is not two integer indices (a bool or a
-    float is not one) in range, a self-loop or a duplicate edge raises
-    ValueError. Instances are immutable and hashable.
+    finite as floats and within MAX_COORD in magnitude, an edge that is not
+    two integer indices (a bool or a float is not one) in range, a self-loop
+    or a duplicate edge raises ValueError. Instances are immutable and
+    hashable.
     """
 
     dim: int
@@ -77,8 +83,10 @@ class GeometricGraph:
             except OverflowError:
                 raise ValueError(
                     f"vertex {index} has a coordinate too large for a float") from None
-            if not all(map(math.isfinite, p)):
-                raise ValueError(f"vertex {index} has a non-finite coordinate")
+            # abs(nan) fails the test too
+            if not all(map(MAX_COORD.__ge__, map(abs, p))):
+                raise ValueError(f"vertex {index} has a coordinate that is not finite or "
+                                 f"exceeds 2**{math.log2(MAX_COORD):g} in magnitude")
             verts.append(p)
         pairs = []
         for index, e in enumerate(self.edges):
@@ -161,7 +169,9 @@ def segment_intersection(a, b, c, d):
     and cd in [0, 1]. "overlap" means the segments are collinear and share a
     stretch longer than EPS. Segments that are collinear within EPS but not
     parallel enough for the 1e-12 test are handled as collinear when rounding
-    moves their crossing by more than EPS.
+    moves their crossing by more than EPS. The coordinates must lie within
+    MAX_COORD in magnitude, as a GeometricGraph's do; then no intermediate
+    overflows.
     """
     ax, ay = float(a[0]), float(a[1])
     bx, by = float(b[0]), float(b[1])
@@ -178,17 +188,13 @@ def segment_intersection(a, b, c, d):
     num_t = acx * sy - acy * sx
     num_u = acx * ry - acy * rx
     parallel_tol = 1e-12 * len_r * len_s
-    # an overflow here turns a crossing into "none" or a false overlap
-    if not (math.isfinite(denom) and math.isfinite(num_t) and math.isfinite(num_u)
-            and math.isfinite(parallel_tol)):
-        raise ValueError("segment coordinates are too large to intersect in floating point")
     # the shorter segment lies within EPS of the line through the longer one
     if len_r >= len_s:
         collinear = (abs(num_u) / len_r <= EPS
-                     and abs(_checked((dx - ax) * ry - (dy - ay) * rx)) / len_r <= EPS)
+                     and abs((dx - ax) * ry - (dy - ay) * rx) / len_r <= EPS)
     else:
         collinear = (abs(num_t) / len_s <= EPS
-                     and abs(_checked((bx - cx) * sy - (by - cy) * sx)) / len_s <= EPS)
+                     and abs((bx - cx) * sy - (by - cy) * sx) / len_s <= EPS)
     if abs(denom) > parallel_tol:
         t = num_t / denom
         u = num_u / denom
@@ -202,9 +208,9 @@ def segment_intersection(a, b, c, d):
             return "point", (ax + t * rx, ay + t * ry), t, u
     elif not collinear:
         return "none", None, None, None
-    len_r2 = _checked(len_r * len_r)
-    t_c = _checked(acx * rx + acy * ry) / len_r2
-    t_d = _checked((dx - ax) * rx + (dy - ay) * ry) / len_r2
+    len_r2 = len_r * len_r
+    t_c = (acx * rx + acy * ry) / len_r2
+    t_d = ((dx - ax) * rx + (dy - ay) * ry) / len_r2
     lo = max(0.0, min(t_c, t_d))
     hi = min(1.0, max(t_c, t_d))
     if (hi - lo) * len_r > EPS:
@@ -217,21 +223,12 @@ def segment_intersection(a, b, c, d):
     return "point", (px, py), t, min(1.0, max(0.0, u))
 
 
-def _checked(x: float) -> float:
-    """x, or ValueError when an intermediate of segment_intersection overflowed."""
-    if not math.isfinite(x):
-        raise ValueError("segment coordinates are too large to intersect in floating point")
-    return x
-
-
 def translate(g: GeometricGraph, t: Sequence[float]) -> GeometricGraph:
     """Shift every vertex by t, keeping edges (and hence all edge lengths)."""
     shift = tuple(float(x) for x in t)
     if len(shift) != g.dim:
         raise ValueError(f"dimension mismatch: translation has {len(shift)} "
                          f"coordinates, graph has dim {g.dim}")
-    if not all(math.isfinite(x) for x in shift):
-        raise ValueError("translation has a non-finite coordinate")
     moved = tuple(tuple(x + s for x, s in zip(v, shift)) for v in g.vertices)
     return GeometricGraph(g.dim, moved, g.edges)
 

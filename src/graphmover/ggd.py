@@ -105,7 +105,10 @@ def matching_cost(g: GeometricGraph, h: GeometricGraph, pi: InexactMatching,
 
 def ggd_exact(g: GeometricGraph, h: GeometricGraph,
               params: CostParams) -> tuple[float, InexactMatching]:
-    """Minimum matching cost and a matching attaining it (first found wins ties)."""
+    """Minimum matching cost and a matching attaining it (first found wins ties).
+
+    ValueError when every matching's cost overflows to inf.
+    """
     if g.dim != h.dim:
         raise ValueError(f"dimension mismatch: {g.dim} vs {h.dim}")
     best_value = np.inf
@@ -115,5 +118,6 @@ def ggd_exact(g: GeometricGraph, h: GeometricGraph,
         if value < best_value:
             best_value = value
             best_matching = pi
-    assert best_matching is not None
+    if best_matching is None:
+        raise ValueError("no inexact matching has a finite cost: the costs overflow a float")
     return float(best_value), best_matching

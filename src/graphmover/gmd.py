@@ -30,6 +30,7 @@ flow under the ground cost matrix.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -47,7 +48,10 @@ class GmdResult:
 
 
 def gmd(g: GeometricGraph, h: GeometricGraph, params: CostParams) -> GmdResult:
-    """Graph mover's distance with the optimal flow and cost matrix behind it."""
+    """Graph mover's distance with the optimal flow and cost matrix behind it.
+
+    ValueError when the distance is not finite: the costs overflow a float.
+    """
     matrix = ground_cost_matrix(g, h, params)
     entries = matrix.entries
     m, n = matrix.m, matrix.n
@@ -69,4 +73,6 @@ def gmd(g: GeometricGraph, h: GeometricGraph, params: CostParams) -> GmdResult:
     flow[m, n] = len(rows)
     flow.flags.writeable = False
     value = float((flow * entries).sum())
+    if not math.isfinite(value):
+        raise ValueError("the graph mover's distance overflows a float")
     return GmdResult(value, Flow(flow, value), matrix)

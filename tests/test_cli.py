@@ -123,14 +123,45 @@ def test_planarize_command(tmp_path, capsys):
 @pytest.mark.filterwarnings("error")
 @pytest.mark.parametrize("s", [1e154, 1e300])
 def test_planarize_overflowing_crossing_is_data_error(s, tmp_path, capsys):
-    diagonals = GeometricGraph.build([(-s, -s), (s, s), (-s, s), (s, -s)], [(0, 1), (2, 3)])
     src = tmp_path / "diagonals.json"
-    src.write_text(write_json_graph(diagonals))
+    src.write_text(json.dumps({"d": 2, "vertices": [(-s, -s), (s, s), (-s, s), (s, -s)],
+                               "edges": [(0, 1), (2, 3)]}))
     assert main(["planarize", str(src)]) == 1
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert captured.err == ("error: segment coordinates are too large to intersect "
-                            "in floating point\n")
+    assert captured.err == ("error: vertex 0 has a coordinate that is not finite "
+                            "or exceeds 2**510 in magnitude\n")
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("command", ["gmd", "ggd", "convert", "classify"])
+def test_coordinate_beyond_the_bound_is_data_error(command, tmp_path, capsys):
+    level = tmp_path / "LOW"
+    level.mkdir()
+    (level / "labels.json").write_text('{"far.json": "A"}')
+    path = level / "far.json"
+    path.write_text('{"d": 2, "vertices": [[0, 0], [0, -1e154]], "edges": [[0, 1]]}')
+    argv = {"gmd": [str(path), str(path)], "ggd": [str(path), str(path)],
+            "convert": [str(path)], "classify": ["--dataset", str(tmp_path)]}[command]
+    assert main([command, *argv]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == ("error: vertex 1 has a coordinate that is not finite "
+                            "or exceeds 2**510 in magnitude\n")
+
+
+@pytest.mark.parametrize("command, costs, message", [
+    ("gmd", ["--cv", "1e308"], "the graph mover's distance overflows a float"),
+    ("ggd", ["--cv", "1e308", "--ce", "1e308"],
+     "no inexact matching has a finite cost: the costs overflow a float"),
+], ids=["gmd", "ggd"])
+def test_overflowing_distance_is_data_error(command, costs, message, fixture_files, capsys):
+    code = main([command, fixture_files["shared_vertices_G"], fixture_files["shared_vertices_H"],
+                 *costs])
+    assert code == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {message}\n"
 
 
 def test_convert_gxl_to_json(tmp_path, capsys):

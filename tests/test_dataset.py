@@ -13,7 +13,9 @@ from graphmover.dataset import (CollinearOverlapError, GraphFormatError, LetterR
                                 load_letter_directory, load_prototypes, planarize,
                                 read_class_index, read_graph_file, read_gxl_letter,
                                 read_json_graph, write_json_graph)
-from graphmover.geometry import EPS, GeometricGraph, segment_intersection
+from graphmover.geometry import EPS, MAX_COORD, CostParams, GeometricGraph, segment_intersection
+from graphmover.ggd import ggd_exact
+from graphmover.gmd import gmd
 
 from conftest import geometric_graphs
 from helpers import crossing_vertices, packaged_graph, total_length, validate_graph
@@ -218,23 +220,19 @@ def _segments(points):
 
 
 @pytest.mark.filterwarnings("error")
-@pytest.mark.parametrize("scale", [1e153, 1e154, 1e300])
+@pytest.mark.parametrize("scale", [1e153, MAX_COORD])
 def test_planarize_crossing_diagonals_at_large_coordinates(scale):
-    # from about 1e154 the cross products of segment_intersection overflow
     diagonals = [(-scale, -scale), (scale, scale), (-scale, scale), (scale, -scale)]
     for g in (_segments(diagonals), _segments(diagonals + PADDING)):
-        if scale < 1e154:
-            assert planarize(g).vertices[g.n_vertices:] == ((0.0, 0.0),)
-        else:
-            with pytest.raises(ValueError, match="too large to intersect"):
-                planarize(g)
+        assert planarize(g).vertices[g.n_vertices:] == ((0.0, 0.0),)
 
 
 @pytest.mark.filterwarnings("error")
 def test_planarize_crossing_beyond_the_grid_range():
-    # x / (2 * EPS) overflows at x = 1e300, but the crossing itself is finite
-    x = 1e300
-    crossing = [(x, 0.0), (x, 1.0), (x - math.ulp(x), 0.5), (x + math.ulp(x), 0.5)]
+    # at the bound the cell index x / (2 * EPS) is about 2**539, and floats
+    # are 2**457 apart, so the crossing is on no endpoint
+    x = math.nextafter(MAX_COORD, 0.0)
+    crossing = [(x, 0.0), (x, 1.0), (x - math.ulp(x), 0.5), (MAX_COORD, 0.5)]
     for g in (_segments(crossing), _segments(crossing + PADDING)):
         assert planarize(g).vertices[g.n_vertices:] == ((x, 0.5),)
 
@@ -307,8 +305,8 @@ def near_concurrent_drawings(draw):
     pieces whose joint lies up to 2 EPS off the line. Everything sits at
     offset 0 or at 1e6 (where floats are 1.2e-10 apart). Up to 12 random
     segments take some drawings past planarize's cut-over to its numpy pass,
-    and some drawings are scaled by 1e153 to 1e300, where
-    segment_intersection may refuse their pairs.
+    and some drawings are scaled up so that their coordinates reach 1% to
+    100% of MAX_COORD.
     """
     offset = draw(st.sampled_from([0.0, 1e6]))
     unit = st.floats(-1.0, 1.0)
@@ -336,7 +334,8 @@ def near_concurrent_drawings(draw):
     for _ in range(draw(st.integers(0, 12))):
         segments.append(tuple((offset + draw(st.floats(-3.0, 3.0)),
                                offset + draw(st.floats(-3.0, 3.0))) for _ in range(2)))
-    scale = draw(st.one_of(st.just(1.0), st.floats(1e153, 1e300)))
+    top = MAX_COORD / (offset + 4.0)  # every coordinate is within offset + 4
+    scale = draw(st.one_of(st.just(1.0), st.floats(top / 100, top)))
     points = [(x * scale, y * scale) for segment in segments for x, y in segment]
     return GeometricGraph.build(points, [(2 * i, 2 * i + 1) for i in range(len(segments))])
 
@@ -348,12 +347,6 @@ def test_planarize_crossing_vertices_match_a_linear_scan(g):
         flat = planarize(g)
     except CollinearOverlapError:
         assume(False)
-        return
-    except ValueError as exc:
-        # the pass keeps every pair that overflows, so the scan meets the same one
-        assert "too large to intersect" in str(exc)
-        with pytest.raises(ValueError, match="too large to intersect"):
-            crossing_vertices(g)
         return
     assert list(flat.vertices[g.n_vertices:]) == crossing_vertices(g)
 
@@ -369,7 +362,6 @@ def test_pair_pass_drops_only_pairs_that_do_not_meet(g):
     for a, b in itertools.combinations(range(len(edges)), 2):
         if (a, b) not in kept:
             (i, j), (k, l) = edges[a], edges[b]
-            # raises if the pair overflows
             assert segment_intersection(pts[i], pts[j], pts[k], pts[l])[0] == "none"
 
 
@@ -384,23 +376,32 @@ def test_pair_pass_blocks_keep_the_pairs_and_their_order(block, monkeypatch):
 
 
 @pytest.mark.filterwarnings("error")
-def test_pair_pass_keeps_a_pair_that_overflows():
-    # denom is 1e10, but num_t = 1e300 * 1e10 overflows: a t of inf would
-    # be out of range and drop the pair
-    pts = ((0.0, 0.0), (1.0, 1.0), (1e300, 0.0), (1e300, 1e10))
-    with pytest.raises(ValueError, match="too large to intersect"):
-        segment_intersection(*pts)
-    assert list(dataset._pairs_that_may_meet(pts, ((0, 1), (2, 3)))) == [(0, 1)]
-
-
-@pytest.mark.filterwarnings("error")
 def test_pair_pass_coordinate_bound_overflows_nothing():
-    m = dataset._PASS_MAX_COORD
+    # scaling by a power of two changes no float operation's rounding, so at
+    # the bound segment_intersection and the pass agree with the corners
+    # scaled down to 2**500, where no intermediate comes near 2**1024, unless
+    # one overflows. Scaled down to 2**10 they would not agree: the absolute
+    # EPS tests decide collinear diagonal pairs differently at that size.
+    m = MAX_COORD
     corners = [(x, y) for x in (-m, 0.0, m) for y in (-m, 0.0, m)]
+    small = [(x * 2.0 ** -10, y * 2.0 ** -10) for x, y in corners]
     g = GeometricGraph.build(corners, list(itertools.combinations(range(9), 2)))
+    kinds = set()
     for (i, j), (k, l) in itertools.combinations(g.edges, 2):
-        segment_intersection(corners[i], corners[j], corners[k], corners[l])
-    assert list(dataset._pairs_that_may_meet(g.vertices, g.edges))
+        kind, point, t, u = segment_intersection(small[i], small[j], small[k], small[l])
+        if point is not None:
+            point = (point[0] * 2.0 ** 10, point[1] * 2.0 ** 10)
+        assert segment_intersection(corners[i], corners[j], corners[k], corners[l]) == (
+            kind, point, t, u)
+        kinds.add(kind)
+    assert kinds == {"none", "point", "overlap"}
+    kept = list(dataset._pairs_that_may_meet(g.vertices, g.edges))
+    assert kept and kept == list(dataset._pairs_that_may_meet(small, g.edges))
+    square = GeometricGraph.build([corners[i] for i in (0, 2, 6, 8)],
+                                  [(0, 1), (0, 2), (1, 3), (2, 3)])
+    for h in (g, square):
+        assert math.isfinite(gmd(square, h, CostParams()).value)
+    assert math.isfinite(ggd_exact(square, _segments(corners[:4]), CostParams())[0])
 
 
 def test_planarize_memory_is_bounded_on_3000_edges():

@@ -4,8 +4,9 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 
-from graphmover.geometry import (CostParams, GeometricGraph, perturb, segment_intersection,
-                                 translate)
+from graphmover.dataset import GraphFormatError, read_json_graph
+from graphmover.geometry import (MAX_COORD, CostParams, GeometricGraph, perturb,
+                                 segment_intersection, translate)
 
 from conftest import geometric_graphs
 from helpers import hausdorff_vertices, packaged_graph, total_length, validate_graph
@@ -42,6 +43,16 @@ def test_graph_rejects_bad_vertices():
     assert "000" not in str(exc.value)
     with pytest.raises(ValueError, match="vertex 0 has a coordinate too large"):
         GeometricGraph.build([(10 ** 399, 0)], [])
+    assert GeometricGraph.build([(MAX_COORD, -MAX_COORD), (-MAX_COORD, MAX_COORD)],
+                                [(0, 1)]).vertices[0] == (MAX_COORD, -MAX_COORD)
+    beyond = math.nextafter(MAX_COORD, math.inf)
+    for x in (beyond, -beyond, float("nan"), -math.inf):
+        with pytest.raises(ValueError, match=r"^vertex 1 has a coordinate that is not finite "
+                                             r"or exceeds 2\*\*510 in magnitude$"):
+            GeometricGraph(2, ((0.0, 0.0), (0.0, x)), ())
+    with pytest.raises(GraphFormatError, match=r"^vertex 0 has a coordinate that is not finite "
+                                               r"or exceeds 2\*\*510 in magnitude$"):
+        read_json_graph('{"d":2,"vertices":[[1e300,0]],"edges":[]}')
 
 
 @pytest.mark.parametrize("vertices, message", [
@@ -122,17 +133,6 @@ def test_nearly_parallel_pieces_meet_at_their_shared_vertex(long_end, short_end,
         assert kind == "point"
         assert point == pytest.approx(shared, abs=1e-15)
         assert (t, u) == pytest.approx((1.0, 1.0), abs=1e-9)
-
-
-@pytest.mark.parametrize("a, b, c, d", [
-    # crossing diagonals: the cross products overflow
-    ((-1e154, -1e154), (1e154, 1e154), (-1e154, 1e154), (1e154, -1e154)),
-    # collinear and overlapping along [1, 2]: the squared length overflows
-    ((0.0, 0.0), (1e155, 0.0), (1.0, 0.0), (2.0, 0.0)),
-], ids=["crossing", "collinear"])
-def test_intersection_refuses_overflowing_coordinates(a, b, c, d):
-    with pytest.raises(ValueError, match="too large to intersect"):
-        segment_intersection(a, b, c, d)
 
 
 def test_adjacency_lengths_zero_distance_twin_row():
