@@ -6,6 +6,7 @@ can be diffed byte for byte.
 
 from __future__ import annotations
 
+import copy
 import io
 import os
 import time
@@ -19,7 +20,8 @@ import numpy as np
 from .dataset import LETTER_LABELS, LetterRecord
 from .geometry import CostParams, GeometricGraph, perturb, translate
 from .ggd import ggd_exact
-from .gmd import gmd
+from .gmd import _solve_stack, gmd
+from .ground_cost import _cost_stack, _stack
 
 # the cost setting of the stability trials and the scaling benchmark
 UNIT_COSTS = CostParams(1.0, 1.0)
@@ -38,10 +40,37 @@ class RetrievalReport:
     runtime_seconds: float
 
 
-def _rank_letters(graph: GeometricGraph, proto_graphs, params) -> list[int]:
-    distances = [gmd(graph, proto, params).value for proto in proto_graphs]
-    # ties broken by alphabetical letter order: proto_graphs is label-ordered
-    return sorted(range(len(proto_graphs)), key=lambda a: (distances[a], a))
+def _stack_prototypes(proto_graphs: Sequence[GeometricGraph]) -> tuple:
+    """The prototypes grouped by vertex count, each group as (its indices into
+    proto_graphs, its `ground_cost._stack`): plain arrays, so it pickles."""
+    groups: dict[int, list[int]] = {}
+    for index, proto in enumerate(proto_graphs):
+        groups.setdefault(proto.n_vertices, []).append(index)
+    return tuple((tuple(indices), _stack([proto_graphs[a] for a in indices]))
+                 for indices in groups.values())
+
+
+def _letter_distances(graph: GeometricGraph, stacks, params) -> list[float]:
+    """gmd(graph, proto, params).value for every prototype of `_stack_prototypes`,
+    one batched ground cost and one stack solve per group.
+
+    It prices a shallow copy of graph, so the coordinate and adjacency arrays
+    cached while pricing go with the call instead of staying on every drawing
+    the caller holds (a whole distortion level in `graphmover classify`).
+    """
+    query = copy.copy(graph)
+    distances = [0.0] * sum(len(indices) for indices, _ in stacks)
+    for indices, stack in stacks:
+        values, _ = _solve_stack(_cost_stack(query, stack, params))
+        for a, value in zip(indices, values.tolist()):
+            distances[a] = value
+    return distances
+
+
+def _rank_letters(graph: GeometricGraph, stacks, params) -> list[int]:
+    distances = _letter_distances(graph, stacks, params)
+    # ties broken by alphabetical letter order: the stacks index label-ordered prototypes
+    return sorted(range(len(distances)), key=lambda a: (distances[a], a))
 
 
 def _usable_cpus() -> int:
@@ -56,8 +85,11 @@ def classify_topk(tests: Sequence[LetterRecord], prototypes: dict[str, Geometric
     """Rank the 15 prototypes by distance for each test drawing.
 
     A test counts as a hit at k when its true letter is among the k closest
-    prototypes. The drawings are scored by a pool with one worker per usable
-    CPU, at most one per drawing; with one worker they are scored in-process.
+    prototypes. The prototypes are stacked once per call, grouped by vertex
+    count, and each drawing is priced against a whole group at once, with the
+    same distances as `gmd`. The drawings are scored by a pool with one worker
+    per usable CPU, at most one per drawing; with one worker they are scored
+    in-process.
     """
     ks = tuple(sorted(set(int(k) for k in ks)))
     if any(k < 1 for k in ks):
@@ -72,16 +104,17 @@ def classify_topk(tests: Sequence[LetterRecord], prototypes: dict[str, Geometric
     distortion = levels.pop() if len(levels) == 1 else "MIXED"
 
     start = time.perf_counter()
+    stacks = _stack_prototypes(proto_graphs)
     workers = min(_usable_cpus(), len(tests))
     if workers > 1:
         from concurrent.futures import ProcessPoolExecutor  # the serial path never loads it
 
-        rank = partial(_rank_letters, proto_graphs=proto_graphs, params=params)
+        rank = partial(_rank_letters, stacks=stacks, params=params)
         with ProcessPoolExecutor(max_workers=workers) as pool:
             chunk = max(1, len(tests) // (8 * workers))
             orders = list(pool.map(rank, [r.graph for r in tests], chunksize=chunk))
     else:
-        orders = [_rank_letters(r.graph, proto_graphs, params) for r in tests]
+        orders = [_rank_letters(r.graph, stacks, params) for r in tests]
 
     hits = {k: 0 for k in ks}
     confusion = np.zeros((len(LETTER_LABELS), len(LETTER_LABELS)), dtype=int)

@@ -9,12 +9,15 @@ Tie-breaking is by lowest index, so the returned flow is deterministic for a
 fixed instance. It is the generic solver and the oracle the faster paths are
 tested against.
 
-`solve_assignment` is the special case that `gmd` needs: every row of an
+`solve_assignment` solves the special case that `gmd` needs: every row of an
 m x n cost matrix (m <= n, any finite signs) goes to a distinct column at
-least total cost. It augments along one shortest path per row with row and
-column potentials (the Jonker-Volgenant scheme as described by Crouse, 2016)
-over plain Python lists, which beats array code on the small matrices of
-letter drawings.
+least total cost. It is a validating wrapper (shape, m <= n, finite entries)
+around `_assign_rows`, the core, which augments along one shortest path per
+row with row and column potentials (the Jonker-Volgenant scheme as described
+by Crouse, 2016) over plain Python lists; that beats array code on the small
+matrices of letter drawings. The solver that `gmd` and the letter ranker
+share checks a whole stack of cost matrices at once and calls the core on
+each matrix's rows.
 """
 
 from __future__ import annotations
@@ -175,7 +178,13 @@ def solve_assignment(cost) -> tuple[list[int], list[int]]:
         raise ValueError(f"cost has more rows than columns: {m} x {n}")
     if not np.isfinite(c).all():
         raise ValueError("cost contains a non-finite entry")
-    cost_rows = c.tolist()
+    return list(range(m)), _assign_rows(c.tolist(), n)
+
+
+def _assign_rows(cost_rows: list[list[float]], n: int) -> list[int]:
+    """The column of each row of `solve_assignment`, on the matrix's rows as
+    lists of n finite floats (at least as many columns as rows), unchecked."""
+    m = len(cost_rows)
     u = [0.0] * m
     v = [0.0] * n
     col4row = [-1] * m
@@ -226,7 +235,7 @@ def solve_assignment(cost) -> tuple[list[int], list[int]]:
             col4row[i], j = j, col4row[i]
             if i == start:
                 break
-    return list(range(m)), col4row
+    return col4row
 
 
 def check_flow(inst: TransportInstance, flow: Flow, tol: float = 1e-9) -> list[str]:

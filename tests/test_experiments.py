@@ -1,10 +1,14 @@
 import os
+import pickle
 import subprocess
 import sys
+from itertools import combinations
 from pathlib import Path
 
+import hypothesis.strategies as st
 import numpy as np
 import pytest
+from hypothesis import given, settings
 
 import graphmover
 from graphmover import experiments
@@ -15,9 +19,11 @@ from graphmover.experiments import (bench_csv, classify_topk, confusion_csv,
                                     run_ggd_perturbation_suite, run_ggd_translation_suite,
                                     run_gmd_translation_suite, scaling_benchmark,
                                     stability_csv, triangle_inequality_survey)
-from graphmover.geometry import GeometricGraph, perturb
+from graphmover.geometry import CostParams, GeometricGraph, perturb
+from graphmover.gmd import gmd
 
 from conftest import LETTER_COSTS, UNIT_COSTS
+from helpers import dense_gmd_value
 
 
 @pytest.fixture(scope="module")
@@ -83,12 +89,94 @@ def test_pool_and_serial_agree(prototypes, monkeypatch):
     rng = np.random.default_rng(4)
     tests = as_records([(perturb(prototypes[label], 0.5, int(rng.integers(1 << 30))), label)
                         for label in LETTER_LABELS])
+    # the pool's workers rank on unpickled prototype stacks
+    stacks = experiments._stack_prototypes([prototypes[label] for label in LETTER_LABELS])
+    copies = pickle.loads(pickle.dumps(stacks))
+    for record in tests:
+        assert (experiments._letter_distances(record.graph, copies, LETTER_COSTS)
+                == experiments._letter_distances(record.graph, stacks, LETTER_COSTS))
+    every_k = tuple(range(1, 16))  # accuracy at every k compares whole rankings
     monkeypatch.setattr(experiments, "_usable_cpus", lambda: 1)
-    serial = classify_topk(tests, prototypes, LETTER_COSTS)
+    serial = classify_topk(tests, prototypes, LETTER_COSTS, ks=every_k)
     monkeypatch.setattr(experiments, "_usable_cpus", lambda: 2)
-    pooled = classify_topk(tests, prototypes, LETTER_COSTS)
+    pooled = classify_topk(tests, prototypes, LETTER_COSTS, ks=every_k)
     assert serial.accuracy == pooled.accuracy
     assert np.array_equal(serial.confusion, pooled.confusion)
+
+
+def per_pair_ranking(query, protos, params):
+    values = [gmd(query, proto, params).value for proto in protos]
+    return values, sorted(range(len(protos)), key=lambda a: (values[a], a))
+
+
+@st.composite
+def ranking_problems(draw):
+    """A query and 15 prototypes of 0-9 vertices each in 2 or 3 dimensions, on
+    a coarse grid (so costs tie) stretched per graph and scaled by a power of
+    ten; a prototype is edgeless about half the time."""
+    dim = draw(st.sampled_from((2, 3)))
+    scale = 10.0 ** draw(st.integers(-3, 3))
+
+    def graph(edgeless):
+        n = draw(st.integers(0, 9))
+        stretch = scale * draw(st.sampled_from((1.0, 0.7, 1.3, 2.9)))
+        points = tuple(tuple(stretch * draw(st.integers(0, 4)) for _ in range(dim))
+                       for _ in range(n))
+        pairs = list(combinations(range(n), 2))
+        edges = () if edgeless or not pairs else draw(st.sets(st.sampled_from(pairs)))
+        return GeometricGraph(dim, points, tuple(edges))
+
+    query = graph(False)
+    return query, tuple(graph(draw(st.booleans())) for _ in range(15))
+
+
+@settings(max_examples=150, deadline=None)
+@given(ranking_problems(),
+       st.sampled_from((CostParams(), CostParams(1.0, 1.0), CostParams(0.1, 3.0))))
+def test_batched_ranking_is_bit_identical_to_per_pair_gmd(problem, params):
+    query, protos = problem
+    stacks = experiments._stack_prototypes(protos)
+    values, order = per_pair_ranking(query, protos, params)
+    assert experiments._letter_distances(query, stacks, params) == values
+    assert experiments._rank_letters(query, stacks, params) == order
+    assert values == [dense_gmd_value(query, proto, params) for proto in protos]
+
+
+def test_ranking_tie_goes_to_the_alphabetically_first_letter(prototypes):
+    f = prototypes["F"]
+    twins = dict(prototypes, H=GeometricGraph(f.dim, f.vertices, f.edges))
+    protos = [twins[label] for label in LETTER_LABELS]
+    stacks = experiments._stack_prototypes(protos)
+    query = perturb(f, 0.05, 3)
+    values, order = per_pair_ranking(query, protos, LETTER_COSTS)
+    f_index, h_index = LETTER_LABELS.index("F"), LETTER_LABELS.index("H")
+    assert values[f_index] == values[h_index]
+    assert experiments._rank_letters(query, stacks, LETTER_COSTS) == order
+    assert order[:2] == [f_index, h_index]
+    report = classify_topk(as_records([(query, "H")]), twins, LETTER_COSTS, ks=(1, 2))
+    assert report.confusion[h_index, f_index] == 1
+    assert report.accuracy == {1: 0.0, 2: 1.0}
+
+
+def test_empty_query_ranks_by_deletion_cost(prototypes):
+    empty = GeometricGraph(2, (), ())
+    protos = [prototypes[label] for label in LETTER_LABELS]
+    stacks = experiments._stack_prototypes(protos)
+    values, order = per_pair_ranking(empty, protos, LETTER_COSTS)
+    assert experiments._letter_distances(empty, stacks, LETTER_COSTS) == values
+    assert experiments._rank_letters(empty, stacks, LETTER_COSTS) == order
+    # every prototype edge is paid at both endpoints
+    assert values == pytest.approx([2 * LETTER_COSTS.edge_cost * sum(
+        float(np.linalg.norm(p.coords[i] - p.coords[j])) for i, j in p.edges) for p in protos])
+    assert classify_topk(as_records([(empty, "I")]), prototypes, LETTER_COSTS).n_tests == 1
+
+
+def test_ranking_leaves_the_drawings_uncached(prototypes, monkeypatch):
+    monkeypatch.setattr(experiments, "_usable_cpus", lambda: 1)
+    tests = as_records([(perturb(prototypes[label], 0.3, 5), label) for label in ("A", "E")])
+    before = [dict(vars(record.graph)) for record in tests]
+    assert classify_topk(tests, prototypes, LETTER_COSTS).accuracy[1] == 1.0
+    assert [vars(record.graph) for record in tests] == before
 
 
 def test_one_usable_cpu_scores_in_process(prototypes, monkeypatch):
