@@ -164,17 +164,27 @@ def planarize(g: GeometricGraph) -> GeometricGraph:
     pairs first drops every pair whose segments' crossing parameter lies
     clearly outside one segment's range, with a margin over the rounding of
     the lengths: such a pair is one `segment_intersection` calls "none", so
-    skipping it changes nothing. A pair the pass cannot decide for certain
-    (nearly parallel segments) is kept. The kept
-    pairs go to `segment_intersection`, the only decider, in the same
-    lexicographic order as without the pass, so cluster ids do not change.
-    Below that count (letter drawings have about 10 pairs) the pass's fixed
-    numpy cost exceeds the loop's, and every pair is tested.
+    skipping it changes nothing. Of the kept pairs it also settles those
+    that are certainly a crossing inside both segments and farther than EPS
+    from every endpoint (tests that divide by a length keep a margin; the
+    range, the point and its endpoint distances are the same float
+    operations as in the loop, so they need none), and hands over their t,
+    u and point, which are what `segment_intersection` returns. Every other
+    kept pair (nearly parallel, collinear or near an endpoint) goes to
+    `segment_intersection`, the only decider. Either way the pairs come in
+    the same lexicographic order as without the pass, so cluster ids do not
+    change. Below that count (letter drawings have about 10 pairs) the
+    pass's fixed numpy cost exceeds the loop's, and every pair is tested.
 
-    A new vertex stays within `geometry.MAX_COORD`, so the output is valid: a
-    crossing is ax + t*rx with t in [0, 1] (or within EPS of ax), rounding
-    is monotone, and ax + fl(MAX_COORD - ax) exceeds MAX_COORD by at most
-    half an ulp of a number below 2**511, which rounds back to MAX_COORD.
+    The output is valid by construction, so it is built without the
+    constructor's checks (`GeometricGraph._from_valid`): the coordinates
+    are the input's and the crossing points, all Python floats; every piece
+    joins two distinct vertex ids in range, stored as (low, high), since
+    the split stage skips v0 == v1; and a duplicate piece raises. A new
+    vertex stays within `geometry.MAX_COORD`: a crossing is ax + t*rx with
+    t in [0, 1] (or within EPS of ax), rounding is monotone, and
+    ax + fl(MAX_COORD - ax) exceeds MAX_COORD by at most half an ulp of a
+    number below 2**511, which rounds back to MAX_COORD.
     """
     if g.dim != 2:
         raise ValueError(f"planarize needs a 2D graph, got dim {g.dim}")
@@ -210,35 +220,38 @@ def planarize(g: GeometricGraph) -> GeometricGraph:
         return best
 
     if len(edges) * (len(edges) - 1) // 2 < _PASS_MIN_PAIRS:
-        pairs = itertools.combinations(range(len(edges)), 2)
+        pairs = ((a, b, None) for a, b in itertools.combinations(range(len(edges)), 2))
     else:
         pairs = _pairs_that_may_meet(pts, edges)
-    for a, b in pairs:
-        e1, e2 = edges[a], edges[b]
-        kind, point, t, u = segment_intersection(
-            pts[e1[0]], pts[e1[1]], pts[e2[0]], pts[e2[1]])
-        if kind == "overlap":
-            raise CollinearOverlapError(
-                f"edges {e1} and {e2} overlap along a collinear stretch")
-        if kind != "point":
-            continue
-        end1 = _nearest_endpoint(pts, e1, point)
-        end2 = _nearest_endpoint(pts, e2, point)
-        if end1 is not None and end2 is not None:
-            continue  # endpoint contact, nothing to split
-        if end1 is not None:
-            add_event(b, u, end1)
-        elif end2 is not None:
-            add_event(a, t, end2)
+    for a, b, crossing in pairs:
+        if crossing is not None:
+            t, u, point = crossing
         else:
-            cid = cluster_id(point)
-            add_event(a, t, n + cid)
-            add_event(b, u, n + cid)
+            e1, e2 = edges[a], edges[b]
+            kind, point, t, u = segment_intersection(
+                pts[e1[0]], pts[e1[1]], pts[e2[0]], pts[e2[1]])
+            if kind == "overlap":
+                raise CollinearOverlapError(
+                    f"edges {e1} and {e2} overlap along a collinear stretch")
+            if kind != "point":
+                continue
+            end1 = _nearest_endpoint(pts, e1, point)
+            end2 = _nearest_endpoint(pts, e2, point)
+            if end1 is not None and end2 is not None:
+                continue  # endpoint contact, nothing to split
+            if end1 is not None:
+                add_event(b, u, end1)
+                continue
+            if end2 is not None:
+                add_event(a, t, end2)
+                continue
+        cid = cluster_id(point)
+        add_event(a, t, n + cid)
+        add_event(b, u, n + cid)
 
     if not events:
         return g
 
-    new_vertices = list(g.vertices) + clusters
     new_edges: set[tuple[int, int]] = set()
     for idx, (i, j) in enumerate(edges):
         stops = sorted((t, vid) for vid, t in events.get(idx, {}).items())
@@ -250,12 +263,12 @@ def planarize(g: GeometricGraph) -> GeometricGraph:
                     raise CollinearOverlapError(
                         f"edge {edges[idx]} overlaps another edge along {piece} after splitting")
                 new_edges.add(piece)
-    return GeometricGraph(2, new_vertices, new_edges)
+    return GeometricGraph._from_valid(2, g.vertices + tuple(clusters), tuple(sorted(new_edges)))
 
 
 def _pairs_that_may_meet(pts, edges):
-    """The pairs (a, b), a < b, of indices into edges in lexicographic order,
-    less pairs that `segment_intersection` certainly calls "none".
+    """The pairs (a, b, crossing), a < b, of indices into edges in lexicographic
+    order, less pairs that `segment_intersection` certainly calls "none".
 
     A pair is dropped where the non-parallel branch of `segment_intersection`
     returns "none": the cross product `denom` is clear of the parallel
@@ -263,9 +276,27 @@ def _pairs_that_may_meet(pts, edges):
     range [-EPS/len, 1 + EPS/len]. denom, t and u are the same float
     operations as there and round alike; only `len` (numpy's hypot against
     math.hypot) may round differently, so the pass asks for twice the
-    tolerance and widens each range by 2 * EPS/len + 1e-9. With coordinates
-    within MAX_COORD, as a GeometricGraph's are, no intermediate overflows.
-    The pairs are tested in blocks of at most _PAIR_BLOCK.
+    tolerance and widens each range by 2 * EPS/len + 1e-9.
+
+    A kept pair's `crossing` is (t, u, (px, py)) where the pair is certainly a
+    crossing inside both segments, and None where `segment_intersection` has
+    to decide. It is certain where, with the same margin of two over every
+    test that divides by a length, both lengths exceed EPS, denom clears the
+    parallel tolerance and neither segment's collinearity test can hold
+    (each endpoint test fails, whichever segment is the longer); and then,
+    without a margin because no length enters them, where 0 <= t <= 1 and
+    0 <= u <= 1, so the range test passes and the clamps change nothing,
+    and where the point ax + t*rx, ay + t*ry lies farther than EPS from all
+    four endpoints by `_nearest_endpoint`'s own squared-distance test. The
+    point and those distances are the same float operations as there, so
+    `segment_intersection` returns ("point", (px, py), t, u) for the pair
+    and `_nearest_endpoint` None for both edges. A margin on t would not
+    do: the point rounds relative to the coordinates' size, not the
+    segment's length.
+
+    With coordinates within MAX_COORD, as a GeometricGraph's are, no
+    intermediate overflows. The pairs are tested in blocks of at most
+    _PAIR_BLOCK.
     """
     ends = np.array([pts[i] + pts[j] for i, j in edges])  # x0, y0, x1, y1 per edge
     x0, y0, x1, y1 = ends.T
@@ -288,18 +319,46 @@ def _pairs_that_may_meet(pts, edges):
             b = slice(c0, min(c0 + cols, m))
             acx, acy = x0[b] - ax, y0[b] - ay
             denom = arx * ry[b] - ary * rx[b]
+            num_t = acx * ry[b] - acy * rx[b]
+            num_u = acx * ary - acy * arx
             # where denom is 0, t and u are inf or nan and the tolerance test
             # keeps the pair
             with np.errstate(all="ignore"):
-                t = (acx * ry[b] - acy * rx[b]) / denom
-                u = (acx * ary - acy * arx) / denom
+                t = num_t / denom
+                u = num_u / denom
                 drop = np.abs(denom) > tol[a, None] * length[b]
                 drop &= (np.abs(t - 0.5) > half[a, None]) | (np.abs(u - 0.5) > half[b])
             if b.start < a.stop:  # the block reaches the diagonal: drop (a, b) with b <= a
                 drop |= np.arange(b.start, b.stop) <= np.arange(a.start, a.stop)[:, None]
             ia, ib = np.nonzero(~drop)
-            yield from zip((ia + a.start).tolist(), (ib + b.start).tolist())
+            if not ia.size:  # most blocks of a sparse drawing keep no pair
+                continue
+            ka, kb = ia + a.start, ib + b.start
+            yield from zip(ka.tolist(), kb.tolist(),
+                           _settled_crossings(ends[ka], ends[kb], length[ka], length[kb],
+                                              denom[ia, ib], num_t[ia, ib], num_u[ia, ib]))
         r0 = a.stop
+
+
+def _settled_crossings(p, q, len_p, len_q, denom, num_t, num_u):
+    """(t, u, (px, py)) for each kept pair of edges p, q (rows x0, y0, x1, y1)
+    that is certainly a plain crossing, else None; the tests are those that
+    `_pairs_that_may_meet` describes."""
+    with np.errstate(all="ignore"):
+        t = num_t / denom
+        u = num_u / denom
+        px = p[:, 0] + t * (p[:, 2] - p[:, 0])
+        py = p[:, 1] + t * (p[:, 3] - p[:, 1])
+        sure = (len_p > 2 * EPS) & (len_q > 2 * EPS)
+        sure &= np.abs(denom) > 2e-12 * len_p * len_q
+        sure &= (np.abs(num_u) / len_p > 2 * EPS) & (np.abs(num_t) / len_q > 2 * EPS)
+        sure &= (0.0 <= t) & (t <= 1.0) & (0.0 <= u) & (u <= 1.0)
+        for x, y in (p[:, 0:2].T, p[:, 2:4].T, q[:, 0:2].T, q[:, 2:4].T):
+            dx, dy = x - px, y - py
+            sure &= dx * dx + dy * dy > EPS * EPS
+    return [(ti, ui, (xi, yi)) if ok else None
+            for ok, ti, ui, xi, yi in zip(sure.tolist(), t.tolist(), u.tolist(),
+                                          px.tolist(), py.tolist())]
 
 
 def _nearest_endpoint(pts, edge, point) -> Optional[int]:

@@ -120,6 +120,26 @@ class GeometricGraph:
             dim = len(points[0])
         return cls(dim, points, edges)
 
+    @classmethod
+    def _from_valid(cls, dim: int, vertices: tuple[Point, ...],
+                    edges: tuple[tuple[int, int], ...]) -> "GeometricGraph":
+        """The graph with exactly these fields, skipping the constructor's checks.
+
+        Only for a graph that is valid by construction, as `dataset.planarize`
+        builds its output. The caller guarantees what the checks would
+        establish, else equality and hashing with checked graphs break:
+        `dim` is a positive int; `vertices` is a tuple of `dim`-tuples of
+        Python floats, each within MAX_COORD in magnitude; `edges` is a
+        sorted tuple of (int, int) pairs i < j indexing `vertices`, with no
+        duplicate (a self-loop is ruled out by i < j). Input from outside
+        the program always goes through the constructor.
+        """
+        g = object.__new__(cls)
+        object.__setattr__(g, "dim", dim)
+        object.__setattr__(g, "vertices", vertices)
+        object.__setattr__(g, "edges", edges)
+        return g
+
     @property
     def n_vertices(self) -> int:
         return len(self.vertices)

@@ -113,11 +113,13 @@ def ggd_exact(g: GeometricGraph, h: GeometricGraph,
         raise ValueError(f"dimension mismatch: {g.dim} vs {h.dim}")
     best_value = np.inf
     best_matching = None
-    for pi in enumerate_matchings(g, h):
-        value = matching_cost(g, h, pi, params)
-        if value < best_value:
-            best_value = value
-            best_matching = pi
+    # an edge length or a cost term that overflows is inf; no matching wins with it
+    with np.errstate(over="ignore", invalid="ignore"):
+        for pi in enumerate_matchings(g, h):
+            value = matching_cost(g, h, pi, params)
+            if value < best_value:
+                best_value = value
+                best_matching = pi
     if best_matching is None:
         raise ValueError("no inexact matching has a finite cost: the costs overflow a float")
     return float(best_value), best_matching

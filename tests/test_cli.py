@@ -164,9 +164,7 @@ def test_overflowing_distance_is_data_error(command, costs, message, fixture_fil
     assert captured.err == f"error: {message}\n"
 
 
-@pytest.mark.filterwarnings("error")
-@pytest.mark.parametrize("case", ["4d-bound-coordinates", "cv-ce-1e308"])
-def test_overflowing_gmd_prints_one_error_line(case, fixture_files, tmp_path, capsys):
+def _overflowing_argv(case, fixture_files, tmp_path):
     # at the coordinate bound in 4-D, edge lengths and displacements overflow
     corner = [2.0 ** 510] * 4
     g = tmp_path / "g4.json"
@@ -174,13 +172,28 @@ def test_overflowing_gmd_prints_one_error_line(case, fixture_files, tmp_path, ca
                              "edges": [[0, 1]]}))
     h = tmp_path / "h4.json"
     h.write_text(json.dumps({"d": 4, "vertices": [[-x for x in corner]], "edges": []}))
-    argv = {"4d-bound-coordinates": [str(g), str(h)],
+    return {"4d-bound-coordinates": [str(g), str(h)],
             "cv-ce-1e308": [fixture_files["shared_vertices_G"], fixture_files["shared_vertices_H"],
                             "--cv", "1e308", "--ce", "1e308"]}[case]
-    assert main(["gmd", *argv]) == 1
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("case", ["4d-bound-coordinates", "cv-ce-1e308"])
+def test_overflowing_gmd_prints_one_error_line(case, fixture_files, tmp_path, capsys):
+    assert main(["gmd", *_overflowing_argv(case, fixture_files, tmp_path)]) == 1
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == "error: the graph mover's distance overflows a float\n"
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("case", ["4d-bound-coordinates", "cv-ce-1e308"])
+def test_overflowing_ggd_prints_one_error_line(case, fixture_files, tmp_path, capsys):
+    assert main(["ggd", *_overflowing_argv(case, fixture_files, tmp_path)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == ("error: no inexact matching has a finite cost: "
+                            "the costs overflow a float\n")
 
 
 def test_convert_gxl_to_json(tmp_path, capsys):

@@ -6,7 +6,7 @@ import tracemalloc
 import hypothesis.strategies as st
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 
 from graphmover import dataset
 from graphmover.dataset import (CollinearOverlapError, GraphFormatError, LetterRecord,
@@ -158,10 +158,23 @@ def test_planarize_splits_edge_at_touching_vertex():
     assert validate_graph(flat) == []
 
 
+# segment (2, 3) crosses (0, 1) at an angle of 1e-9 with both ends within EPS
+# of its line, and the crossing found along each is more than EPS from the
+# other: segment_intersection takes them for collinear, an overlap
+TINY_ANGLE = [(1.6363099978770614, -1.1499954742726473),
+              (-1.6363099978770614, 1.1499954742726473),
+              (1.2271327385913122, -0.8624264956357928),
+              (-0.4708506423965938, 0.3309129135911991)]
+
+
 def test_planarize_rejects_collinear_overlap():
     g = GeometricGraph.build([(0, 0), (3, 0), (1, 0), (2, 0)], [(0, 1), (2, 3)])
     with pytest.raises(CollinearOverlapError):
         planarize(g)
+    assert segment_intersection(*TINY_ANGLE)[0] == "overlap"
+    for g in (_segments(TINY_ANGLE), _segments(TINY_ANGLE + PADDING)):
+        with pytest.raises(CollinearOverlapError):
+            planarize(g)
 
 
 def test_planarize_rejects_split_pieces_that_coincide():
@@ -204,10 +217,20 @@ def test_planarize_idempotent_valid_and_length_preserving(g):
         assume(False)
         return
     assert validate_graph(flat) == []
+    _assert_checked(flat)
     assert planarize(flat) == flat
     assert total_length(flat) == pytest.approx(
         total_length(g), abs=1e-9 * max(1.0, total_length(g)))
     assert flat.vertices[:g.n_vertices] == g.vertices
+
+
+def _assert_checked(flat):
+    # planarize builds its output without the constructor's checks; tuple
+    # equality alone would accept 1 == 1.0 or numpy scalars
+    checked = GeometricGraph(2, flat.vertices, flat.edges)
+    assert checked == flat and hash(checked) == hash(flat)
+    assert all(type(x) is float for v in flat.vertices for x in v)
+    assert all(type(i) is int for e in flat.edges for i in e)
 
 
 # 14 parallel unit segments clear of the drawings below: with them a drawing
@@ -340,8 +363,29 @@ def near_concurrent_drawings(draw):
     return GeometricGraph.build(points, [(2 * i, 2 * i + 1) for i in range(len(segments))])
 
 
+def _crossing_onto_an_endpoint():
+    # at 3.35e151 floats are 2**450 apart, so edge (0, 1) is 40 ulps long;
+    # edge (2, 3) crosses it at t = 0.9975, far from its end by any margin
+    # on t, yet the crossing rounds onto vertex 1
+    x, y = 3.35e151, 1e151
+    ulp = math.ulp(x)
+    return [(x, y), (x + 40 * ulp, y), (x + 39 * ulp, y - 4.5e149), (x + 41 * ulp, y + 5.5e149)]
+
+
+def test_pair_pass_leaves_a_crossing_that_rounds_onto_an_endpoint_to_the_loop():
+    points = _crossing_onto_an_endpoint()
+    kind, point, t, _ = segment_intersection(*points)
+    assert kind == "point" and point == points[1] and t < 0.998
+    g = _segments(points + PADDING)
+    assert (0, 1, None) in dataset._pairs_that_may_meet(g.vertices, g.edges)
+    flat = planarize(g)
+    assert flat.vertices == g.vertices
+    assert flat.edges[:3] == ((0, 1), (1, 2), (1, 3))
+
+
 @settings(max_examples=150, deadline=None)
 @given(near_concurrent_drawings())
+@example(_segments(_crossing_onto_an_endpoint() + PADDING))
 def test_planarize_crossing_vertices_match_a_linear_scan(g):
     try:
         flat = planarize(g)
@@ -349,20 +393,35 @@ def test_planarize_crossing_vertices_match_a_linear_scan(g):
         assume(False)
         return
     assert list(flat.vertices[g.n_vertices:]) == crossing_vertices(g)
+    _assert_checked(flat)
 
 
 @pytest.mark.filterwarnings("error")
 @settings(max_examples=150, deadline=None)
 @given(near_concurrent_drawings())
+@example(_segments(_crossing_onto_an_endpoint() + PADDING))
+@example(_segments(TINY_ANGLE + PADDING))
+# these two cross at an angle below the parallel tolerance, each end more
+# than EPS off the other's line: "none"
+@example(_segments([(-1e4, -4e-9), (1e4, 4e-9), (-1e4, 4e-9), (1e4, -4e-9)] + PADDING))
 def test_pair_pass_drops_only_pairs_that_do_not_meet(g):
+    # and hands over a crossing only where segment_intersection finds the
+    # same floats and the crossing is on no endpoint of either edge
     pts, edges = g.vertices, g.edges
     kept = list(dataset._pairs_that_may_meet(pts, edges))
-    assert kept == sorted(set(kept))
-    kept = set(kept)
+    pairs = [(a, b) for a, b, _ in kept]
+    assert pairs == sorted(set(pairs))
+    settled = {(a, b): crossing for a, b, crossing in kept}
     for a, b in itertools.combinations(range(len(edges)), 2):
-        if (a, b) not in kept:
-            (i, j), (k, l) = edges[a], edges[b]
-            assert segment_intersection(pts[i], pts[j], pts[k], pts[l])[0] == "none"
+        e1, e2 = edges[a], edges[b]
+        found = segment_intersection(pts[e1[0]], pts[e1[1]], pts[e2[0]], pts[e2[1]])
+        if (a, b) not in settled:
+            assert found[0] == "none"
+        elif settled[a, b] is not None:
+            t, u, point = settled[a, b]
+            assert found == ("point", point, t, u)
+            assert dataset._nearest_endpoint(pts, e1, point) is None
+            assert dataset._nearest_endpoint(pts, e2, point) is None
 
 
 @pytest.mark.parametrize("block", [1, 7, 100])
@@ -396,7 +455,11 @@ def test_pair_pass_coordinate_bound_overflows_nothing():
         kinds.add(kind)
     assert kinds == {"none", "point", "overlap"}
     kept = list(dataset._pairs_that_may_meet(g.vertices, g.edges))
-    assert kept and kept == list(dataset._pairs_that_may_meet(small, g.edges))
+    scaled_up = [(a, b, crossing and (crossing[0], crossing[1],
+                                      tuple(x * 2.0 ** 10 for x in crossing[2])))
+                 for a, b, crossing in dataset._pairs_that_may_meet(small, g.edges)]
+    assert kept and kept == scaled_up
+    assert any(crossing is not None for _, _, crossing in kept)
     square = GeometricGraph.build([corners[i] for i in (0, 2, 6, 8)],
                                   [(0, 1), (0, 2), (1, 3), (2, 3)])
     for h in (g, square):
