@@ -163,10 +163,13 @@ class GeometricGraph:
         """Symmetric matrix whose (i, k) entry is the length of edge (i, k), else 0."""
         n = self.n_vertices
         mat = np.zeros((n, n))
-        for i, j in self.edges:
-            length = float(np.linalg.norm(self.coords[i] - self.coords[j]))
-            mat[i, j] = length
-            mat[j, i] = length
+        i, j = np.array(self.edges, dtype=np.intp).reshape(-1, 2).T
+        d = self.coords[i] - self.coords[j]
+        # each edge's own dot product, which rounds as np.linalg.norm's does;
+        # (d * d).sum(axis=1) and norm(d, axis=1) can differ in the last bit
+        length = np.sqrt(d[:, None, :] @ d[:, :, None]).reshape(-1)
+        mat[i, j] = length
+        mat[j, i] = length
         mat.flags.writeable = False
         return mat
 

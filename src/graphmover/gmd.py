@@ -27,11 +27,10 @@ the assignment's cost, so it is no smaller. `_solve_stack` does
 this for a stack of ground cost matrices of one shape, so that `gmd` (a stack
 of one) and the letter ranker (one query against each group of same-size
 prototypes) share every step: the reduced costs and their finiteness check,
-min(red, 0) and the swap, the assignment, the red < 0 filter and the value.
-It keeps the assigned pairs with red < 0 and sends every other vertex to its
-dummy. The value sums a zero matrix filled with the ground costs on the
-flow's support; that matrix equals flow * costs term by term (the flow is
-0/1 off the corner, whose cost is 0), so its sum is the flow's objective.
+min(red, 0) and the swap, the assignment, the red < 0 filter, the flow and
+the value. It is the one place that builds the flow: it keeps the assigned
+pairs with red < 0 and routes every other vertex to its dummy. The value is
+that flow's objective, sum(flow * costs).
 """
 
 from __future__ import annotations
@@ -60,51 +59,42 @@ def gmd(g: GeometricGraph, h: GeometricGraph, params: CostParams) -> GmdResult:
     ValueError when the distance is not finite: the costs overflow a float.
     """
     matrix = ground_cost_matrix(g, h, params)
-    values, (_, rows, cols) = _solve_stack(matrix.entries[None])
+    values, flows = _solve_stack(matrix.entries[None])
     value = float(values[0])
-    m, n = matrix.m, matrix.n
-    flow = np.zeros((m + 1, n + 1))
-    flow[rows, cols] = 1.0
-    # every vertex without a partner goes to its dummy
-    flow[:m, n] = 1.0
-    flow[rows, n] = 0.0
-    flow[m, :n] = 1.0
-    flow[m, cols] = 0.0
-    flow[m, n] = len(rows)
+    flow = flows[0]
     flow.flags.writeable = False
     return GmdResult(value, Flow(flow, value), matrix)
 
 
-def _solve_stack(entries: np.ndarray) -> tuple[np.ndarray, tuple[np.ndarray, ...]]:
+def _solve_stack(entries: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Distances of a stack (k, m+1, n+1) of ground cost matrices, and the
-    (stack index, row, column) arrays of the matched pairs of all k flows.
+    stack (k, m+1, n+1) of their optimal 0/1 flows (the corner counts the
+    matched pairs).
 
     ValueError(_OVERFLOW) when a reduced cost or a distance is not finite.
     """
-    k, m, n = entries.shape[0], entries.shape[1] - 1, entries.shape[2] - 1
+    m, n = entries.shape[1] - 1, entries.shape[2] - 1
+    flows = np.zeros_like(entries)
+    # every vertex goes to its dummy until a pair below takes it
+    flows[:, :m, n] = 1.0
+    flows[:, m, :n] = 1.0
     with np.errstate(over="ignore", invalid="ignore"):
         red = entries[:, :m, :n] - entries[:, :m, n:] - entries[:, m:, :n]
         if not np.isfinite(red).all():
             raise ValueError(_OVERFLOW)
         low = np.minimum(red if m <= n else red.transpose(0, 2, 1), 0.0)
-        # (stack index, row, column) of every kept pair; with m > n the
-        # assignment's rows are the columns of red
-        picks: tuple[list[int], list[int], list[int]] = ([], [], [])
-        ts, rows, cols = picks if m <= n else (picks[0], picks[2], picks[1])
-        for t, cost_rows in enumerate(low.tolist()):
+        for flow, cost_rows in zip(flows, low.tolist()):
             for r, c in enumerate(_assign_rows(cost_rows, max(m, n))):
                 if cost_rows[r][c] < 0.0:  # min(red, 0) < 0 exactly where red < 0
-                    ts.append(t)
-                    rows.append(r)
-                    cols.append(c)
-        t, i, j = (np.array(a, dtype=np.intp) for a in picks)
-        tab = np.zeros_like(entries)
-        tab[:, :m, n] = entries[:, :m, n]
-        tab[:, m, :n] = entries[:, m, :n]
-        tab[t, i, j] = entries[t, i, j]
-        tab[t, i, n] = 0.0
-        tab[t, m, j] = 0.0
-        values = tab.reshape(k, -1).sum(axis=1)
+                    # with m > n the assignment's rows are the columns of red
+                    i, j = (r, c) if m <= n else (c, r)
+                    flow[i, j] = 1.0
+                    flow[i, n] = 0.0
+                    flow[m, j] = 0.0
+                    flow[m, n] += 1.0
+        # no 0 * inf: with m, n >= 1 a finite red means finite entries, and
+        # with m or n = 0 every entry off the corner carries flow 1
+        values = (flows * entries).reshape(len(entries), -1).sum(axis=1)
         if not np.isfinite(values).all():
             raise ValueError(_OVERFLOW)
-    return values, (t, i, j)
+    return values, flows

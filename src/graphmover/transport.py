@@ -9,15 +9,14 @@ Tie-breaking is by lowest index, so the returned flow is deterministic for a
 fixed instance. It is the generic solver and the oracle the faster paths are
 tested against.
 
-`solve_assignment` solves the special case that `gmd` needs: every row of an
+`_assign_rows` solves the special case that `gmd` needs: every row of an
 m x n cost matrix (m <= n, any finite signs) goes to a distinct column at
-least total cost. It is a validating wrapper (shape, m <= n, finite entries)
-around `_assign_rows`, the core, which augments along one shortest path per
-row with row and column potentials (the Jonker-Volgenant scheme as described
-by Crouse, 2016) over plain Python lists; that beats array code on the small
-matrices of letter drawings. The solver that `gmd` and the letter ranker
-share checks a whole stack of cost matrices at once and calls the core on
-each matrix's rows.
+least total cost. It augments along one shortest path per row with row and
+column potentials (the Jonker-Volgenant scheme as described by Crouse, 2016)
+over plain Python lists, which beats array code on the small matrices of
+letter drawings. It checks nothing: `gmd._solve_stack`, its one caller in
+the library, checks a whole stack of cost matrices at once and orients each
+so that m <= n.
 """
 
 from __future__ import annotations
@@ -162,28 +161,15 @@ def solve_transport(inst: TransportInstance) -> Flow:
     return Flow(flow, float((flow * costs).sum()))
 
 
-def solve_assignment(cost) -> tuple[list[int], list[int]]:
-    """Assign every row of an m x n matrix (m <= n) to a distinct column at least cost.
+def _assign_rows(cost_rows: list[list[float]], n: int) -> list[int]:
+    """The column of each row in a least-cost assignment of the rows to
+    distinct columns, on the matrix's rows as lists of n finite floats (at
+    least as many columns as rows), unchecked.
 
-    Returns (rows, cols) with rows = [0, ..., m-1] and cols[i] the column of
-    row i. Rows are added one at a time, each along a shortest augmenting path
-    in reduced costs cost[i][j] - u[i] - v[j], which stay non-negative on the
+    Rows are added one at a time, each along a shortest augmenting path in
+    reduced costs cost[i][j] - u[i] - v[j], which stay non-negative on the
     rows already assigned; among tied columns a free one ends the path.
     """
-    c = np.asarray(cost, dtype=float)
-    if c.ndim != 2:
-        raise ValueError(f"cost must be a two-dimensional matrix, got shape {c.shape}")
-    m, n = c.shape
-    if m > n:
-        raise ValueError(f"cost has more rows than columns: {m} x {n}")
-    if not np.isfinite(c).all():
-        raise ValueError("cost contains a non-finite entry")
-    return list(range(m)), _assign_rows(c.tolist(), n)
-
-
-def _assign_rows(cost_rows: list[list[float]], n: int) -> list[int]:
-    """The column of each row of `solve_assignment`, on the matrix's rows as
-    lists of n finite floats (at least as many columns as rows), unchecked."""
     m = len(cost_rows)
     u = [0.0] * m
     v = [0.0] * n

@@ -18,7 +18,7 @@ from graphmover.dataset import read_graph_file
 from graphmover.geometry import EPS, CostParams, GeometricGraph, segment_intersection
 from graphmover.ggd import InstanceTooLargeError, enumerate_matchings
 from graphmover.ground_cost import ground_cost_matrix
-from graphmover.transport import solve_assignment
+from graphmover.transport import _assign_rows
 
 BRUTEFORCE_MAX_VERTICES = 6
 
@@ -95,7 +95,7 @@ def gmd_bruteforce(g: GeometricGraph, h: GeometricGraph, params: CostParams) -> 
 def dense_gmd_value(g: GeometricGraph, h: GeometricGraph, params: CostParams) -> float:
     """The graph mover's distance by the per-pair numpy path that the library
     used before it batched the ranking, kept to pin its arithmetic bit for
-    bit: one broadcast ground cost, the reduced costs, `solve_assignment` on
+    bit: one broadcast ground cost, the reduced costs, `_assign_rows` on
     min(red, 0), and the flow's objective as sum(flow * costs)."""
     m, n = g.n_vertices, h.n_vertices
     p = min(m, n)
@@ -110,10 +110,11 @@ def dense_gmd_value(g: GeometricGraph, h: GeometricGraph, params: CostParams) ->
     costs[:m, n] = params.edge_cost * eg.sum(axis=1)
     red = costs[:m, :n] - costs[:m, n:] - costs[m:, :n]
     if m <= n:
-        rows, cols = solve_assignment(np.minimum(red, 0.0))
+        rows = np.arange(m)
+        cols = np.array(_assign_rows(np.minimum(red, 0.0).tolist(), n), dtype=int)
     else:
-        cols, rows = solve_assignment(np.minimum(red.T, 0.0))
-    rows, cols = np.array(rows, dtype=int), np.array(cols, dtype=int)
+        cols = np.arange(n)
+        rows = np.array(_assign_rows(np.minimum(red.T, 0.0).tolist(), m), dtype=int)
     keep = red[rows, cols] < 0.0
     rows, cols = rows[keep], cols[keep]
     flow = np.zeros((m + 1, n + 1))

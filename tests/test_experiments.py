@@ -8,7 +8,7 @@ from pathlib import Path
 import hypothesis.strategies as st
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 
 import graphmover
 from graphmover import experiments
@@ -20,7 +20,8 @@ from graphmover.experiments import (bench_csv, classify_topk, confusion_csv,
                                     run_gmd_translation_suite, scaling_benchmark,
                                     stability_csv, triangle_inequality_survey)
 from graphmover.geometry import CostParams, GeometricGraph, perturb
-from graphmover.gmd import gmd
+from graphmover.gmd import _solve_stack, gmd
+from graphmover.ground_cost import _cost_stack
 
 from conftest import LETTER_COSTS, UNIT_COSTS
 from helpers import dense_gmd_value
@@ -130,7 +131,14 @@ def ranking_problems(draw):
     return query, tuple(graph(draw(st.booleans())) for _ in range(15))
 
 
+def path_graph(n):
+    return GeometricGraph.build([(0.5 * k, k % 3) for k in range(n)],
+                                [(k, k + 1) for k in range(n - 1)], dim=2)
+
+
 @settings(max_examples=150, deadline=None)
+# a 6-vertex query against prototypes of 0-14 vertices: both sides of the swap
+@example((path_graph(6), tuple(path_graph(n) for n in range(15))), CostParams())
 @given(ranking_problems(),
        st.sampled_from((CostParams(), CostParams(1.0, 1.0), CostParams(0.1, 3.0))))
 def test_batched_ranking_is_bit_identical_to_per_pair_gmd(problem, params):
@@ -140,6 +148,13 @@ def test_batched_ranking_is_bit_identical_to_per_pair_gmd(problem, params):
     assert experiments._letter_distances(query, stacks, params) == values
     assert experiments._rank_letters(query, stacks, params) == order
     assert values == [dense_gmd_value(query, proto, params) for proto in protos]
+    # the batched flows too, swapped groups (query larger than prototype) included
+    for indices, stack in stacks:
+        _, flows = _solve_stack(_cost_stack(query, stack, params))
+        for a, flow in zip(indices, flows):
+            expected = gmd(query, protos[a], params).flow.values
+            assert flow.shape == expected.shape
+            assert flow.tobytes() == expected.tobytes()
 
 
 def test_ranking_tie_goes_to_the_alphabetically_first_letter(prototypes):

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from graphmover.dataset import GraphFormatError, read_json_graph
 from graphmover.geometry import (MAX_COORD, CostParams, GeometricGraph, perturb,
@@ -157,6 +158,16 @@ def test_adjacency_matrix_is_symmetric_and_counts_each_edge_twice(g):
     mat = g.adjacency_length_matrix
     assert np.array_equal(mat, mat.T)
     assert mat.sum() == pytest.approx(2.0 * total_length(g), abs=1e-9)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(1, 4).flatmap(
+    lambda dim: geometric_graphs(max_vertices=8, dim=dim, min_vertices=0)))
+def test_adjacency_matrix_equals_the_per_edge_norm_loop(g):
+    loop = np.zeros((g.n_vertices, g.n_vertices))
+    for i, j in g.edges:
+        loop[i, j] = loop[j, i] = float(np.linalg.norm(g.coords[i] - g.coords[j]))
+    assert g.adjacency_length_matrix.tobytes() == loop.tobytes()
 
 
 def test_hausdorff_identical_and_shared_sets(shared_vertex_pair):

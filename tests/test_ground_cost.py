@@ -7,6 +7,7 @@ from hypothesis import given, settings
 
 from graphmover.experiments import random_graph
 from graphmover.geometry import CostParams, GeometricGraph, translate
+from graphmover.gmd import gmd
 from graphmover.ground_cost import ground_cost_matrix
 
 from conftest import UNIT_COSTS, geometric_graphs
@@ -93,7 +94,8 @@ def test_real_entries_dominate_displacement_term(g, h):
 def test_blocked_l1_term_is_bounded_and_exact(n_second):
     """One m*n*p float64 temporary is 64 MB at 200 x 200 and 27 MB at 200 x 130,
     and a single broadcast makes two; the blocked build stays below 48 MB and
-    equals the single-broadcast formula bit for bit."""
+    equals the single-broadcast formula bit for bit. So does all of gmd, whose
+    flow stack is the size of the matrix."""
     rng = np.random.default_rng(200)
     g, h = random_graph(rng, 200), random_graph(rng, n_second)
     eg, eh = g.adjacency_length_matrix, h.adjacency_length_matrix  # cached before tracing
@@ -101,9 +103,13 @@ def test_blocked_l1_term_is_bounded_and_exact(n_second):
     try:
         entries = ground_cost_matrix(g, h, UNIT_COSTS).entries
         peak = tracemalloc.get_traced_memory()[1]
+        tracemalloc.reset_peak()
+        gmd(g, h, UNIT_COSTS)
+        gmd_peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
     assert peak < 48e6
+    assert gmd_peak < 48e6
     p = min(g.n_vertices, h.n_vertices)
     diff = g.coords[:, None, :] - h.coords[None, :, :]
     whole = (np.sqrt((diff * diff).sum(axis=-1))
