@@ -9,10 +9,10 @@ from __future__ import annotations
 import copy
 import io
 import os
+import threading
 import time
 from dataclasses import dataclass
 from functools import partial
-from itertools import combinations
 from typing import Callable, Iterable, Sequence
 
 import numpy as np
@@ -40,37 +40,68 @@ class RetrievalReport:
     runtime_seconds: float
 
 
-def _stack_prototypes(proto_graphs: Sequence[GeometricGraph]) -> tuple:
+# The last few prototype stacks, keyed by the ids of their graphs. An entry
+# holds its graphs, so no other graph can take their ids while it is kept;
+# hashing the 15 frozen graphs by value would cost a fifth of a rebuild.
+_PROTOTYPE_STACKS: dict[tuple[int, ...], tuple] = {}
+_PROTOTYPE_STACKS_KEPT = 4
+_PROTOTYPE_STACKS_LOCK = threading.Lock()
+
+
+def _stack_prototypes(proto_graphs: tuple[GeometricGraph, ...]) -> tuple:
     """The prototypes grouped by vertex count, each group as (its indices into
-    proto_graphs, its `ground_cost._stack`): plain arrays, so it pickles."""
-    groups: dict[int, list[int]] = {}
-    for index, proto in enumerate(proto_graphs):
-        groups.setdefault(proto.n_vertices, []).append(index)
-    return tuple((tuple(indices), _stack([proto_graphs[a] for a in indices]))
-                 for indices in groups.values())
+    proto_graphs, its `ground_cost._stack` with read-only arrays): plain
+    arrays, so it pickles. Built once for the same graphs while they are
+    among the last few asked for."""
+    key = tuple(map(id, proto_graphs))
+    with _PROTOTYPE_STACKS_LOCK:
+        kept = _PROTOTYPE_STACKS.get(key)
+        if kept is None:
+            groups: dict[int, list[int]] = {}
+            for index, proto in enumerate(proto_graphs):
+                groups.setdefault(proto.n_vertices, []).append(index)
+            stacks = tuple((tuple(indices), _stack([proto_graphs[a] for a in indices]))
+                           for indices in groups.values())
+            for _, arrays in stacks:
+                for array in arrays:
+                    array.flags.writeable = False
+            if len(_PROTOTYPE_STACKS) >= _PROTOTYPE_STACKS_KEPT:
+                del _PROTOTYPE_STACKS[next(iter(_PROTOTYPE_STACKS))]
+            kept = _PROTOTYPE_STACKS[key] = (tuple(proto_graphs), stacks)
+    return kept[1]
 
 
-def _letter_distances(graph: GeometricGraph, stacks, params) -> list[float]:
-    """gmd(graph, proto, params).value for every prototype of `_stack_prototypes`,
-    one batched ground cost and one stack solve per group.
+def _letter_distances(graphs: Sequence[GeometricGraph], stacks, params) -> np.ndarray:
+    """The matrix of gmd(graph, proto, params).value, one row per graph and
+    one column per prototype of `_stack_prototypes`. The graphs are grouped
+    by vertex count, and each group is priced against each group of
+    prototypes in one batched ground cost and one stack solve.
 
-    It prices a shallow copy of graph, so the coordinate and adjacency arrays
-    cached while pricing go with the call instead of staying on every drawing
-    the caller holds (a whole distortion level in `graphmover classify`).
+    It stacks shallow copies of the graphs, so the coordinate and adjacency
+    arrays cached while pricing go with the call instead of staying on every
+    drawing the caller holds (a whole distortion level in `graphmover
+    classify`).
     """
-    query = copy.copy(graph)
-    distances = [0.0] * sum(len(indices) for indices, _ in stacks)
-    for indices, stack in stacks:
-        values, _ = _solve_stack(_cost_stack(query, stack, params))
-        for a, value in zip(indices, values.tolist()):
-            distances[a] = value
+    distances = np.empty((len(graphs), sum(len(indices) for indices, _ in stacks)))
+    by_size: dict[int, list[int]] = {}
+    for row, graph in enumerate(graphs):
+        by_size.setdefault(graph.n_vertices, []).append(row)
+    for rows in by_size.values():
+        queries = _stack([copy.copy(graphs[row]) for row in rows])
+        block = np.empty((len(rows), distances.shape[1]))
+        for indices, stack in stacks:
+            costs = _cost_stack(queries, stack, params)
+            values, _ = _solve_stack(costs.reshape(-1, *costs.shape[2:]))
+            block[:, indices] = values.reshape(len(rows), len(indices))
+        distances[rows] = block
     return distances
 
 
-def _rank_letters(graph: GeometricGraph, stacks, params) -> list[int]:
-    distances = _letter_distances(graph, stacks, params)
-    # ties broken by alphabetical letter order: the stacks index label-ordered prototypes
-    return sorted(range(len(distances)), key=lambda a: (distances[a], a))
+def _rank_letters(graphs: Sequence[GeometricGraph], stacks, params) -> np.ndarray:
+    """Each graph's prototype indices from nearest to farthest, one row per graph."""
+    # ties broken by alphabetical letter order: the stacks index label-ordered
+    # prototypes, and a stable sort keeps equal distances in index order
+    return np.argsort(_letter_distances(graphs, stacks, params), axis=1, kind="stable")
 
 
 def _usable_cpus() -> int:
@@ -85,11 +116,12 @@ def classify_topk(tests: Sequence[LetterRecord], prototypes: dict[str, Geometric
     """Rank the 15 prototypes by distance for each test drawing.
 
     A test counts as a hit at k when its true letter is among the k closest
-    prototypes. The prototypes are stacked once per call, grouped by vertex
-    count, and each drawing is priced against a whole group at once, with the
-    same distances as `gmd`. The drawings are scored by a pool with one worker
-    per usable CPU, at most one per drawing; with one worker they are scored
-    in-process.
+    prototypes, with the same distances as `gmd`. The prototypes are stacked
+    grouped by vertex count, once for the same prototype graphs across calls.
+    The drawings are grouped by vertex count too, and each group is priced
+    against each group of prototypes in one batched pass. The drawings are
+    split into one chunk per usable CPU, at most one per drawing, and a pool
+    ranks the chunks; with one chunk they are ranked in-process.
     """
     ks = tuple(sorted(set(int(k) for k in ks)))
     if any(k < 1 for k in ks):
@@ -105,20 +137,22 @@ def classify_topk(tests: Sequence[LetterRecord], prototypes: dict[str, Geometric
 
     start = time.perf_counter()
     stacks = _stack_prototypes(proto_graphs)
-    workers = min(_usable_cpus(), len(tests))
+    graphs = [r.graph for r in tests]
+    workers = min(_usable_cpus(), len(graphs))
     if workers > 1:
         from concurrent.futures import ProcessPoolExecutor  # the serial path never loads it
 
+        size = -(-len(graphs) // workers)
         rank = partial(_rank_letters, stacks=stacks, params=params)
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            chunk = max(1, len(tests) // (8 * workers))
-            orders = list(pool.map(rank, [r.graph for r in tests], chunksize=chunk))
+            orders = np.concatenate(list(pool.map(
+                rank, [graphs[a:a + size] for a in range(0, len(graphs), size)])))
     else:
-        orders = [_rank_letters(r.graph, stacks, params) for r in tests]
+        orders = _rank_letters(graphs, stacks, params)
 
     hits = {k: 0 for k in ks}
     confusion = np.zeros((len(LETTER_LABELS), len(LETTER_LABELS)), dtype=int)
-    for record, order in zip(tests, orders):
+    for record, order in zip(tests, orders.tolist()):
         true_idx = LETTER_LABELS.index(record.label)
         rank = order.index(true_idx)
         for k in ks:
@@ -154,14 +188,23 @@ def confusion_csv(report: RetrievalReport) -> str:
 
 def random_graph(rng: np.random.Generator, n_vertices: int) -> GeometricGraph:
     """Random ordered 2D graph: uniform vertices in the box [0, 10)^2, one
-    random distinct edge per vertex (capped by the number of vertex pairs)."""
+    random distinct edge per vertex (capped by the number of vertex pairs).
+
+    The edges are drawn as indices into the pairs (i, j), i < j, in
+    lexicographic order, and each index is mapped to its pair by arithmetic,
+    so no list of all n(n-1)/2 pairs is built.
+    """
     pts = rng.uniform(0.0, 10.0, size=(n_vertices, 2))
-    pairs = list(combinations(range(n_vertices), 2))
-    n_edges = min(len(pairs), n_vertices)
+    n_pairs = n_vertices * (n_vertices - 1) // 2
+    n_edges = min(n_pairs, n_vertices)
     edges = []
     if n_edges:
-        chosen = rng.choice(len(pairs), size=n_edges, replace=False)
-        edges = [pairs[i] for i in sorted(chosen)]
+        chosen = np.sort(rng.choice(n_pairs, size=n_edges, replace=False))
+        # the pairs of vertex i start at index i * (2n - i - 1) / 2
+        i = np.arange(n_vertices)
+        first = i * (2 * n_vertices - i - 1) // 2
+        rows = np.searchsorted(first, chosen, side="right") - 1
+        edges = zip(rows.tolist(), (chosen - first[rows] + rows + 1).tolist())
     return GeometricGraph.build(pts, edges, dim=2)
 
 

@@ -23,14 +23,22 @@ optimum of the full assignment of rows to columns under min(red, 0): a partial
 injection extends to a full assignment by adding pairs whose min(red, 0) is
 at most 0, so the full optimum is no larger; and dropping the pairs with
 red >= 0 from a full assignment leaves a partial injection whose red sum is
-the assignment's cost, so it is no smaller. `_solve_stack` does
-this for a stack of ground cost matrices of one shape, so that `gmd` (a stack
-of one) and the letter ranker (one query against each group of same-size
-prototypes) share every step: the reduced costs and their finiteness check,
-min(red, 0) and the swap, the assignment, the red < 0 filter, the flow and
-the value. It is the one place that builds the flow: it keeps the assigned
-pairs with red < 0 and routes every other vertex to its dummy. The value is
-that flow's objective, sum(flow * costs).
+the assignment's cost, so it is no smaller.
+
+Often no assignment needs to run. When the entries with red < 0 lie in
+distinct rows and distinct columns, those entries are the optimal partial
+injection: each row's least min(red, 0) is its negative entry (or 0 when it
+has none), no two rows want the same column, so the pairs reach the lower
+bound sum over rows of min(red, 0), and dropping any of them raises the cost.
+The flow is then written directly, and only the other matrices go to the
+assignment. `_solve_stack` does this for a stack of ground cost matrices of
+one shape, so that `gmd` (a stack of one) and the letter ranker (a group of
+same-size drawings against a group of same-size prototypes) share every
+step: the reduced costs and their finiteness check, the direct pairs, the
+assignment with min(red, 0) and the swap, the red < 0 filter, the flow and
+the value. It is the one place that builds the flow: it matches the pairs
+found and routes every other vertex to its dummy. The value is that flow's
+objective, sum(flow * costs).
 """
 
 from __future__ import annotations
@@ -74,24 +82,33 @@ def _solve_stack(entries: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     ValueError(_OVERFLOW) when a reduced cost or a distance is not finite.
     """
     m, n = entries.shape[1] - 1, entries.shape[2] - 1
-    flows = np.zeros_like(entries)
-    # every vertex goes to its dummy until a pair below takes it
-    flows[:, :m, n] = 1.0
-    flows[:, m, :n] = 1.0
     with np.errstate(over="ignore", invalid="ignore"):
         red = entries[:, :m, :n] - entries[:, :m, n:] - entries[:, m:, :n]
         if not np.isfinite(red).all():
             raise ValueError(_OVERFLOW)
-        low = np.minimum(red if m <= n else red.transpose(0, 2, 1), 0.0)
-        for flow, cost_rows in zip(flows, low.tolist()):
-            for r, c in enumerate(_assign_rows(cost_rows, max(m, n))):
-                if cost_rows[r][c] < 0.0:  # min(red, 0) < 0 exactly where red < 0
-                    # with m > n the assignment's rows are the columns of red
-                    i, j = (r, c) if m <= n else (c, r)
-                    flow[i, j] = 1.0
-                    flow[i, n] = 0.0
-                    flow[m, j] = 0.0
-                    flow[m, n] += 1.0
+        # the matched pairs: every red < 0 where those lie in distinct rows and
+        # columns, else the assigned pairs with red < 0
+        pairs = red < 0.0
+        per_row = pairs.sum(axis=2)
+        per_col = pairs.sum(axis=1)
+        crowded = (per_row > 1).any(axis=1) | (per_col > 1).any(axis=1)
+        if crowded.any():
+            for t in np.flatnonzero(crowded).tolist():
+                # with m > n the assignment's rows are the columns of red
+                match = pairs[t] if m <= n else pairs[t].T
+                cost_rows = np.minimum(red[t] if m <= n else red[t].T, 0.0).tolist()
+                match[:] = False
+                for r, c in enumerate(_assign_rows(cost_rows, max(m, n))):
+                    if cost_rows[r][c] < 0.0:  # min(red, 0) < 0 exactly where red < 0
+                        match[r, c] = True
+            per_row = pairs.sum(axis=2)
+            per_col = pairs.sum(axis=1)
+        # a vertex in no pair goes to its dummy
+        flows = np.empty_like(entries)
+        flows[:, :m, :n] = pairs
+        flows[:, :m, n] = 1 - per_row
+        flows[:, m, :n] = 1 - per_col
+        flows[:, m, n] = per_row.sum(axis=1)
         # no 0 * inf: with m, n >= 1 a finite red means finite entries, and
         # with m or n = 0 every entry off the corner carries flow 1
         values = (flows * entries).reshape(len(entries), -1).sum(axis=1)

@@ -7,10 +7,11 @@ p = min(m, n) entries. The extra row and column price vertex deletion: a
 vertex routed to the dummy pays `edge_cost` times the total length of its
 incident edges, and the dummy-to-dummy corner is free.
 
-One function owns this formula: `_cost_stack` prices one graph against a
-stack of k graphs of one size (`_stack`), and `ground_cost_matrix` is its
-k = 1 case. Within a stack every L1 sum has the same length p, so each entry
-is the same float as in the pair's own matrix.
+One function owns this formula: `_cost_stack` prices each of a stack of Q
+graphs of one size against each of a stack of k graphs of one size (both
+`_stack`s), and `ground_cost_matrix` is its Q = k = 1 case. Within a stack
+every L1 sum has the same length p, so each entry is the same float as in
+the pair's own matrix.
 """
 
 from __future__ import annotations
@@ -21,10 +22,11 @@ import numpy as np
 
 from .geometry import CostParams, GeometricGraph
 
-# The L1 term is built in blocks of rows whose k x m x n x p temporaries (the
-# difference and its absolute value) hold at most this many float64 each, 16 MB,
-# instead of one O(k*m*n*p) array. A block is at least one row, which exceeds
-# the cap only when k * n * p > 2**21; letter-sized stacks fit in one block.
+# The costs are built in blocks of queries and rows whose Q x k x m x n x p
+# temporaries (the difference and its absolute value in the L1 term) hold at
+# most this many float64 each, 16 MB, instead of one O(Q*k*m*n*p) array. A
+# block is at least one row of one query, which exceeds the cap only when
+# k * n * p > 2**21; a whole level of letter drawings fits in a few blocks.
 _BLOCK_ENTRIES = 2 ** 21
 
 
@@ -40,7 +42,7 @@ def ground_cost_matrix(g: GeometricGraph, h: GeometricGraph,
     """Pairwise unit-transport costs between the vertices of g and h plus dummies."""
     if g.dim != h.dim:
         raise ValueError(f"dimension mismatch: {g.dim} vs {h.dim}")
-    out = _cost_stack(g, _stack([h]), params)[0]
+    out = _cost_stack(_stack([g]), _stack([h]), params)[0, 0]
     out.flags.writeable = False
     return GroundCostMatrix(out, g.n_vertices, h.n_vertices)
 
@@ -54,25 +56,30 @@ def _stack(graphs) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         return np.array([h.coords for h in graphs]), adj, adj.sum(axis=2)
 
 
-def _cost_stack(g: GeometricGraph, stack, params: CostParams) -> np.ndarray:
-    """The (k, m+1, n+1) ground cost matrices of g against each graph of a
-    `_stack` of the same dimension. An entry that overflows is inf or nan,
+def _cost_stack(queries, stack, params: CostParams) -> np.ndarray:
+    """The (Q, k, m+1, n+1) ground cost matrices of each graph of a `_stack`
+    of Q graphs of m vertices against each graph of a `_stack` of k graphs of
+    n vertices, all of one dimension. An entry that overflows is inf or nan,
     without a warning; `gmd` refuses it."""
+    qcoords, qadj, qsums = queries
     coords, adj, sums = stack
+    q, m = qsums.shape
     k, n = sums.shape
-    m = g.n_vertices
     p = min(m, n)
-    out = np.zeros((k, m + 1, n + 1))
+    out = np.zeros((q, k, m + 1, n + 1))
     with np.errstate(over="ignore", invalid="ignore"):
-        eg = g.adjacency_length_matrix
         if m and n:
-            diff = g.coords[None, :, None, :] - coords[:, None, :, :]
-            pos = params.vertex_cost * np.sqrt((diff * diff).sum(axis=-1))
-            rows = max(1, _BLOCK_ENTRIES // (k * n * p))
-            for start in range(0, m, rows):
-                stop = min(start + rows, m)
-                l1 = np.abs(eg[None, start:stop, None, :p] - adj[:, None, :, :p]).sum(axis=-1)
-                out[:, start:stop, :n] = pos[:, start:stop] + params.edge_cost * l1
-        out[:, m, :n] = params.edge_cost * sums
-        out[:, :m, n] = params.edge_cost * eg.sum(axis=1)
+            rows = min(m, max(1, _BLOCK_ENTRIES // (k * n * p)))
+            per = max(1, _BLOCK_ENTRIES // (rows * k * n * p))
+            for first in range(0, q, per):
+                block = slice(first, first + per)
+                for start in range(0, m, rows):
+                    part = slice(start, min(start + rows, m))
+                    diff = qcoords[block, None, part, None, :] - coords[None, :, None, :, :]
+                    pos = params.vertex_cost * np.sqrt((diff * diff).sum(axis=-1))
+                    l1 = np.abs(qadj[block, None, part, None, :p]
+                                - adj[None, :, None, :, :p]).sum(axis=-1)
+                    out[block, :, part, :n] = pos + params.edge_cost * l1
+        out[:, :, m, :n] = params.edge_cost * sums
+        out[:, :, :m, n] = params.edge_cost * qsums[:, None, :]
     return out

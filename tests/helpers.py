@@ -95,8 +95,8 @@ def gmd_bruteforce(g: GeometricGraph, h: GeometricGraph, params: CostParams) -> 
 def dense_gmd_value(g: GeometricGraph, h: GeometricGraph, params: CostParams) -> float:
     """The graph mover's distance by the per-pair numpy path that the library
     used before it batched the ranking, kept to pin its arithmetic bit for
-    bit: one broadcast ground cost, the reduced costs, `_assign_rows` on
-    min(red, 0), and the flow's objective as sum(flow * costs)."""
+    bit: one broadcast ground cost, `assigned_flow` on it, and the flow's
+    objective as sum(flow * costs)."""
     m, n = g.n_vertices, h.n_vertices
     p = min(m, n)
     eg, eh = g.adjacency_length_matrix, h.adjacency_length_matrix
@@ -108,6 +108,15 @@ def dense_gmd_value(g: GeometricGraph, h: GeometricGraph, params: CostParams) ->
         costs[:m, :n] = pos + params.edge_cost * adj
     costs[m, :n] = params.edge_cost * eh.sum(axis=1)
     costs[:m, n] = params.edge_cost * eg.sum(axis=1)
+    return float((assigned_flow(costs) * costs).sum())
+
+
+def assigned_flow(costs: np.ndarray) -> np.ndarray:
+    """The 0/1 flow of an (m+1) x (n+1) ground cost matrix as the library built
+    it before it wrote some flows directly: `_assign_rows` on min(red, 0) (on
+    its transpose when m > n), the assigned pairs with red < 0 matched, and
+    every other vertex on its dummy."""
+    m, n = costs.shape[0] - 1, costs.shape[1] - 1
     red = costs[:m, :n] - costs[:m, n:] - costs[m:, :n]
     if m <= n:
         rows = np.arange(m)
@@ -124,7 +133,7 @@ def dense_gmd_value(g: GeometricGraph, h: GeometricGraph, params: CostParams) ->
     flow[m, :n] = 1.0
     flow[m, cols] = 0.0
     flow[m, n] = len(rows)
-    return float((flow * costs).sum())
+    return flow
 
 
 def enumerate_integral_flows(supplies, demands):

@@ -2,6 +2,7 @@ import os
 import pickle
 import subprocess
 import sys
+import threading
 from itertools import combinations
 from pathlib import Path
 
@@ -21,7 +22,7 @@ from graphmover.experiments import (bench_csv, classify_topk, confusion_csv,
                                     stability_csv, triangle_inequality_survey)
 from graphmover.geometry import CostParams, GeometricGraph, perturb
 from graphmover.gmd import _solve_stack, gmd
-from graphmover.ground_cost import _cost_stack
+from graphmover.ground_cost import _cost_stack, _stack
 
 from conftest import LETTER_COSTS, UNIT_COSTS
 from helpers import dense_gmd_value
@@ -91,11 +92,11 @@ def test_pool_and_serial_agree(prototypes, monkeypatch):
     tests = as_records([(perturb(prototypes[label], 0.5, int(rng.integers(1 << 30))), label)
                         for label in LETTER_LABELS])
     # the pool's workers rank on unpickled prototype stacks
-    stacks = experiments._stack_prototypes([prototypes[label] for label in LETTER_LABELS])
+    stacks = experiments._stack_prototypes(tuple(prototypes[label] for label in LETTER_LABELS))
     copies = pickle.loads(pickle.dumps(stacks))
-    for record in tests:
-        assert (experiments._letter_distances(record.graph, copies, LETTER_COSTS)
-                == experiments._letter_distances(record.graph, stacks, LETTER_COSTS))
+    graphs = [record.graph for record in tests]
+    assert (experiments._letter_distances(graphs, copies, LETTER_COSTS).tobytes()
+            == experiments._letter_distances(graphs, stacks, LETTER_COSTS).tobytes())
     every_k = tuple(range(1, 16))  # accuracy at every k compares whole rankings
     monkeypatch.setattr(experiments, "_usable_cpus", lambda: 1)
     serial = classify_topk(tests, prototypes, LETTER_COSTS, ks=every_k)
@@ -112,14 +113,14 @@ def per_pair_ranking(query, protos, params):
 
 @st.composite
 def ranking_problems(draw):
-    """A query and 15 prototypes of 0-9 vertices each in 2 or 3 dimensions, on
-    a coarse grid (so costs tie) stretched per graph and scaled by a power of
-    ten; a prototype is edgeless about half the time."""
+    """1-4 queries of one vertex count and 15 prototypes, each of 0-9
+    vertices, in 2 or 3 dimensions, on a coarse grid (so costs tie) stretched
+    per graph and scaled by a power of ten; a prototype is edgeless about
+    half the time."""
     dim = draw(st.sampled_from((2, 3)))
     scale = 10.0 ** draw(st.integers(-3, 3))
 
-    def graph(edgeless):
-        n = draw(st.integers(0, 9))
+    def graph(n, edgeless):
         stretch = scale * draw(st.sampled_from((1.0, 0.7, 1.3, 2.9)))
         points = tuple(tuple(stretch * draw(st.integers(0, 4)) for _ in range(dim))
                        for _ in range(n))
@@ -127,46 +128,56 @@ def ranking_problems(draw):
         edges = () if edgeless or not pairs else draw(st.sets(st.sampled_from(pairs)))
         return GeometricGraph(dim, points, tuple(edges))
 
-    query = graph(False)
-    return query, tuple(graph(draw(st.booleans())) for _ in range(15))
+    m = draw(st.integers(0, 9))
+    queries = tuple(graph(m, False) for _ in range(draw(st.integers(1, 4))))
+    return queries, tuple(graph(draw(st.integers(0, 9)), draw(st.booleans()))
+                          for _ in range(15))
 
 
-def path_graph(n):
-    return GeometricGraph.build([(0.5 * k, k % 3) for k in range(n)],
+def path_graph(n, step=0.5):
+    return GeometricGraph.build([(step * k, k % 3) for k in range(n)],
                                 [(k, k + 1) for k in range(n - 1)], dim=2)
 
 
 @settings(max_examples=150, deadline=None)
-# a 6-vertex query against prototypes of 0-14 vertices: both sides of the swap
-@example((path_graph(6), tuple(path_graph(n) for n in range(15))), CostParams())
+# three 6-vertex queries against prototypes of 0-14 vertices: both sides of the swap
+@example(((path_graph(6), path_graph(6, 0.7), path_graph(6, 0.2)),
+          tuple(path_graph(n) for n in range(15))), CostParams())
 @given(ranking_problems(),
        st.sampled_from((CostParams(), CostParams(1.0, 1.0), CostParams(0.1, 3.0))))
 def test_batched_ranking_is_bit_identical_to_per_pair_gmd(problem, params):
-    query, protos = problem
+    queries, protos = problem
     stacks = experiments._stack_prototypes(protos)
-    values, order = per_pair_ranking(query, protos, params)
-    assert experiments._letter_distances(query, stacks, params) == values
-    assert experiments._rank_letters(query, stacks, params) == order
-    assert values == [dense_gmd_value(query, proto, params) for proto in protos]
-    # the batched flows too, swapped groups (query larger than prototype) included
+    rankings = [per_pair_ranking(query, protos, params) for query in queries]
+    distances = experiments._letter_distances(queries, stacks, params)
+    assert distances.tolist() == [values for values, _ in rankings]
+    assert (experiments._rank_letters(queries, stacks, params).tolist()
+            == [order for _, order in rankings])
+    for query, (values, _) in zip(queries, rankings):
+        assert values == [dense_gmd_value(query, proto, params) for proto in protos]
+    # the batched flows too, swapped groups (queries larger than prototype) included
+    batch = _stack(queries)
     for indices, stack in stacks:
-        _, flows = _solve_stack(_cost_stack(query, stack, params))
-        for a, flow in zip(indices, flows):
-            expected = gmd(query, protos[a], params).flow.values
-            assert flow.shape == expected.shape
-            assert flow.tobytes() == expected.tobytes()
+        costs = _cost_stack(batch, stack, params)
+        _, flows = _solve_stack(costs.reshape(-1, *costs.shape[2:]))
+        flows = flows.reshape(costs.shape)
+        for query, query_flows in zip(queries, flows):
+            for a, flow in zip(indices, query_flows):
+                expected = gmd(query, protos[a], params).flow.values
+                assert flow.shape == expected.shape
+                assert flow.tobytes() == expected.tobytes()
 
 
 def test_ranking_tie_goes_to_the_alphabetically_first_letter(prototypes):
     f = prototypes["F"]
     twins = dict(prototypes, H=GeometricGraph(f.dim, f.vertices, f.edges))
-    protos = [twins[label] for label in LETTER_LABELS]
+    protos = tuple(twins[label] for label in LETTER_LABELS)
     stacks = experiments._stack_prototypes(protos)
     query = perturb(f, 0.05, 3)
     values, order = per_pair_ranking(query, protos, LETTER_COSTS)
     f_index, h_index = LETTER_LABELS.index("F"), LETTER_LABELS.index("H")
     assert values[f_index] == values[h_index]
-    assert experiments._rank_letters(query, stacks, LETTER_COSTS) == order
+    assert experiments._rank_letters([query], stacks, LETTER_COSTS).tolist() == [order]
     assert order[:2] == [f_index, h_index]
     report = classify_topk(as_records([(query, "H")]), twins, LETTER_COSTS, ks=(1, 2))
     assert report.confusion[h_index, f_index] == 1
@@ -175,15 +186,66 @@ def test_ranking_tie_goes_to_the_alphabetically_first_letter(prototypes):
 
 def test_empty_query_ranks_by_deletion_cost(prototypes):
     empty = GeometricGraph(2, (), ())
-    protos = [prototypes[label] for label in LETTER_LABELS]
+    protos = tuple(prototypes[label] for label in LETTER_LABELS)
     stacks = experiments._stack_prototypes(protos)
     values, order = per_pair_ranking(empty, protos, LETTER_COSTS)
-    assert experiments._letter_distances(empty, stacks, LETTER_COSTS) == values
-    assert experiments._rank_letters(empty, stacks, LETTER_COSTS) == order
+    assert experiments._letter_distances([empty], stacks, LETTER_COSTS).tolist() == [values]
+    assert experiments._rank_letters([empty], stacks, LETTER_COSTS).tolist() == [order]
     # every prototype edge is paid at both endpoints
     assert values == pytest.approx([2 * LETTER_COSTS.edge_cost * sum(
         float(np.linalg.norm(p.coords[i] - p.coords[j])) for i, j in p.edges) for p in protos])
     assert classify_topk(as_records([(empty, "I")]), prototypes, LETTER_COSTS).n_tests == 1
+
+
+def test_prototype_stacks_are_kept_read_only_and_bounded(prototypes):
+    protos = tuple(prototypes[label] for label in LETTER_LABELS)
+    stacks = experiments._stack_prototypes(protos)
+    assert experiments._stack_prototypes(list(protos)) is stacks
+    for _, arrays in stacks:
+        for array in arrays:
+            with pytest.raises(ValueError):
+                array[...] = 0.0
+    # equal graphs that are other objects get their own stacks
+    twins = tuple(GeometricGraph(g.dim, g.vertices, g.edges) for g in protos)
+    assert experiments._stack_prototypes(twins) is not stacks
+    for _ in range(2 * experiments._PROTOTYPE_STACKS_KEPT):
+        experiments._stack_prototypes(tuple(GeometricGraph(g.dim, g.vertices, g.edges)
+                                            for g in protos))
+    assert len(experiments._PROTOTYPE_STACKS) == experiments._PROTOTYPE_STACKS_KEPT
+
+
+def test_prototype_stacks_hold_under_threads(prototypes):
+    """Eight threads on two cores ask for the stacks of six sets of equal
+    prototypes, more than are kept, with a short switch interval; each gets
+    the stacks of its own graphs, and the cache stays bounded."""
+    sets = [tuple(GeometricGraph(g.dim, g.vertices, g.edges)
+                  for g in (prototypes[label] for label in LETTER_LABELS)) for _ in range(6)]
+    errors = []
+
+    def work(seed):
+        rng = np.random.default_rng(seed)
+        try:
+            for _ in range(40):
+                protos = sets[int(rng.integers(len(sets)))]
+                for indices, (coords, _, _) in experiments._stack_prototypes(protos):
+                    assert all(np.array_equal(coords[row], protos[a].coords)
+                               for row, a in enumerate(indices))
+        except Exception as exc:  # reported by the main thread
+            errors.append(exc)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=work, args=(seed,)) for seed in range(8)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    assert errors == []
+    assert len(experiments._PROTOTYPE_STACKS) <= experiments._PROTOTYPE_STACKS_KEPT
 
 
 def test_ranking_leaves_the_drawings_uncached(prototypes, monkeypatch):
@@ -278,6 +340,28 @@ def test_random_graph_is_deterministic():
     b = random_graph(np.random.default_rng(7), 6)
     assert a == b
     assert a.n_vertices == 6
+
+
+def combinations_random_graph(rng, n_vertices):
+    """random_graph as it was first written: it lists every vertex pair and
+    draws indices into that list."""
+    pts = rng.uniform(0.0, 10.0, size=(n_vertices, 2))
+    pairs = list(combinations(range(n_vertices), 2))
+    n_edges = min(len(pairs), n_vertices)
+    edges = []
+    if n_edges:
+        chosen = rng.choice(len(pairs), size=n_edges, replace=False)
+        edges = [pairs[i] for i in sorted(chosen)]
+    return GeometricGraph.build(pts, edges, dim=2)
+
+
+def test_random_graph_maps_indices_to_the_listed_pairs():
+    for seed in (0, 1, 7, 800):
+        for n in range(61):
+            rng, listed = np.random.default_rng(seed), np.random.default_rng(seed)
+            assert random_graph(rng, n) == combinations_random_graph(listed, n)
+            # the same draws: both streams go on alike
+            assert rng.bit_generator.state == listed.bit_generator.state
 
 
 def test_scaling_benchmark_rows_and_csv():

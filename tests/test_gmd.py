@@ -7,11 +7,11 @@ from hypothesis import given, settings
 
 from graphmover.geometry import CostParams, GeometricGraph, translate
 from graphmover.ggd import InstanceTooLargeError
-from graphmover.gmd import gmd
+from graphmover.gmd import _solve_stack, gmd
 from graphmover.transport import TransportInstance, check_flow, solve_transport
 
 from conftest import LETTER_COSTS, UNIT_COSTS
-from helpers import gmd_bruteforce, random_graph_pair
+from helpers import assigned_flow, gmd_bruteforce, random_graph_pair
 
 
 def test_zero_distance_pair_is_zero(zero_distance_pair):
@@ -151,3 +151,42 @@ def test_assignment_path_matches_transport_and_bruteforce(pair, params):
     assert np.array_equal(result.flow.values, np.round(result.flow.values))
     assert result.flow.objective == result.value
     assert check_flow(inst, result.flow, tol) == []
+
+
+# reduced costs where a float tie or an absorbed term could change an
+# assignment: subnormals, exact ties, and magnitudes 2**40 apart
+TRAP_VALUES = (0.0, 0.0, 0.0, 1.0, 2.0, -1.0, -2.0, -5e-324, -1e-310, 5e-324,
+               -2.0 ** 40, -2.0 ** -40, 2.0 ** 40, -2.0 ** 80, -3.0)
+
+
+@st.composite
+def cost_stacks(draw):
+    """A stack of 1-4 cost matrices (k, m+1, n+1) with m and n from 0 to 6
+    (both orientations, an empty side included). The dummy row and column are
+    zero about half the time, so that the reduced costs are exactly the trap
+    values; a drawn density keeps both the cases with negative entries in
+    distinct rows and columns and the crowded cases common."""
+    k, m, n = draw(st.integers(1, 4)), draw(st.integers(0, 6)), draw(st.integers(0, 6))
+    density = draw(st.sampled_from((0.1, 0.3, 0.7)))
+    dummy = st.sampled_from((0.0, 1.0, 2.0 ** 40, 5e-324, 3.0))
+    entries = np.zeros((k, m + 1, n + 1))
+    for t in range(k):
+        for i in range(m):
+            for j in range(n):
+                negative = draw(st.floats(0, 1)) < density
+                entries[t, i, j] = draw(st.sampled_from(
+                    [v for v in TRAP_VALUES if (v < 0) == negative]))
+        if draw(st.booleans()):
+            entries[t, :m, n] = draw(st.lists(dummy, min_size=m, max_size=m))
+            entries[t, m, :n] = draw(st.lists(dummy, min_size=n, max_size=n))
+    return entries
+
+
+@settings(max_examples=300, deadline=None)
+@given(cost_stacks())
+def test_direct_flows_equal_the_assignment_flows(entries):
+    values, flows = _solve_stack(entries)
+    for t, costs in enumerate(entries):
+        expected = assigned_flow(costs)
+        assert flows[t].tobytes() == expected.tobytes()
+        assert values[t] == (expected * costs).reshape(-1).sum()

@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from graphmover.experiments import random_graph
 from graphmover.geometry import CostParams, GeometricGraph, translate
 from graphmover.gmd import gmd
-from graphmover.ground_cost import ground_cost_matrix
+from graphmover.ground_cost import _cost_stack, _stack, ground_cost_matrix
 
 from conftest import UNIT_COSTS, geometric_graphs
 from helpers import naive_ground_cost
@@ -115,3 +115,27 @@ def test_blocked_l1_term_is_bounded_and_exact(n_second):
     whole = (np.sqrt((diff * diff).sum(axis=-1))
              + np.abs(eg[:, None, :p] - eh[None, :, :p]).sum(axis=-1))
     assert entries[:-1, :-1].tobytes() == whole.tobytes()
+
+
+@pytest.mark.parametrize("n_second", [20, 13])
+def test_query_stack_is_blocked_and_equals_each_pair(n_second):
+    """100 queries of 20 vertices against 6 graphs of 20 (of 13): one
+    Q*k*m*n*p float64 temporary is 38 MB (25 MB), and a single broadcast
+    makes two; the build in blocks of queries stays below 48 MB, and every
+    matrix of the stack equals the pair's own ground cost matrix bit for bit."""
+    rng = np.random.default_rng(100)
+    queries = [random_graph(rng, 20) for _ in range(100)]
+    protos = [random_graph(rng, n_second) for _ in range(6)]
+    batch, stack = _stack(queries), _stack(protos)
+    tracemalloc.start()
+    try:
+        costs = _cost_stack(batch, stack, UNIT_COSTS)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 48e6
+    assert costs.shape == (100, 6, 21, n_second + 1)
+    for query, rows in zip(queries, costs):
+        for proto, entries in zip(protos, rows):
+            expected = ground_cost_matrix(query, proto, UNIT_COSTS).entries
+            assert entries.tobytes() == expected.tobytes()
