@@ -8,8 +8,8 @@ from __future__ import annotations
 
 import copy
 import io
+import operator
 import os
-import threading
 import time
 from dataclasses import dataclass
 from functools import partial
@@ -40,35 +40,32 @@ class RetrievalReport:
     runtime_seconds: float
 
 
-# The last few prototype stacks, keyed by the ids of their graphs. An entry
-# holds its graphs, so no other graph can take their ids while it is kept;
-# hashing the 15 frozen graphs by value would cost a fifth of a rebuild.
-_PROTOTYPE_STACKS: dict[tuple[int, ...], tuple] = {}
-_PROTOTYPE_STACKS_KEPT = 4
-_PROTOTYPE_STACKS_LOCK = threading.Lock()
+# The last prototype stacks asked for, with the graphs they were built from:
+# a call with the same graph objects reuses them. The slot holds its graphs,
+# so no other graph can take their ids while it is kept; hashing the 15
+# frozen graphs by value would cost a fifth of a rebuild. A miss replaces the
+# slot in one assignment, so a race between threads costs only a rebuild.
+_LAST_PROTOTYPES: tuple = ((), ())
 
 
 def _stack_prototypes(proto_graphs: tuple[GeometricGraph, ...]) -> tuple:
     """The prototypes grouped by vertex count, each group as (its indices into
     proto_graphs, its `ground_cost._stack` with read-only arrays): plain
-    arrays, so it pickles. Built once for the same graphs while they are
-    among the last few asked for."""
-    key = tuple(map(id, proto_graphs))
-    with _PROTOTYPE_STACKS_LOCK:
-        kept = _PROTOTYPE_STACKS.get(key)
-        if kept is None:
-            groups: dict[int, list[int]] = {}
-            for index, proto in enumerate(proto_graphs):
-                groups.setdefault(proto.n_vertices, []).append(index)
-            stacks = tuple((tuple(indices), _stack([proto_graphs[a] for a in indices]))
-                           for indices in groups.values())
-            for _, arrays in stacks:
-                for array in arrays:
-                    array.flags.writeable = False
-            if len(_PROTOTYPE_STACKS) >= _PROTOTYPE_STACKS_KEPT:
-                del _PROTOTYPE_STACKS[next(iter(_PROTOTYPE_STACKS))]
-            kept = _PROTOTYPE_STACKS[key] = (tuple(proto_graphs), stacks)
-    return kept[1]
+    arrays, so it pickles. Built once while the same graphs are asked for."""
+    global _LAST_PROTOTYPES
+    kept, stacks = _LAST_PROTOTYPES
+    if len(kept) == len(proto_graphs) and all(map(operator.is_, kept, proto_graphs)):
+        return stacks
+    groups: dict[int, list[int]] = {}
+    for index, proto in enumerate(proto_graphs):
+        groups.setdefault(proto.n_vertices, []).append(index)
+    stacks = tuple((tuple(indices), _stack([proto_graphs[a] for a in indices]))
+                   for indices in groups.values())
+    for _, arrays in stacks:
+        for array in arrays:
+            array.flags.writeable = False
+    _LAST_PROTOTYPES = (tuple(proto_graphs), stacks)
+    return stacks
 
 
 def _letter_distances(graphs: Sequence[GeometricGraph], stacks, params) -> np.ndarray:

@@ -23,10 +23,12 @@ import numpy as np
 from .geometry import CostParams, GeometricGraph
 
 # The costs are built in blocks of queries and rows whose Q x k x m x n x p
-# temporaries (the difference and its absolute value in the L1 term) hold at
-# most this many float64 each, 16 MB, instead of one O(Q*k*m*n*p) array. A
-# block is at least one row of one query, which exceeds the cap only when
-# k * n * p > 2**21; a whole level of letter drawings fits in a few blocks.
+# temporaries of the L1 term (the difference and its absolute value) and
+# Q x k x m x n x d temporaries of the displacement term (the difference and
+# its square) hold at most this many float64 each, 16 MB, instead of one
+# O(Q*k*m*n*max(p, d)) array. A block is at least one row of one query, which
+# exceeds the cap only when k * n * max(p, d) > 2**21; a whole level of letter
+# drawings fits in a few blocks.
 _BLOCK_ENTRIES = 2 ** 21
 
 
@@ -69,8 +71,9 @@ def _cost_stack(queries, stack, params: CostParams) -> np.ndarray:
     out = np.zeros((q, k, m + 1, n + 1))
     with np.errstate(over="ignore", invalid="ignore"):
         if m and n:
-            rows = min(m, max(1, _BLOCK_ENTRIES // (k * n * p)))
-            per = max(1, _BLOCK_ENTRIES // (rows * k * n * p))
+            width = k * n * max(p, coords.shape[2])  # the entries of one row's temporaries
+            rows = min(m, max(1, _BLOCK_ENTRIES // width))
+            per = max(1, _BLOCK_ENTRIES // (rows * width))
             for first in range(0, q, per):
                 block = slice(first, first + per)
                 for start in range(0, m, rows):

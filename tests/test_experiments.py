@@ -2,7 +2,6 @@ import os
 import pickle
 import subprocess
 import sys
-import threading
 from itertools import combinations
 from pathlib import Path
 
@@ -197,7 +196,7 @@ def test_empty_query_ranks_by_deletion_cost(prototypes):
     assert classify_topk(as_records([(empty, "I")]), prototypes, LETTER_COSTS).n_tests == 1
 
 
-def test_prototype_stacks_are_kept_read_only_and_bounded(prototypes):
+def test_prototype_stacks_are_kept_read_only_for_the_same_graphs(prototypes):
     protos = tuple(prototypes[label] for label in LETTER_LABELS)
     stacks = experiments._stack_prototypes(protos)
     assert experiments._stack_prototypes(list(protos)) is stacks
@@ -205,47 +204,15 @@ def test_prototype_stacks_are_kept_read_only_and_bounded(prototypes):
         for array in arrays:
             with pytest.raises(ValueError):
                 array[...] = 0.0
-    # equal graphs that are other objects get their own stacks
+    # equal graphs that are other objects get their own stacks, which replace
+    # the kept ones
     twins = tuple(GeometricGraph(g.dim, g.vertices, g.edges) for g in protos)
-    assert experiments._stack_prototypes(twins) is not stacks
-    for _ in range(2 * experiments._PROTOTYPE_STACKS_KEPT):
-        experiments._stack_prototypes(tuple(GeometricGraph(g.dim, g.vertices, g.edges)
-                                            for g in protos))
-    assert len(experiments._PROTOTYPE_STACKS) == experiments._PROTOTYPE_STACKS_KEPT
-
-
-def test_prototype_stacks_hold_under_threads(prototypes):
-    """Eight threads on two cores ask for the stacks of six sets of equal
-    prototypes, more than are kept, with a short switch interval; each gets
-    the stacks of its own graphs, and the cache stays bounded."""
-    sets = [tuple(GeometricGraph(g.dim, g.vertices, g.edges)
-                  for g in (prototypes[label] for label in LETTER_LABELS)) for _ in range(6)]
-    errors = []
-
-    def work(seed):
-        rng = np.random.default_rng(seed)
-        try:
-            for _ in range(40):
-                protos = sets[int(rng.integers(len(sets)))]
-                for indices, (coords, _, _) in experiments._stack_prototypes(protos):
-                    assert all(np.array_equal(coords[row], protos[a].coords)
-                               for row, a in enumerate(indices))
-        except Exception as exc:  # reported by the main thread
-            errors.append(exc)
-
-    interval = sys.getswitchinterval()
-    sys.setswitchinterval(1e-6)
-    try:
-        threads = [threading.Thread(target=work, args=(seed,)) for seed in range(8)]
-        for thread in threads:
-            thread.start()
-        for thread in threads:
-            thread.join(timeout=60)
-    finally:
-        sys.setswitchinterval(interval)
-    assert not any(thread.is_alive() for thread in threads)
-    assert errors == []
-    assert len(experiments._PROTOTYPE_STACKS) <= experiments._PROTOTYPE_STACKS_KEPT
+    twin_stacks = experiments._stack_prototypes(twins)
+    assert twin_stacks is not stacks
+    assert experiments._stack_prototypes(twins) is twin_stacks
+    again = experiments._stack_prototypes(protos)
+    assert again is not stacks
+    assert pickle.dumps(again) == pickle.dumps(stacks)
 
 
 def test_ranking_leaves_the_drawings_uncached(prototypes, monkeypatch):

@@ -139,3 +139,27 @@ def test_query_stack_is_blocked_and_equals_each_pair(n_second):
         for proto, entries in zip(protos, rows):
             expected = ground_cost_matrix(query, proto, UNIT_COSTS).entries
             assert entries.tobytes() == expected.tobytes()
+
+
+def test_displacement_term_is_blocked_when_the_dimension_exceeds_p():
+    """1,100 one-vertex 3-D queries against one 2,000-vertex graph: p is 1, so
+    the displacement temporaries (difference and square, d = 3 floats per
+    pair) outweigh the L1 ones. Blocks sized by p alone hold 1,048 queries,
+    two 50 MB temporaries (117 MB above the output at peak); sized by
+    max(p, d) they hold 349, two 17 MB temporaries (50 MB at peak). Every
+    matrix equals the pair's own ground cost matrix."""
+    rng = np.random.default_rng(3)
+    queries = [GeometricGraph.build(rng.uniform(-5.0, 5.0, size=(1, 3)), [], dim=3)
+               for _ in range(1100)]
+    ring = rng.uniform(-5.0, 5.0, size=(2000, 3))
+    proto = GeometricGraph.build(ring, [(i, (i + 1) % 2000) for i in range(2000)], dim=3)
+    batch, stack = _stack(queries), _stack([proto])
+    tracemalloc.start()
+    try:
+        costs = _cost_stack(batch, stack, UNIT_COSTS)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < costs.nbytes + 64e6
+    for query, entries in zip(queries[::100], costs[::100, 0]):
+        assert entries.tobytes() == ground_cost_matrix(query, proto, UNIT_COSTS).entries.tobytes()
