@@ -8,8 +8,7 @@ feasible for small graphs, where it doubles as an oracle.
 from .geometry import CostParams, GeometricGraph, perturb, translate
 from .ggd import (InexactMatching, InstanceTooLargeError, enumerate_matchings,
                   ggd_exact, matching_cost)
-from .gmd import GmdResult, gmd
-from .ground_cost import GroundCostMatrix, ground_cost_matrix
+from .gmd import GmdResult, GroundCostMatrix, gmd, ground_cost_matrix
 from .transport import (Flow, InfeasibleInstanceError, TransportInstance,
                         check_flow, solve_transport)
 

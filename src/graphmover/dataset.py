@@ -412,6 +412,8 @@ def load_letter_directory(path) -> list[LetterRecord]:
         mapping = json.loads(labels_json.read_text())
         if not isinstance(mapping, dict):
             raise GraphFormatError(f"{labels_json} is not a JSON object")
+        if not mapping:
+            raise GraphFormatError(f"{labels_json} lists no drawings")
         entries = sorted(mapping.items())
     elif class_files:
         for cf in class_files:

@@ -20,8 +20,7 @@ import numpy as np
 from .dataset import LETTER_LABELS, LetterRecord
 from .geometry import CostParams, GeometricGraph, perturb, translate
 from .ggd import ggd_exact
-from .gmd import _solve_stack, gmd
-from .ground_cost import _cost_stack, _stack
+from .gmd import _stack_distances, _stacks_by_size, gmd
 
 # the cost setting of the stability trials and the scaling benchmark
 UNIT_COSTS = CostParams(1.0, 1.0)
@@ -49,18 +48,13 @@ _LAST_PROTOTYPES: tuple = ((), ())
 
 
 def _stack_prototypes(proto_graphs: tuple[GeometricGraph, ...]) -> tuple:
-    """The prototypes grouped by vertex count, each group as (its indices into
-    proto_graphs, its `ground_cost._stack` with read-only arrays): plain
+    """The prototypes' `gmd._stacks_by_size` with read-only arrays: plain
     arrays, so it pickles. Built once while the same graphs are asked for."""
     global _LAST_PROTOTYPES
     kept, stacks = _LAST_PROTOTYPES
     if len(kept) == len(proto_graphs) and all(map(operator.is_, kept, proto_graphs)):
         return stacks
-    groups: dict[int, list[int]] = {}
-    for index, proto in enumerate(proto_graphs):
-        groups.setdefault(proto.n_vertices, []).append(index)
-    stacks = tuple((tuple(indices), _stack([proto_graphs[a] for a in indices]))
-                   for indices in groups.values())
+    stacks = _stacks_by_size(proto_graphs)
     for _, arrays in stacks:
         for array in arrays:
             array.flags.writeable = False
@@ -71,8 +65,8 @@ def _stack_prototypes(proto_graphs: tuple[GeometricGraph, ...]) -> tuple:
 def _letter_distances(graphs: Sequence[GeometricGraph], stacks, params) -> np.ndarray:
     """The matrix of gmd(graph, proto, params).value, one row per graph and
     one column per prototype of `_stack_prototypes`. The graphs are grouped
-    by vertex count, and each group is priced against each group of
-    prototypes in one batched ground cost and one stack solve.
+    by vertex count too, and each group's distances to each group of
+    prototypes come from one `gmd._stack_distances` call.
 
     It stacks shallow copies of the graphs, so the coordinate and adjacency
     arrays cached while pricing go with the call instead of staying on every
@@ -80,17 +74,12 @@ def _letter_distances(graphs: Sequence[GeometricGraph], stacks, params) -> np.nd
     classify`).
     """
     distances = np.empty((len(graphs), sum(len(indices) for indices, _ in stacks)))
-    by_size: dict[int, list[int]] = {}
-    for row, graph in enumerate(graphs):
-        by_size.setdefault(graph.n_vertices, []).append(row)
-    for rows in by_size.values():
-        queries = _stack([copy.copy(graphs[row]) for row in rows])
+    for rows, queries in _stacks_by_size([copy.copy(graph) for graph in graphs]):
         block = np.empty((len(rows), distances.shape[1]))
         for indices, stack in stacks:
-            costs = _cost_stack(queries, stack, params)
-            values, _ = _solve_stack(costs.reshape(-1, *costs.shape[2:]))
-            block[:, indices] = values.reshape(len(rows), len(indices))
-        distances[rows] = block
+            values, _ = _stack_distances(queries, stack, params)
+            block[:, indices] = values
+        distances[rows, :] = block
     return distances
 
 
@@ -114,11 +103,12 @@ def classify_topk(tests: Sequence[LetterRecord], prototypes: dict[str, Geometric
 
     A test counts as a hit at k when its true letter is among the k closest
     prototypes, with the same distances as `gmd`. The prototypes are stacked
-    grouped by vertex count, once for the same prototype graphs across calls.
-    The drawings are grouped by vertex count too, and each group is priced
-    against each group of prototypes in one batched pass. The drawings are
-    split into one chunk per usable CPU, at most one per drawing, and a pool
-    ranks the chunks; with one chunk they are ranked in-process.
+    by vertex count (`gmd._stacks_by_size`), once for the same prototype
+    graphs across calls. The drawings are stacked by vertex count too, and
+    each group's distances to each group of prototypes come from one
+    `gmd._stack_distances` call. The drawings are split into one chunk per
+    usable CPU, at most one per drawing, and a pool ranks the chunks; with
+    one chunk they are ranked in-process.
     """
     ks = tuple(sorted(set(int(k) for k in ks)))
     if any(k < 1 for k in ks):

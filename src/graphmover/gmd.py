@@ -1,15 +1,20 @@
 """Graph mover's distance: optimal transport between two ordered geometric graphs.
 
-Every real vertex supplies (or demands) one unit; a dummy supplier and a dummy
-consumer absorb deletions, weighted so the instance balances at m + n units.
-The distance is the optimal transportation objective under the ground cost
-matrix, computable in O(n^3) time, which makes it a tractable stand-in for the
-exact geometric graph distance.
+The ground cost is an (m+1) x (n+1) matrix. Entry (i, j) prices moving one
+unit from vertex i of the first graph to vertex j of the second: a
+vertex-displacement term plus the L1 difference of the two adjacency length
+vectors truncated to the first p = min(m, n) entries. Every real vertex
+supplies (or demands) one unit; a dummy supplier (the extra row) and a dummy
+consumer (the extra column) absorb deletions, weighted so the instance
+balances at m + n units. A vertex routed to a dummy pays `edge_cost` times
+the total length of its incident edges, and the dummy-to-dummy corner is
+free. The distance is the optimal transportation objective, computable in
+O(n^3) time, which makes it a tractable stand-in for the exact geometric
+graph distance.
 
-Deletions are priced per vertex: routing a vertex to the dummy pays the total
-length of its incident edges, so an edge whose endpoints are both deleted is
-charged once per endpoint. The exact distance charges such an edge only once,
-which is one of the ways the two distances differ.
+Deletions are priced per vertex, so an edge whose endpoints are both deleted
+is charged once per endpoint. The exact distance charges such an edge only
+once, which is one of the ways the two distances differ.
 
 The transport instance is solved as an assignment on reduced costs. An
 integral optimal flow sends each real vertex either to one partner or to a
@@ -30,15 +35,18 @@ distinct rows and distinct columns, those entries are the optimal partial
 injection: each row's least min(red, 0) is its negative entry (or 0 when it
 has none), no two rows want the same column, so the pairs reach the lower
 bound sum over rows of min(red, 0), and dropping any of them raises the cost.
-The flow is then written directly, and only the other matrices go to the
-assignment. `_solve_stack` does this for a stack of ground cost matrices of
-one shape, so that `gmd` (a stack of one) and the letter ranker (a group of
-same-size drawings against a group of same-size prototypes) share every
-step: the reduced costs and their finiteness check, the direct pairs, the
-assignment with min(red, 0) and the swap, the red < 0 filter, the flow and
-the value. It is the one place that builds the flow: it matches the pairs
-found and routes every other vertex to its dummy. The value is that flow's
-objective, sum(flow * costs).
+The flow is then written directly, and only the other matrices go to
+`_assign_rows`. The value is the flow's objective, sum(flow * costs).
+
+Every step works on stacks of graphs of one size, so that `gmd` (one pair)
+and the letter ranker (a group of same-size drawings against a group of
+same-size prototypes) share one cost formula and one solve: `_stack` holds
+the arrays of k graphs of n vertices, `_cost_stack` prices each of Q graphs
+against each of k, and `_solve_stack` is the one place that builds the flows
+and values. Within a stack every L1 sum has the same length p, so each entry,
+flow and value is the same float as in the pair's own solve.
+`ground_cost_matrix` and `gmd` are the Q = k = 1 case, and `_stack_distances`
+runs the groups of `_stacks_by_size`.
 """
 
 from __future__ import annotations
@@ -48,10 +56,25 @@ from dataclasses import dataclass
 import numpy as np
 
 from .geometry import CostParams, GeometricGraph
-from .ground_cost import GroundCostMatrix, ground_cost_matrix
-from .transport import Flow, _assign_rows
+from .transport import Flow
 
 _OVERFLOW = "the graph mover's distance overflows a float"
+
+# The costs are built in blocks of queries and rows whose Q x k x m x n x p
+# temporaries of the L1 term (the difference and its absolute value) and
+# Q x k x m x n x d temporaries of the displacement term (the difference and
+# its square) hold at most this many float64 each, 16 MB, instead of one
+# O(Q*k*m*n*max(p, d)) array. A block is at least one row of one query, which
+# exceeds the cap only when k * n * max(p, d) > 2**21; a whole level of letter
+# drawings fits in a few blocks.
+_BLOCK_ENTRIES = 2 ** 21
+
+
+@dataclass(frozen=True, eq=False)
+class GroundCostMatrix:
+    entries: np.ndarray  # shape (m+1, n+1), read-only
+    m: int
+    n: int
 
 
 @dataclass(frozen=True, eq=False)
@@ -72,6 +95,78 @@ def gmd(g: GeometricGraph, h: GeometricGraph, params: CostParams) -> GmdResult:
     flow = flows[0]
     flow.flags.writeable = False
     return GmdResult(value, Flow(flow, value), matrix)
+
+
+def ground_cost_matrix(g: GeometricGraph, h: GeometricGraph,
+                       params: CostParams) -> GroundCostMatrix:
+    """Pairwise unit-transport costs between the vertices of g and h plus dummies."""
+    if g.dim != h.dim:
+        raise ValueError(f"dimension mismatch: {g.dim} vs {h.dim}")
+    out = _cost_stack(_stack([g]), _stack([h]), params)[0, 0]
+    out.flags.writeable = False
+    return GroundCostMatrix(out, g.n_vertices, h.n_vertices)
+
+
+def _stacks_by_size(graphs) -> tuple:
+    """The graphs grouped by vertex count in order of first appearance, each
+    group as (its indices into graphs, its `_stack`)."""
+    groups: dict[int, list[int]] = {}
+    for index, graph in enumerate(graphs):
+        groups.setdefault(graph.n_vertices, []).append(index)
+    return tuple((tuple(indices), _stack([graphs[a] for a in indices]))
+                 for indices in groups.values())
+
+
+def _stack(graphs) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The coordinates (k, n, d), adjacency length matrices (k, n, n) and their
+    row sums (k, n) of k >= 1 graphs of n vertices each, for `_cost_stack`."""
+    with np.errstate(over="ignore", invalid="ignore"):  # a length that overflows is inf
+        adj = np.array([h.adjacency_length_matrix for h in graphs])
+        # row by row the same sums as each matrix's adj.sum(axis=1)
+        return np.array([h.coords for h in graphs]), adj, adj.sum(axis=2)
+
+
+def _stack_distances(queries, stack, params: CostParams) -> tuple[np.ndarray, np.ndarray]:
+    """The distances (Q, k) and optimal flows (Q, k, m+1, n+1) of each graph of
+    a `_stack` of Q graphs of m vertices against each graph of a `_stack` of k
+    graphs of n vertices, each the same floats as `gmd` on the pair.
+
+    ValueError(_OVERFLOW) when a distance is not finite.
+    """
+    costs = _cost_stack(queries, stack, params)
+    q, k, rows, cols = costs.shape
+    values, flows = _solve_stack(costs.reshape(q * k, rows, cols))
+    return values.reshape(q, k), flows.reshape(q, k, rows, cols)
+
+
+def _cost_stack(queries, stack, params: CostParams) -> np.ndarray:
+    """The (Q, k, m+1, n+1) ground cost matrices of each graph of a `_stack`
+    of Q graphs of m vertices against each graph of a `_stack` of k graphs of
+    n vertices, all of one dimension. An entry that overflows is inf or nan,
+    without a warning; `_solve_stack` refuses it."""
+    qcoords, qadj, qsums = queries
+    coords, adj, sums = stack
+    q, m = qsums.shape
+    k, n = sums.shape
+    p = min(m, n)
+    out = np.zeros((q, k, m + 1, n + 1))
+    with np.errstate(over="ignore", invalid="ignore"):
+        if m and n:
+            width = k * n * max(p, coords.shape[2])  # the entries of one row's temporaries
+            rows = min(m, max(1, _BLOCK_ENTRIES // width))
+            per = max(1, _BLOCK_ENTRIES // (rows * width))
+            for first in range(0, q, per):
+                block = slice(first, first + per)
+                for start in range(0, m, rows):
+                    part = slice(start, min(start + rows, m))
+                    diff = qcoords[block, None, part, None, :] - coords[None, :, None, :, :]
+                    pos = params.vertex_cost * np.sqrt((diff * diff).sum(axis=-1))
+                    l1 = np.abs(qadj[block, None, part, None, :p]
+                                - adj[None, :, None, :, :p]).sum(axis=-1)
+                    out[block, :, part, :n] = pos + params.edge_cost * l1
+        out[:, :, m, :n] = params.edge_cost * sums
+        out[:, :, :m, n] = params.edge_cost * qsums[:, None, :]
+    return out
 
 
 def _solve_stack(entries: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -115,3 +210,70 @@ def _solve_stack(entries: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         if not np.isfinite(values).all():
             raise ValueError(_OVERFLOW)
     return values, flows
+
+
+def _assign_rows(cost_rows: list[list[float]], n: int) -> list[int]:
+    """The column of each row in a least-cost assignment of the rows to
+    distinct columns, on the matrix's rows as lists of n finite floats of any
+    sign (at least as many columns as rows), unchecked: `_solve_stack` checks
+    a whole stack at once and orients each matrix so that rows <= columns.
+
+    Rows are added one at a time, each along a shortest augmenting path in
+    reduced costs cost[i][j] - u[i] - v[j], which stay non-negative on the
+    rows already assigned; among tied columns a free one ends the path. This
+    is the Jonker-Volgenant scheme as described by Crouse (2016), over plain
+    Python lists, which beat array code on the small matrices of letter
+    drawings.
+    """
+    m = len(cost_rows)
+    u = [0.0] * m
+    v = [0.0] * n
+    col4row = [-1] * m
+    row4col = [-1] * n
+    inf = float("inf")
+    for start in range(m):
+        shortest = [inf] * n
+        path = [-1] * n
+        seen_rows = []
+        seen_cols = []
+        remaining = list(range(n))
+        i = start
+        low = 0.0
+        while True:
+            seen_rows.append(i)
+            row = cost_rows[i]
+            base = low - u[i]
+            best = inf
+            best_k = -1
+            for k, j in enumerate(remaining):
+                r = base + row[j] - v[j]
+                if r < shortest[j]:
+                    shortest[j] = r
+                    path[j] = i
+                else:
+                    r = shortest[j]
+                if r < best or (r == best and row4col[j] < 0):
+                    best = r
+                    best_k = k
+            low = best
+            j = remaining[best_k]
+            seen_cols.append(j)
+            remaining[best_k] = remaining[-1]
+            remaining.pop()
+            if row4col[j] < 0:
+                break
+            i = row4col[j]
+        # move the potentials so that the path found has reduced cost 0
+        u[start] += low
+        for i in seen_rows[1:]:
+            u[i] += low - shortest[col4row[i]]
+        for j in seen_cols:
+            v[j] -= low - shortest[j]
+        # augment: flip the matching along the path back to the start row
+        while True:
+            i = path[j]
+            row4col[j] = i
+            col4row[i], j = j, col4row[i]
+            if i == start:
+                break
+    return col4row

@@ -1,4 +1,4 @@
-"""Exact solvers for the balanced transportation and the assignment problem.
+"""Exact solver for the balanced transportation problem, and its flow checker.
 
 `solve_transport` minimizes sum_ij f_ij * c_ij over flows f >= 0 whose row
 sums equal the supplies and whose column sums equal the demands. It runs
@@ -7,16 +7,7 @@ residual bipartite network), which is exact for non-negative costs and
 returns an integral flow whenever all supplies and demands are integers.
 Tie-breaking is by lowest index, so the returned flow is deterministic for a
 fixed instance. It is the generic solver and the oracle the faster paths are
-tested against.
-
-`_assign_rows` solves the special case that `gmd` needs: every row of an
-m x n cost matrix (m <= n, any finite signs) goes to a distinct column at
-least total cost. It augments along one shortest path per row with row and
-column potentials (the Jonker-Volgenant scheme as described by Crouse, 2016)
-over plain Python lists, which beats array code on the small matrices of
-letter drawings. It checks nothing: `gmd._solve_stack`, its one caller in
-the library, checks a whole stack of cost matrices at once and orients each
-so that m <= n.
+tested against, and `check_flow` reports every constraint a flow breaks.
 """
 
 from __future__ import annotations
@@ -159,69 +150,6 @@ def solve_transport(inst: TransportInstance) -> Flow:
 
     flow.flags.writeable = False
     return Flow(flow, float((flow * costs).sum()))
-
-
-def _assign_rows(cost_rows: list[list[float]], n: int) -> list[int]:
-    """The column of each row in a least-cost assignment of the rows to
-    distinct columns, on the matrix's rows as lists of n finite floats (at
-    least as many columns as rows), unchecked.
-
-    Rows are added one at a time, each along a shortest augmenting path in
-    reduced costs cost[i][j] - u[i] - v[j], which stay non-negative on the
-    rows already assigned; among tied columns a free one ends the path.
-    """
-    m = len(cost_rows)
-    u = [0.0] * m
-    v = [0.0] * n
-    col4row = [-1] * m
-    row4col = [-1] * n
-    inf = float("inf")
-    for start in range(m):
-        shortest = [inf] * n
-        path = [-1] * n
-        seen_rows = []
-        seen_cols = []
-        remaining = list(range(n))
-        i = start
-        low = 0.0
-        while True:
-            seen_rows.append(i)
-            row = cost_rows[i]
-            base = low - u[i]
-            best = inf
-            best_k = -1
-            for k, j in enumerate(remaining):
-                r = base + row[j] - v[j]
-                if r < shortest[j]:
-                    shortest[j] = r
-                    path[j] = i
-                else:
-                    r = shortest[j]
-                if r < best or (r == best and row4col[j] < 0):
-                    best = r
-                    best_k = k
-            low = best
-            j = remaining[best_k]
-            seen_cols.append(j)
-            remaining[best_k] = remaining[-1]
-            remaining.pop()
-            if row4col[j] < 0:
-                break
-            i = row4col[j]
-        # move the potentials so that the path found has reduced cost 0
-        u[start] += low
-        for i in seen_rows[1:]:
-            u[i] += low - shortest[col4row[i]]
-        for j in seen_cols:
-            v[j] -= low - shortest[j]
-        # augment: flip the matching along the path back to the start row
-        while True:
-            i = path[j]
-            row4col[j] = i
-            col4row[i], j = j, col4row[i]
-            if i == start:
-                break
-    return col4row
 
 
 def check_flow(inst: TransportInstance, flow: Flow, tol: float = 1e-9) -> list[str]:

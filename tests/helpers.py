@@ -17,8 +17,7 @@ import graphmover
 from graphmover.dataset import read_graph_file
 from graphmover.geometry import EPS, CostParams, GeometricGraph, segment_intersection
 from graphmover.ggd import InstanceTooLargeError, enumerate_matchings
-from graphmover.ground_cost import ground_cost_matrix
-from graphmover.transport import _assign_rows
+from graphmover.gmd import _assign_rows, ground_cost_matrix
 
 BRUTEFORCE_MAX_VERTICES = 6
 

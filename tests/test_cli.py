@@ -263,6 +263,16 @@ def test_labels_json_that_is_not_an_object_is_data_error(tmp_path, capsys):
     assert captured.err.count("\n") == 1
 
 
+def test_labels_json_without_drawings_is_data_error(tmp_path, capsys):
+    # an empty level would lose its name to MIXED and report 0 tests as an accuracy
+    (tmp_path / "LOW").mkdir()
+    (tmp_path / "LOW" / "labels.json").write_text("{}")
+    assert main(["classify", "--dataset", str(tmp_path)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {tmp_path / 'LOW' / 'labels.json'} lists no drawings\n"
+
+
 def test_entity_expansion_gxl_is_data_error(tmp_path, capsys):
     # billion laughs: ten nested entities of ten references each expand to 10**10 "lol"s
     entities = ['<!ENTITY lol0 "lol">'] + [

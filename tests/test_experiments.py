@@ -20,8 +20,7 @@ from graphmover.experiments import (bench_csv, classify_topk, confusion_csv,
                                     run_gmd_translation_suite, scaling_benchmark,
                                     stability_csv, triangle_inequality_survey)
 from graphmover.geometry import CostParams, GeometricGraph, perturb
-from graphmover.gmd import _solve_stack, gmd
-from graphmover.ground_cost import _cost_stack, _stack
+from graphmover.gmd import _stack, _stack_distances, gmd
 
 from conftest import LETTER_COSTS, UNIT_COSTS
 from helpers import dense_gmd_value
@@ -157,9 +156,7 @@ def test_batched_ranking_is_bit_identical_to_per_pair_gmd(problem, params):
     # the batched flows too, swapped groups (queries larger than prototype) included
     batch = _stack(queries)
     for indices, stack in stacks:
-        costs = _cost_stack(batch, stack, params)
-        _, flows = _solve_stack(costs.reshape(-1, *costs.shape[2:]))
-        flows = flows.reshape(costs.shape)
+        _, flows = _stack_distances(batch, stack, params)
         for query, query_flows in zip(queries, flows):
             for a, flow in zip(indices, query_flows):
                 expected = gmd(query, protos[a], params).flow.values

@@ -7,8 +7,7 @@ from hypothesis import given, settings
 
 from graphmover.experiments import random_graph
 from graphmover.geometry import CostParams, GeometricGraph, translate
-from graphmover.gmd import gmd
-from graphmover.ground_cost import _cost_stack, _stack, ground_cost_matrix
+from graphmover.gmd import _cost_stack, _stack, gmd, ground_cost_matrix
 
 from conftest import UNIT_COSTS, geometric_graphs
 from helpers import naive_ground_cost

@@ -5,8 +5,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from graphmover.gmd import _assign_rows
 from graphmover.transport import (Flow, InfeasibleInstanceError, TransportInstance,
-                                  _assign_rows, check_flow, solve_transport)
+                                  check_flow, solve_transport)
 
 from helpers import min_integral_flow_cost, random_integer_transport
 
