@@ -154,121 +154,193 @@ def planarize(g: GeometricGraph) -> GeometricGraph:
     error, and so are two split pieces that join the same pair of vertices
     (an overlap within EPS).
 
-    Representatives are looked up in a dict keyed by grid cell of side
-    2 * EPS, so a crossing within EPS of one lies in the 3x3 block of cells
-    around it even after rounding in the cell index. Taking the lowest id
-    found in that block returns what a scan of all representatives in
-    creation order would, so the new vertices come out in the same order.
+    The edge pairs are visited in lexicographic order, which fixes the
+    vertex ids. From _PASS_MIN_PAIRS pairs on (14 edges), the numpy pass of
+    `_pairs_that_may_meet` drops every pair that `segment_intersection`
+    certainly calls "none" and settles every pair that is certainly a plain
+    crossing, inside both segments and farther than EPS from every endpoint,
+    with the t, u and point that `segment_intersection` returns. Only the
+    pairs it leaves undecided (nearly parallel, collinear or near an
+    endpoint) go through `segment_intersection` and `_nearest_endpoint` in
+    Python. Below that count (letter drawings have about 10 pairs) the
+    pass's fixed numpy cost exceeds the loop's, and every pair goes through
+    them. A drawing where nothing crosses or touches is returned as it is,
+    before any further numpy work.
 
-    From _PASS_MIN_PAIRS edge pairs on (14 edges), a numpy pass over the
-    pairs first drops every pair whose segments' crossing parameter lies
-    clearly outside one segment's range, with a margin over the rounding of
-    the lengths: such a pair is one `segment_intersection` calls "none", so
-    skipping it changes nothing. Of the kept pairs it also settles those
-    that are certainly a crossing inside both segments and farther than EPS
-    from every endpoint (tests that divide by a length keep a margin; the
-    range, the point and its endpoint distances are the same float
-    operations as in the loop, so they need none), and hands over their t,
-    u and point, which are what `segment_intersection` returns. Every other
-    kept pair (nearly parallel, collinear or near an endpoint) goes to
-    `segment_intersection`, the only decider. Either way the pairs come in
-    the same lexicographic order as without the pass, so cluster ids do not
-    change. Below that count (letter drawings have about 10 pairs) the
-    pass's fixed numpy cost exceeds the loop's, and every pair is tested.
+    The crossings stay in arrays, in pair order. Sorted by x, a crossing
+    whose neighbours on both sides lie more than 2 * EPS away in x is
+    within EPS of no other crossing: float subtraction and squaring are
+    monotone, so its squared x distance to any other already exceeds
+    EPS * EPS. It is its own representative. Only the crowded rest take the
+    lowest-id rule in Python, in pair order: each looks for the earlier
+    representatives in the 3x3 block of grid cells of side 2 * EPS around
+    it, where one within EPS lies even after rounding in the cell index,
+    and joins the lowest-numbered within EPS, which is what a scan of all
+    representatives in creation order would return. A grid and not a scan
+    keeps this linear where many crossings share one x, as on a line
+    crossed by many others. A new vertex's id counts the representatives
+    before it in pair order.
+
+    A crossing splits both its edges there, and an endpoint inside an edge
+    splits that edge. Where one edge meets one vertex more than once, the
+    first event in pair order (edge a's before edge b's) gives the
+    parameter. An edge's stops run in (t, vertex id) order between its
+    ends; a piece that joins a vertex to itself is dropped, and the first
+    piece, in edge order, that repeats an earlier one raises.
 
     The output is valid by construction, so it is built without the
     constructor's checks (`GeometricGraph._from_valid`): the coordinates
     are the input's and the crossing points, all Python floats; every piece
-    joins two distinct vertex ids in range, stored as (low, high), since
-    the split stage skips v0 == v1; and a duplicate piece raises. A new
-    vertex stays within `geometry.MAX_COORD`: a crossing is ax + t*rx with
-    t in [0, 1] (or within EPS of ax), rounding is monotone, and
-    ax + fl(MAX_COORD - ax) exceeds MAX_COORD by at most half an ulp of a
-    number below 2**511, which rounds back to MAX_COORD.
+    joins two distinct vertex ids in range, stored as (low, high); and a
+    duplicate piece raises. A new vertex stays within `geometry.MAX_COORD`:
+    a crossing is ax + t*rx with t in [0, 1] (or within EPS of ax),
+    rounding is monotone, and ax + fl(MAX_COORD - ax) exceeds MAX_COORD by
+    at most half an ulp of a number below 2**511, which rounds back to
+    MAX_COORD.
     """
     if g.dim != 2:
         raise ValueError(f"planarize needs a 2D graph, got dim {g.dim}")
     pts = g.vertices
-    edges = list(g.edges)
-    # events[e] maps a vertex id (existing or len(vertices)+cluster) to its
-    # parameter along edge e
-    events: dict[int, dict[int, float]] = {}
-    clusters: list[tuple[float, float]] = []
-    grid: dict[tuple, list[int]] = {}  # cell -> ids of the representatives in it, ascending
-    cell = 2 * EPS
-    n = g.n_vertices
-
-    def add_event(edge_idx: int, t: float, vertex_id: int) -> None:
-        events.setdefault(edge_idx, {}).setdefault(vertex_id, t)
-
-    def cluster_id(point: tuple[float, float]) -> int:
-        px, py = point
-        i, j = math.floor(px / cell), math.floor(py / cell)
-        best = len(clusters)
-        for ci in (i - 1, i, i + 1):
-            for cj in (j - 1, j, j + 1):
-                for cid in grid.get((ci, cj), ()):
-                    if cid >= best:
-                        break
-                    dx, dy = px - clusters[cid][0], py - clusters[cid][1]
-                    if dx * dx + dy * dy <= EPS * EPS:
-                        best = cid
-                        break
-        if best == len(clusters):
-            clusters.append(point)
-            grid.setdefault((i, j), []).append(best)
-        return best
-
-    if len(edges) * (len(edges) - 1) // 2 < _PASS_MIN_PAIRS:
-        pairs = ((a, b, None) for a, b in itertools.combinations(range(len(edges)), 2))
+    edges = g.edges
+    m = len(edges)
+    if m * (m - 1) // 2 < _PASS_MIN_PAIRS:
+        kept = None
+        pairs = zip(itertools.count(), itertools.combinations(range(m), 2))
     else:
-        pairs = _pairs_that_may_meet(pts, edges)
-    for a, b, crossing in pairs:
-        if crossing is not None:
-            t, u, point = crossing
-        else:
-            e1, e2 = edges[a], edges[b]
-            kind, point, t, u = segment_intersection(
-                pts[e1[0]], pts[e1[1]], pts[e2[0]], pts[e2[1]])
-            if kind == "overlap":
-                raise CollinearOverlapError(
-                    f"edges {e1} and {e2} overlap along a collinear stretch")
-            if kind != "point":
-                continue
-            end1 = _nearest_endpoint(pts, e1, point)
-            end2 = _nearest_endpoint(pts, e2, point)
-            if end1 is not None and end2 is not None:
-                continue  # endpoint contact, nothing to split
-            if end1 is not None:
-                add_event(b, u, end1)
-                continue
-            if end2 is not None:
-                add_event(a, t, end2)
-                continue
-        cid = cluster_id(point)
-        add_event(a, t, n + cid)
-        add_event(b, u, n + cid)
-
-    if not events:
+        kept = _pairs_that_may_meet(pts, edges)
+        undecided = np.flatnonzero(~kept[2])
+        pairs = zip(undecided.tolist(),
+                    zip(kept[0][undecided].tolist(), kept[1][undecided].tolist()))
+    # what segment_intersection finds, each with the position of its pair
+    # among the visited pairs
+    found = []  # (position, t, u, px, py) per crossing
+    touches = []  # (position, edge, t, vertex) per endpoint inside an edge
+    for k, (a, b) in pairs:
+        e1, e2 = edges[a], edges[b]
+        kind, point, t, u = segment_intersection(
+            pts[e1[0]], pts[e1[1]], pts[e2[0]], pts[e2[1]])
+        if kind == "overlap":
+            raise CollinearOverlapError(
+                f"edges {e1} and {e2} overlap along a collinear stretch")
+        if kind != "point":
+            continue
+        end1 = _nearest_endpoint(pts, e1, point)
+        end2 = _nearest_endpoint(pts, e2, point)
+        if end1 is None and end2 is None:
+            found.append((k, t, u) + point)
+        elif end2 is None:
+            touches.append((k, b, u, end1))
+        elif end1 is None:
+            touches.append((k, a, t, end2))
+        # else an endpoint contact: nothing to split
+    if not found and not touches and (kept is None or not kept[2].any()):
         return g
 
-    new_edges: set[tuple[int, int]] = set()
-    for idx, (i, j) in enumerate(edges):
-        stops = sorted((t, vid) for vid, t in events.get(idx, {}).items())
-        chain = [i] + [vid for _, vid in stops] + [j]
-        for v0, v1 in zip(chain, chain[1:]):
-            if v0 != v1:
-                piece = (v0, v1) if v0 < v1 else (v1, v0)
-                if piece in new_edges:
-                    raise CollinearOverlapError(
-                        f"edge {edges[idx]} overlaps another edge along {piece} after splitting")
-                new_edges.add(piece)
-    return GeometricGraph._from_valid(2, g.vertices + tuple(clusters), tuple(sorted(new_edges)))
+    if kept is None:  # every pair went through the loop, and none is settled
+        a, b = np.array(list(itertools.combinations(range(m), 2))).T
+        kept = (a, b, np.zeros(len(a), dtype=bool), *np.zeros((4, len(a))))
+    a, b, crossing, t, u, px, py = kept
+    found = np.array(found, dtype=float).reshape(-1, 5).T
+    k = found[0].astype(np.intp)
+    crossing[k] = True
+    t[k], u[k], px[k], py[k] = found[1:]
+    at = np.flatnonzero(crossing)
+    a, b, t, u, px, py = a[at], b[at], t[at], u[at], px[at], py[at]
+    rep = _representatives(px, py)
+    new = rep == np.arange(len(rep))
+    vid = g.n_vertices - 1 + np.cumsum(new)[rep]
+
+    touch_at, touch_edge, touch_t, touch_vid = np.array(touches, dtype=float).reshape(-1, 4).T
+    pieces = _split(edges,
+                    np.concatenate([a, b, touch_edge.astype(np.intp)]),
+                    np.concatenate([t, u, touch_t]),
+                    np.concatenate([vid, vid, touch_vid.astype(np.intp)]),
+                    np.concatenate([2 * at, 2 * at + 1, 2 * touch_at.astype(np.intp)]))
+    return GeometricGraph._from_valid(
+        2, g.vertices + tuple(zip(px[new].tolist(), py[new].tolist())), pieces)
+
+
+def _representatives(px, py):
+    """For each crossing (px, py), in pair order, the index of the crossing
+    whose vertex it joins: the lowest-indexed earlier representative within
+    EPS, else itself. `planarize` describes the screen and the grid."""
+    rep = np.arange(len(px))
+    order = np.argsort(px, kind="stable")
+    apart = np.diff(px[order]) > 2 * EPS
+    lonely = np.ones(len(px), dtype=bool)
+    lonely[1:] &= apart
+    lonely[:-1] &= apart
+    crowded = np.sort(order[~lonely]).tolist()
+    xs, ys = px[crowded].tolist(), py[crowded].tolist()
+    cell = 2 * EPS
+    grid: dict[tuple[int, int], list[int]] = {}  # cell -> representatives in it, ascending
+    for j, (x, y) in enumerate(zip(xs, ys)):
+        ci, cj = math.floor(x / cell), math.floor(y / cell)
+        best = j
+        for key in itertools.product((ci - 1, ci, ci + 1), (cj - 1, cj, cj + 1)):
+            for r in grid.get(key, ()):
+                if r >= best:
+                    break
+                dx, dy = x - xs[r], y - ys[r]
+                if dx * dx + dy * dy <= EPS * EPS:
+                    best = r
+                    break
+        if best == j:
+            grid.setdefault((ci, cj), []).append(j)
+        else:
+            rep[crowded[j]] = crowded[best]
+    return rep
+
+
+def _split(edges, edge, t, vertex, when):
+    """The pieces of `edges` split at their events, sorted, as (low, high)
+    pairs of Python ints.
+
+    Event k puts `vertex[k]` at parameter `t[k]` along `edges[edge[k]]`;
+    where an edge meets a vertex more than once, the event with the lowest
+    `when` counts. Each edge's chain is its first end, its stops in
+    (t, vertex) order and its second end, with the ends sorted in at
+    t = -inf and +inf. np.lexsort, whose float pass is a merge sort, takes
+    several times as long as ranking t and sorting one integer key, so it
+    only runs where an edge holds two stops at equal t.
+    """
+    first = np.lexsort((when, vertex, edge))
+    e, v = edge[first], vertex[first]
+    first = first[np.concatenate(([True], (e[1:] != e[:-1]) | (v[1:] != v[:-1])))]
+    ids = np.arange(len(edges))
+    ends = np.array(edges).reshape(-1, 2)
+    inf = np.full(len(edges), np.inf)
+    edge = np.concatenate([ids, edge[first], ids])
+    t = np.concatenate([-inf, t[first], inf])
+    vertex = np.concatenate([ends[:, 0], vertex[first], ends[:, 1]])
+    rank = np.empty(len(t), dtype=np.intp)
+    rank[np.argsort(t)] = np.arange(len(t))
+    chain = np.argsort(edge * len(t) + rank)
+    owner, t = edge[chain], t[chain]
+    if ((owner[1:] == owner[:-1]) & (t[1:] == t[:-1])).any():
+        chain = chain[np.lexsort((vertex[chain], t, owner))]
+        owner = edge[chain]
+    chain = vertex[chain]
+    v0, v1 = chain[:-1], chain[1:]
+    keep = (owner[:-1] == owner[1:]) & (v0 != v1)
+    owner, lo, hi = owner[:-1][keep], np.minimum(v0, v1)[keep], np.maximum(v0, v1)[keep]
+    piece = lo * (hi.max() + 1) + hi
+    order = np.argsort(piece)
+    if (piece[order][1:] == piece[order][:-1]).any():
+        # the first piece in edge order that an earlier piece repeats
+        repeat = np.ones(len(piece), dtype=bool)
+        repeat[np.unique(piece, return_index=True)[1]] = False
+        r = np.flatnonzero(repeat)[0]
+        raise CollinearOverlapError(
+            f"edge {edges[owner[r]]} overlaps another edge along "
+            f"{(int(lo[r]), int(hi[r]))} after splitting")
+    return tuple(zip(lo[order].tolist(), hi[order].tolist()))
 
 
 def _pairs_that_may_meet(pts, edges):
-    """The pairs (a, b, crossing), a < b, of indices into edges in lexicographic
-    order, less pairs that `segment_intersection` certainly calls "none".
+    """The pairs a < b of indices into edges in lexicographic order, less
+    pairs that `segment_intersection` certainly calls "none", as arrays
+    (a, b, sure, t, u, px, py) over the kept pairs.
 
     A pair is dropped where the non-parallel branch of `segment_intersection`
     returns "none": the cross product `denom` is clear of the parallel
@@ -278,17 +350,18 @@ def _pairs_that_may_meet(pts, edges):
     math.hypot) may round differently, so the pass asks for twice the
     tolerance and widens each range by 2 * EPS/len + 1e-9.
 
-    A kept pair's `crossing` is (t, u, (px, py)) where the pair is certainly a
-    crossing inside both segments, and None where `segment_intersection` has
-    to decide. It is certain where, with the same margin of two over every
-    test that divides by a length, both lengths exceed EPS, denom clears the
-    parallel tolerance and neither segment's collinearity test can hold
-    (each endpoint test fails, whichever segment is the longer); and then,
-    without a margin because no length enters them, where 0 <= t <= 1 and
-    0 <= u <= 1, so the range test passes and the clamps change nothing,
-    and where the point ax + t*rx, ay + t*ry lies farther than EPS from all
-    four endpoints by `_nearest_endpoint`'s own squared-distance test. The
-    point and those distances are the same float operations as there, so
+    `sure` marks a kept pair that is certainly a crossing inside both
+    segments; its t, u and (px, py) are then what `segment_intersection`
+    returns, and elsewhere they mean nothing. It is certain where, with the
+    same margin of two over every test that divides by a length, both
+    lengths exceed EPS, denom clears the parallel tolerance and neither
+    segment's collinearity test can hold (each endpoint test fails,
+    whichever segment is the longer); and then, without a margin because no
+    length enters them, where 0 <= t <= 1 and 0 <= u <= 1, so the range
+    test passes and the clamps change nothing, and where the point
+    ax + t*rx, ay + t*ry lies farther than EPS from all four endpoints by
+    `_nearest_endpoint`'s own squared-distance test. The point and those
+    distances are the same float operations as there, so
     `segment_intersection` returns ("point", (px, py), t, u) for the pair
     and `_nearest_endpoint` None for both edges. A margin on t would not
     do: the point rounds relative to the coordinates' size, not the
@@ -296,7 +369,8 @@ def _pairs_that_may_meet(pts, edges):
 
     With coordinates within MAX_COORD, as a GeometricGraph's are, no
     intermediate overflows. The pairs are tested in blocks of at most
-    _PAIR_BLOCK.
+    _PAIR_BLOCK, so the temporaries grow with the kept pairs, not with all
+    pairs.
     """
     ends = np.array([pts[i] + pts[j] for i, j in edges])  # x0, y0, x1, y1 per edge
     x0, y0, x1, y1 = ends.T
@@ -307,6 +381,8 @@ def _pairs_that_may_meet(pts, edges):
         half = 0.5 + (2 * EPS / length + 1e-9)
     tol = 2e-12 * length
     m = len(ends)
+    none, empty = np.zeros(0, dtype=np.intp), np.zeros(0)
+    blocks = [(none, none, empty, empty, empty)]
     r0 = 0
     while r0 < m - 1:
         # rows r0.. pair with columns r0 + 1..m - 1: as many rows as fill a
@@ -331,19 +407,13 @@ def _pairs_that_may_meet(pts, edges):
             if b.start < a.stop:  # the block reaches the diagonal: drop (a, b) with b <= a
                 drop |= np.arange(b.start, b.stop) <= np.arange(a.start, a.stop)[:, None]
             ia, ib = np.nonzero(~drop)
-            if not ia.size:  # most blocks of a sparse drawing keep no pair
-                continue
-            ka, kb = ia + a.start, ib + b.start
-            yield from zip(ka.tolist(), kb.tolist(),
-                           _settled_crossings(ends[ka], ends[kb], length[ka], length[kb],
-                                              denom[ia, ib], num_t[ia, ib], num_u[ia, ib]))
+            if ia.size:  # most blocks of a sparse drawing keep no pair
+                blocks.append((ia + a.start, ib + b.start,
+                               denom[ia, ib], num_t[ia, ib], num_u[ia, ib]))
         r0 = a.stop
-
-
-def _settled_crossings(p, q, len_p, len_q, denom, num_t, num_u):
-    """(t, u, (px, py)) for each kept pair of edges p, q (rows x0, y0, x1, y1)
-    that is certainly a plain crossing, else None; the tests are those that
-    `_pairs_that_may_meet` describes."""
+    ka, kb, denom, num_t, num_u = map(np.concatenate, zip(*blocks))
+    p, q = ends[ka], ends[kb]
+    len_p, len_q = length[ka], length[kb]
     with np.errstate(all="ignore"):
         t = num_t / denom
         u = num_u / denom
@@ -356,9 +426,7 @@ def _settled_crossings(p, q, len_p, len_q, denom, num_t, num_u):
         for x, y in (p[:, 0:2].T, p[:, 2:4].T, q[:, 0:2].T, q[:, 2:4].T):
             dx, dy = x - px, y - py
             sure &= dx * dx + dy * dy > EPS * EPS
-    return [(ti, ui, (xi, yi)) if ok else None
-            for ok, ti, ui, xi, yi in zip(sure.tolist(), t.tolist(), u.tolist(),
-                                          px.tolist(), py.tolist())]
+    return ka, kb, sure, t, u, px, py
 
 
 def _nearest_endpoint(pts, edge, point) -> Optional[int]:

@@ -7,6 +7,7 @@ of the library's vectorized implementations.
 
 from __future__ import annotations
 
+import itertools
 import math
 from pathlib import Path
 from typing import Optional, Sequence
@@ -14,7 +15,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 import graphmover
-from graphmover.dataset import read_graph_file
+from graphmover.dataset import CollinearOverlapError, _nearest_endpoint, read_graph_file
 from graphmover.geometry import EPS, CostParams, GeometricGraph, segment_intersection
 from graphmover.ggd import InstanceTooLargeError, enumerate_matchings
 from graphmover.gmd import _assign_rows, ground_cost_matrix
@@ -245,6 +246,92 @@ def crossing_vertices(g: GeometricGraph) -> list[tuple[float, float]]:
             else:
                 clusters.append(point)
     return clusters
+
+
+def planarize_loop(g: GeometricGraph) -> GeometricGraph:
+    """`dataset.planarize` as a loop over every edge pair, one crossing at a time.
+
+    This is the planarizer before its crossing clusters, edge events and
+    split stage moved to numpy, as it ran below `_PASS_MIN_PAIRS`: every
+    pair in lexicographic order goes through `segment_intersection`, so it
+    shares neither the numpy pair pass nor the x-sorted crowding screen.
+    Each crossing finds its cluster's representative in a dict of 2 * EPS
+    grid cells (the lowest id within EPS, else a new one), each split is
+    recorded with `setdefault` (the first event per edge and vertex wins),
+    and each edge's stops are sorted by (t, vertex id). The output equals
+    planarize's, and so does the text of every `CollinearOverlapError`.
+    """
+    if g.dim != 2:
+        raise ValueError(f"planarize needs a 2D graph, got dim {g.dim}")
+    pts = g.vertices
+    edges = list(g.edges)
+    # events[e] maps a vertex id (existing or len(vertices)+cluster) to its
+    # parameter along edge e
+    events: dict[int, dict[int, float]] = {}
+    clusters: list[tuple[float, float]] = []
+    grid: dict[tuple, list[int]] = {}  # cell -> ids of the representatives in it, ascending
+    cell = 2 * EPS
+    n = g.n_vertices
+
+    def add_event(edge_idx: int, t: float, vertex_id: int) -> None:
+        events.setdefault(edge_idx, {}).setdefault(vertex_id, t)
+
+    def cluster_id(point: tuple[float, float]) -> int:
+        px, py = point
+        i, j = math.floor(px / cell), math.floor(py / cell)
+        best = len(clusters)
+        for ci in (i - 1, i, i + 1):
+            for cj in (j - 1, j, j + 1):
+                for cid in grid.get((ci, cj), ()):
+                    if cid >= best:
+                        break
+                    dx, dy = px - clusters[cid][0], py - clusters[cid][1]
+                    if dx * dx + dy * dy <= EPS * EPS:
+                        best = cid
+                        break
+        if best == len(clusters):
+            clusters.append(point)
+            grid.setdefault((i, j), []).append(best)
+        return best
+
+    for a, b in itertools.combinations(range(len(edges)), 2):
+        e1, e2 = edges[a], edges[b]
+        kind, point, t, u = segment_intersection(
+            pts[e1[0]], pts[e1[1]], pts[e2[0]], pts[e2[1]])
+        if kind == "overlap":
+            raise CollinearOverlapError(
+                f"edges {e1} and {e2} overlap along a collinear stretch")
+        if kind != "point":
+            continue
+        end1 = _nearest_endpoint(pts, e1, point)
+        end2 = _nearest_endpoint(pts, e2, point)
+        if end1 is not None and end2 is not None:
+            continue  # endpoint contact, nothing to split
+        if end1 is not None:
+            add_event(b, u, end1)
+            continue
+        if end2 is not None:
+            add_event(a, t, end2)
+            continue
+        cid = cluster_id(point)
+        add_event(a, t, n + cid)
+        add_event(b, u, n + cid)
+
+    if not events:
+        return g
+
+    new_edges: set[tuple[int, int]] = set()
+    for idx, (i, j) in enumerate(edges):
+        stops = sorted((t, vid) for vid, t in events.get(idx, {}).items())
+        chain = [i] + [vid for _, vid in stops] + [j]
+        for v0, v1 in zip(chain, chain[1:]):
+            if v0 != v1:
+                piece = (v0, v1) if v0 < v1 else (v1, v0)
+                if piece in new_edges:
+                    raise CollinearOverlapError(
+                        f"edge {edges[idx]} overlaps another edge along {piece} after splitting")
+                new_edges.add(piece)
+    return GeometricGraph._from_valid(2, g.vertices + tuple(clusters), tuple(sorted(new_edges)))
 
 
 def total_length(g: GeometricGraph) -> float:

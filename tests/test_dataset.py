@@ -18,7 +18,8 @@ from graphmover.ggd import ggd_exact
 from graphmover.gmd import gmd
 
 from conftest import geometric_graphs
-from helpers import crossing_vertices, packaged_graph, total_length, validate_graph
+from helpers import (crossing_vertices, packaged_graph, planarize_loop, total_length,
+                     validate_graph)
 
 GXL_MINIMAL = """<?xml version="1.0" encoding="UTF-8"?>
 <!DOCTYPE gxl SYSTEM "http://www.gupro.de/GXL/gxl-1.0.dtd">
@@ -177,13 +178,32 @@ def test_planarize_rejects_collinear_overlap():
             planarize(g)
 
 
+# vertex 0 lies within EPS of edge (1, 4); edges (0, 1) and (1, 4) share vertex 1
+SPLIT_ONTO_AN_EDGE = ([(1, 0), (0, 1e-9), (0, 0), (0, 1), (2, 0), (0, 0)], [(0, 1), (0, 3), (1, 4)])
+
+
 def test_planarize_rejects_split_pieces_that_coincide():
     # vertex 0 lies within EPS of edge (1, 4), whose split at vertex 0 would
     # repeat edge (0, 1): an overlap within the drawing tolerance
-    g = GeometricGraph.build([(1, 0), (0, 1e-9), (0, 0), (0, 1), (2, 0), (0, 0)],
-                             [(0, 1), (0, 3), (1, 4)])
+    g = GeometricGraph.build(*SPLIT_ONTO_AN_EDGE)
     with pytest.raises(CollinearOverlapError):
         planarize(g)
+
+
+@pytest.mark.parametrize("points, edges, message", [
+    ([(0, 0), (3, 0), (1, 0), (2, 0)], [(0, 1), (2, 3)],
+     "edges (0, 1) and (2, 3) overlap along a collinear stretch"),
+    (*SPLIT_ONTO_AN_EDGE, "edge (1, 4) overlaps another edge along (0, 1) after splitting"),
+], ids=["collinear-stretch", "after-splitting"])
+@pytest.mark.parametrize("padded", [False, True])
+def test_planarize_overlap_messages_name_the_first_overlap(points, edges, message, padded):
+    if padded:  # the same drawing through the numpy pass
+        start = len(points)
+        points = points + PADDING
+        edges = edges + [(i, i + 1) for i in range(start, len(points), 2)]
+    with pytest.raises(CollinearOverlapError) as caught:
+        planarize(GeometricGraph.build(points, edges))
+    assert str(caught.value) == message
 
 
 def test_planarize_rejects_non_2d():
@@ -363,6 +383,112 @@ def near_concurrent_drawings(draw):
     return GeometricGraph.build(points, [(2 * i, 2 * i + 1) for i in range(len(segments))])
 
 
+@st.composite
+def crowded_bundles(draw):
+    """Bundles of 3 to 5 segments through a square 3 EPS wide, some with a
+    collinear or nearly collinear companion.
+
+    The crossings of a bundle fall within a few EPS of each other, so all
+    of them are crowded for planarize's x screen, and the lowest-id merge
+    meets chains that it must not merge transitively. A companion copies
+    the middle of a bundle's last segment (an overlap along a collinear
+    stretch), or joins that segment's end to a point within EPS of it (a
+    split piece that repeats the companion). Some drawings carry 14
+    parallel segments far off, which take planarize past its cut-over to
+    the numpy pass.
+    """
+    segments = []
+    for _ in range(draw(st.integers(1, 3))):
+        cx, cy = draw(st.floats(-2.0, 2.0)), draw(st.floats(-2.0, 2.0))
+        count = draw(st.integers(3, 5))
+        turn = draw(st.floats(0.0, math.pi))
+        for k in range(count):
+            px = cx + draw(st.floats(-1.5, 1.5)) * EPS
+            py = cy + draw(st.floats(-1.5, 1.5)) * EPS
+            # angles at least half of pi / count apart
+            angle = turn + (k + draw(st.floats(-0.25, 0.25))) * math.pi / count
+            dx, dy = math.cos(angle), math.sin(angle)
+            lo, hi = draw(st.floats(0.5, 2.0)), draw(st.floats(0.5, 2.0))
+            segments.append(((px - lo * dx, py - lo * dy), (px + hi * dx, py + hi * dy)))
+        (x0, y0), (x1, y1) = segments[-1]
+        companion = draw(st.sampled_from(["none", "none", "stretch", "chord"]))
+        if companion == "stretch":
+            s = draw(st.floats(0.1, 0.4))
+            segments.append(((x0 + s * (x1 - x0), y0 + s * (y1 - y0)),
+                             (x1 - s * (x1 - x0), y1 - s * (y1 - y0))))
+        elif companion == "chord":
+            s = draw(st.floats(0.1, 0.9))
+            off = draw(st.floats(-0.9, 0.9)) * EPS / math.hypot(x1 - x0, y1 - y0)
+            segments.append(((x1, y1), (x0 + s * (x1 - x0) - off * (y1 - y0),
+                                        y0 + s * (y1 - y0) + off * (x1 - x0))))
+    points = [p for segment in segments for p in segment]
+    if draw(st.booleans()):
+        points += PADDING
+    return _segments(points)
+
+
+def _shuffled(draw, points):
+    """`_segments(points)` with its vertex ids in an order drawn by Hypothesis,
+    so that vertex ids and pair order disagree."""
+    order = draw(st.permutations(range(len(points))))
+    where = {old: new for new, old in enumerate(order)}
+    return GeometricGraph.build([points[i] for i in order],
+                                [(where[i], where[i + 1]) for i in range(0, len(points), 2)])
+
+
+@st.composite
+def star_drawings(draw):
+    """Segments through and ending at one to three integer hubs, exactly.
+
+    At a hub, 1 to 3 segments pass through and up to 3 end on it, from
+    separate vertices, in distinct lattice directions. The crossings there
+    are one vertex at t = 0.5 exactly, so an edge holds several stops at
+    one t: vertices that touch it and the crossing vertex, whose order the
+    (t, vertex id) rule decides. A through segment that misses the hub by
+    EPS / 2 meets that vertex at more than one t, and the first event in
+    pair order decides. Many such drawings raise, and then the message must
+    match. Vertex ids are shuffled, and some drawings carry 14 parallel
+    segments far off, which take planarize past its cut-over to the numpy
+    pass.
+    """
+    directions = [(1, 0), (0, 1), (1, 1), (1, -1), (2, 1), (1, 2), (2, -1), (1, -2)]
+    points = []
+    for _ in range(draw(st.integers(1, 3))):
+        hx, hy = draw(st.integers(0, 6)), draw(st.integers(0, 6))
+        through = draw(st.integers(1, 3))
+        ending = draw(st.integers(0, 3))
+        chosen = draw(st.lists(st.sampled_from(directions), min_size=through + ending,
+                               max_size=through + ending, unique=True))
+        for k, (dx, dy) in enumerate(chosen):
+            reach = draw(st.integers(1, 2))
+            far = (float(hx + reach * dx), float(hy + reach * dy))
+            if k < through:
+                # a through segment may miss the hub by under EPS: its
+                # crossings there join one vertex at different t
+                miss = draw(st.sampled_from([0.0, 0.0, -0.5, 0.5])) * EPS / math.hypot(dx, dy)
+                points += [(hx - reach * dx - miss * dy, hy - reach * dy + miss * dx),
+                           (far[0] - miss * dy, far[1] + miss * dx)]
+            elif draw(st.booleans()):
+                points += [(float(hx), float(hy)), far]
+            else:
+                points += [(float(hx - reach * dx), float(hy - reach * dy)), (float(hx), float(hy))]
+    if draw(st.booleans()):
+        points += PADDING
+    return _shuffled(draw, points)
+
+
+@st.composite
+def random_drawings(draw):
+    """The `drawings` benchmark's shape: segments of length 6.5 centred
+    uniformly in a 10 x 10 box and uniformly oriented, 2 to 40 of them."""
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    n = draw(st.integers(2, 40))
+    centres = rng.uniform(0.0, 10.0, size=(n, 2))
+    angles = rng.uniform(0.0, np.pi, size=n)
+    half = 3.25 * np.stack([np.cos(angles), np.sin(angles)], axis=1)
+    return _segments([tuple(p) for pair in zip(centres - half, centres + half) for p in pair])
+
+
 def _crossing_onto_an_endpoint():
     # at 3.35e151 floats are 2**450 apart, so edge (0, 1) is 40 ulps long;
     # edge (2, 3) crosses it at t = 0.9975, far from its end by any margin
@@ -372,15 +498,58 @@ def _crossing_onto_an_endpoint():
     return [(x, y), (x + 40 * ulp, y), (x + 39 * ulp, y - 4.5e149), (x + 41 * ulp, y + 5.5e149)]
 
 
+def _kept_pairs(pts, edges):
+    """The pair pass's arrays as (a, b, crossing) per kept pair, where
+    crossing is (t, u, (px, py)) for a settled pair and None for one left to
+    the loop."""
+    a, b, sure, t, u, px, py = dataset._pairs_that_may_meet(pts, edges)
+    return [(ai, bi, (ti, ui, (xi, yi)) if ok else None)
+            for ai, bi, ok, ti, ui, xi, yi in zip(a.tolist(), b.tolist(), sure.tolist(),
+                                                  t.tolist(), u.tolist(), px.tolist(),
+                                                  py.tolist())]
+
+
 def test_pair_pass_leaves_a_crossing_that_rounds_onto_an_endpoint_to_the_loop():
     points = _crossing_onto_an_endpoint()
     kind, point, t, _ = segment_intersection(*points)
     assert kind == "point" and point == points[1] and t < 0.998
     g = _segments(points + PADDING)
-    assert (0, 1, None) in dataset._pairs_that_may_meet(g.vertices, g.edges)
+    assert (0, 1, None) in _kept_pairs(g.vertices, g.edges)
     flat = planarize(g)
     assert flat.vertices == g.vertices
     assert flat.edges[:3] == ((0, 1), (1, 2), (1, 3))
+
+
+def _assert_matches_the_loop(g):
+    try:
+        expected = planarize_loop(g)
+    except CollinearOverlapError as exc:
+        with pytest.raises(CollinearOverlapError) as caught:
+            planarize(g)
+        assert type(caught.value) is type(exc)
+        assert str(caught.value) == str(exc)
+    else:
+        flat = planarize(g)
+        assert flat.vertices == expected.vertices
+        assert flat.edges == expected.edges
+
+
+@pytest.mark.parametrize("drawings", [near_concurrent_drawings, crowded_bundles, star_drawings,
+                                      random_drawings])
+@settings(max_examples=200, deadline=None)
+@given(data=st.data())
+def test_planarize_matches_the_loop(drawings, data):
+    # the numpy clusters, events and split stage against the loop they replaced
+    _assert_matches_the_loop(data.draw(drawings()))
+
+
+@pytest.mark.parametrize("points", [
+    TINY_ANGLE + PADDING,
+    _crossing_onto_an_endpoint() + PADDING,
+    [(-1e4, -4e-9), (1e4, 4e-9), (-1e4, 4e-9), (1e4, -4e-9)] + PADDING,
+], ids=["tiny-angle", "crossing-onto-an-endpoint", "below-the-parallel-tolerance"])
+def test_planarize_matches_the_loop_on_fixed_drawings(points):
+    _assert_matches_the_loop(_segments(points))
 
 
 @settings(max_examples=150, deadline=None)
@@ -408,7 +577,7 @@ def test_pair_pass_drops_only_pairs_that_do_not_meet(g):
     # and hands over a crossing only where segment_intersection finds the
     # same floats and the crossing is on no endpoint of either edge
     pts, edges = g.vertices, g.edges
-    kept = list(dataset._pairs_that_may_meet(pts, edges))
+    kept = _kept_pairs(pts, edges)
     pairs = [(a, b) for a, b, _ in kept]
     assert pairs == sorted(set(pairs))
     settled = {(a, b): crossing for a, b, crossing in kept}
@@ -428,10 +597,10 @@ def test_pair_pass_drops_only_pairs_that_do_not_meet(g):
 def test_pair_pass_blocks_keep_the_pairs_and_their_order(block, monkeypatch):
     rng = np.random.default_rng(40)
     g = _segments([tuple(p) for p in rng.uniform(0.0, 10.0, size=(80, 2))])
-    expected = list(dataset._pairs_that_may_meet(g.vertices, g.edges))
+    expected = _kept_pairs(g.vertices, g.edges)
     assert 0 < len(expected) < 40 * 39 // 2
     monkeypatch.setattr(dataset, "_PAIR_BLOCK", block)
-    assert list(dataset._pairs_that_may_meet(g.vertices, g.edges)) == expected
+    assert _kept_pairs(g.vertices, g.edges) == expected
 
 
 @pytest.mark.filterwarnings("error")
@@ -454,10 +623,10 @@ def test_pair_pass_coordinate_bound_overflows_nothing():
             kind, point, t, u)
         kinds.add(kind)
     assert kinds == {"none", "point", "overlap"}
-    kept = list(dataset._pairs_that_may_meet(g.vertices, g.edges))
+    kept = _kept_pairs(g.vertices, g.edges)
     scaled_up = [(a, b, crossing and (crossing[0], crossing[1],
                                       tuple(x * 2.0 ** 10 for x in crossing[2])))
-                 for a, b, crossing in dataset._pairs_that_may_meet(small, g.edges)]
+                 for a, b, crossing in _kept_pairs(small, g.edges)]
     assert kept and kept == scaled_up
     assert any(crossing is not None for _, _, crossing in kept)
     square = GeometricGraph.build([corners[i] for i in (0, 2, 6, 8)],
