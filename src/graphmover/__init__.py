@@ -8,9 +8,7 @@ feasible for small graphs, where it doubles as an oracle.
 from .geometry import CostParams, GeometricGraph, perturb, translate
 from .ggd import (InexactMatching, InstanceTooLargeError, enumerate_matchings,
                   ggd_exact, matching_cost)
-from .gmd import GmdResult, GroundCostMatrix, gmd, ground_cost_matrix
-from .transport import (Flow, InfeasibleInstanceError, TransportInstance,
-                        check_flow, solve_transport)
+from .gmd import Flow, GmdResult, GroundCostMatrix, gmd, ground_cost_matrix
 
 __all__ = [
     "CostParams",
@@ -19,17 +17,13 @@ __all__ = [
     "GmdResult",
     "GroundCostMatrix",
     "InexactMatching",
-    "InfeasibleInstanceError",
     "InstanceTooLargeError",
-    "TransportInstance",
-    "check_flow",
     "enumerate_matchings",
     "ggd_exact",
     "gmd",
     "ground_cost_matrix",
     "matching_cost",
     "perturb",
-    "solve_transport",
     "translate",
 ]
 

@@ -15,8 +15,8 @@ from pathlib import Path
 
 from . import experiments
 from .dataset import (DISTORTION_LEVELS, load_letter_directory, load_prototypes,
-                      planarize, read_graph_file, write_json_graph)
-from .geometry import CostParams
+                      read_graph_file, write_json_graph)
+from .geometry import CostParams, planarize
 from .ggd import ggd_exact
 from .gmd import gmd
 from .letters import write_letter_dataset

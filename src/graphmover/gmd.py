@@ -56,7 +56,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .geometry import CostParams, GeometricGraph
-from .transport import Flow
 
 _OVERFLOW = "the graph mover's distance overflows a float"
 
@@ -68,6 +67,12 @@ _OVERFLOW = "the graph mover's distance overflows a float"
 # exceeds the cap only when k * n * max(p, d) > 2**21; a whole level of letter
 # drawings fits in a few blocks.
 _BLOCK_ENTRIES = 2 ** 21
+
+
+@dataclass(frozen=True, eq=False)
+class Flow:
+    values: np.ndarray
+    objective: float
 
 
 @dataclass(frozen=True, eq=False)

@@ -15,9 +15,9 @@ from pathlib import Path
 
 import numpy as np
 
-from .dataset import (DISTORTION_LEVELS, LETTER_LABELS, CollinearOverlapError,
-                      LetterRecord, load_prototypes, planarize, write_json_graph)
-from .geometry import GeometricGraph
+from .dataset import (DISTORTION_LEVELS, LETTER_LABELS, LetterRecord, load_prototypes,
+                      write_json_graph)
+from .geometry import CollinearOverlapError, GeometricGraph, planarize
 
 
 @dataclass(frozen=True)

@@ -16,6 +16,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .gmd import Flow
+
 BALANCE_TOL = 1e-9
 
 
@@ -53,12 +55,6 @@ class TransportInstance:
         object.__setattr__(self, "supplies", s)
         object.__setattr__(self, "demands", d)
         object.__setattr__(self, "costs", c)
-
-
-@dataclass(frozen=True, eq=False)
-class Flow:
-    values: np.ndarray
-    objective: float
 
 
 def solve_transport(inst: TransportInstance) -> Flow:

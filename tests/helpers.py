@@ -15,8 +15,9 @@ from typing import Optional, Sequence
 import numpy as np
 
 import graphmover
-from graphmover.dataset import CollinearOverlapError, _nearest_endpoint, read_graph_file
-from graphmover.geometry import EPS, CostParams, GeometricGraph, segment_intersection
+from graphmover.dataset import read_graph_file
+from graphmover.geometry import (EPS, CollinearOverlapError, CostParams, GeometricGraph,
+                                 _nearest_endpoint, segment_intersection)
 from graphmover.ggd import InstanceTooLargeError, enumerate_matchings
 from graphmover.gmd import _assign_rows, ground_cost_matrix
 
@@ -177,7 +178,7 @@ def validate_graph(g: GeometricGraph) -> list[str]:
     """Report edge pairs of a 2D drawing that meet other than at a shared endpoint.
 
     An empty list means the drawing is planar within `EPS`; a graph that is not
-    2D gives []. This is the test oracle for `dataset.planarize`, so it keeps
+    2D gives []. This is the test oracle for `geometry.planarize`, so it keeps
     its own endpoint test instead of sharing the planarizer's.
     """
     if g.dim != 2:
@@ -219,7 +220,7 @@ def _endpoint_near(pts: np.ndarray, edge: tuple[int, int],
 
 
 def crossing_vertices(g: GeometricGraph) -> list[tuple[float, float]]:
-    """The vertices `dataset.planarize` appends to g, found by a linear scan.
+    """The vertices `geometry.planarize` appends to g, found by a linear scan.
 
     Walks the edge pairs in planarize's order and keeps the crossings with
     no endpoint of either edge within EPS. Each one joins the first earlier
@@ -249,7 +250,7 @@ def crossing_vertices(g: GeometricGraph) -> list[tuple[float, float]]:
 
 
 def planarize_loop(g: GeometricGraph) -> GeometricGraph:
-    """`dataset.planarize` as a loop over every edge pair, one crossing at a time.
+    """`geometry.planarize` as a loop over every edge pair, one crossing at a time.
 
     This is the planarizer before its crossing clusters, edge events and
     split stage moved to numpy, as it ran below `_PASS_MIN_PAIRS`: every

@@ -8,12 +8,12 @@ import numpy as np
 import pytest
 from hypothesis import assume, example, given, settings
 
-from graphmover import dataset
-from graphmover.dataset import (CollinearOverlapError, GraphFormatError, LetterRecord,
-                                load_letter_directory, load_prototypes, planarize,
-                                read_class_index, read_graph_file, read_gxl_letter,
-                                read_json_graph, write_json_graph)
-from graphmover.geometry import EPS, MAX_COORD, CostParams, GeometricGraph, segment_intersection
+from graphmover import geometry
+from graphmover.dataset import (GraphFormatError, LetterRecord, load_letter_directory,
+                                load_prototypes, read_class_index, read_graph_file,
+                                read_gxl_letter, read_json_graph, write_json_graph)
+from graphmover.geometry import (EPS, MAX_COORD, CollinearOverlapError, CostParams,
+                                 GeometricGraph, planarize, segment_intersection)
 from graphmover.ggd import ggd_exact
 from graphmover.gmd import gmd
 
@@ -502,7 +502,7 @@ def _kept_pairs(pts, edges):
     """The pair pass's arrays as (a, b, crossing) per kept pair, where
     crossing is (t, u, (px, py)) for a settled pair and None for one left to
     the loop."""
-    a, b, sure, t, u, px, py = dataset._pairs_that_may_meet(pts, edges)
+    a, b, sure, t, u, px, py = geometry._pairs_that_may_meet(pts, edges)
     return [(ai, bi, (ti, ui, (xi, yi)) if ok else None)
             for ai, bi, ok, ti, ui, xi, yi in zip(a.tolist(), b.tolist(), sure.tolist(),
                                                   t.tolist(), u.tolist(), px.tolist(),
@@ -518,6 +518,11 @@ def test_pair_pass_leaves_a_crossing_that_rounds_onto_an_endpoint_to_the_loop():
     flat = planarize(g)
     assert flat.vertices == g.vertices
     assert flat.edges[:3] == ((0, 1), (1, 2), (1, 3))
+
+
+def _rungs(n):
+    """A vertical segment crossed by n parallel horizontal unit segments."""
+    return [(0.5, -1.0), (0.5, float(n))] + [(x, float(k)) for k in range(n) for x in (0.0, 1.0)]
 
 
 def _assert_matches_the_loop(g):
@@ -573,6 +578,9 @@ def test_planarize_crossing_vertices_match_a_linear_scan(g):
 # these two cross at an angle below the parallel tolerance, each end more
 # than EPS off the other's line: "none"
 @example(_segments([(-1e4, -4e-9), (1e4, 4e-9), (-1e4, 4e-9), (1e4, -4e-9)] + PADDING))
+# a line crossed by parallel segments, and parallel segments 0 to 4 EPS apart
+@example(_segments(_rungs(20)))
+@example(_segments([(x, k * EPS) for k in (0.0, 0.5, 1.5, 2.5, 4.0) for x in (0.0, 1.0)]))
 def test_pair_pass_drops_only_pairs_that_do_not_meet(g):
     # and hands over a crossing only where segment_intersection finds the
     # same floats and the crossing is on no endpoint of either edge
@@ -589,8 +597,17 @@ def test_pair_pass_drops_only_pairs_that_do_not_meet(g):
         elif settled[a, b] is not None:
             t, u, point = settled[a, b]
             assert found == ("point", point, t, u)
-            assert dataset._nearest_endpoint(pts, e1, point) is None
-            assert dataset._nearest_endpoint(pts, e2, point) is None
+            assert geometry._nearest_endpoint(pts, e1, point) is None
+            assert geometry._nearest_endpoint(pts, e2, point) is None
+
+
+def test_pair_pass_drops_parallel_segments_on_distinct_lines():
+    # segment_intersection calls each such pair "none", so only the crossings
+    # of the vertical are kept, and none of the 19,900 parallel pairs
+    g = _segments(_rungs(200))
+    kept = _kept_pairs(g.vertices, g.edges)
+    assert [(a, b) for a, b, _ in kept] == [(0, b) for b in range(1, 201)]
+    _assert_matches_the_loop(g)
 
 
 @pytest.mark.parametrize("block", [1, 7, 100])
@@ -599,7 +616,7 @@ def test_pair_pass_blocks_keep_the_pairs_and_their_order(block, monkeypatch):
     g = _segments([tuple(p) for p in rng.uniform(0.0, 10.0, size=(80, 2))])
     expected = _kept_pairs(g.vertices, g.edges)
     assert 0 < len(expected) < 40 * 39 // 2
-    monkeypatch.setattr(dataset, "_PAIR_BLOCK", block)
+    monkeypatch.setattr(geometry, "_PAIR_BLOCK", block)
     assert _kept_pairs(g.vertices, g.edges) == expected
 
 

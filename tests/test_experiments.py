@@ -355,3 +355,15 @@ def test_library_import_leaves_optional_modules_unloaded():
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                          text=True, check=True, timeout=60)
     assert out.stdout.strip() == "[]"
+
+
+def test_library_import_leaves_the_transport_oracle_unloaded():
+    # solve_transport is the tests' oracle; the package and the CLI never call it
+    code = ("import sys, graphmover, graphmover.cli; "
+            "print('graphmover.transport' in sys.modules)")
+    src = str(Path(graphmover.__file__).resolve().parent.parent)
+    env = {**os.environ,
+           "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, check=True, timeout=60)
+    assert out.stdout.strip() == "False"

@@ -4,8 +4,9 @@ import numpy as np
 import pytest
 
 from graphmover import letters
-from graphmover.dataset import (DISTORTION_LEVELS, LETTER_LABELS, CollinearOverlapError,
-                                load_letter_directory, load_prototypes)
+from graphmover.dataset import (DISTORTION_LEVELS, LETTER_LABELS, load_letter_directory,
+                                load_prototypes)
+from graphmover.geometry import CollinearOverlapError
 from graphmover.letters import (DISTORTION_PROFILES, distort, make_letter_records,
                                 write_letter_dataset)
 

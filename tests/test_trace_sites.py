@@ -8,7 +8,7 @@ import sys
 from functools import cached_property
 
 import graphmover
-from graphmover import dataset, experiments, letters
+from graphmover import dataset, experiments, geometry, letters
 from graphmover.geometry import GeometricGraph
 
 from conftest import UNIT_COSTS
@@ -36,4 +36,6 @@ def test_the_patched_names_exist():
                         (dataset, "planarize"), (dataset, "read_json_graph"),
                         (letters, "write_letter_dataset")):
         assert callable(getattr(owner, name, None)), name
+    # the tracer patches the planarizer where the dataset loader calls it
+    assert dataset.planarize is geometry.planarize
     assert isinstance(GeometricGraph.__dict__["adjacency_length_matrix"], cached_property)
