@@ -39,6 +39,8 @@ _PASS_MIN_PAIRS = 80
 _PAIR_BLOCK = 2 ** 12
 
 _PLAIN_NUMBERS = frozenset((float, int))  # exact types: a bool still takes the Real test
+_SEQUENCES = frozenset((list, tuple))
+_FLOAT = frozenset((float,))
 
 
 class CollinearOverlapError(ValueError):
@@ -70,7 +72,10 @@ class GeometricGraph:
     finite as floats and within MAX_COORD in magnitude, an edge that is not
     two integer indices (a bool or a float is not one) in range, a self-loop
     or a duplicate edge raises ValueError. Instances are immutable and
-    hashable.
+    hashable. Vertices given as a list or tuple of lists or tuples of
+    Python floats, as the JSON reader makes them, are checked in bulk
+    (`_plain_vertices`); every other form, and any fault, goes through the
+    per-vertex checks, which name the first faulty vertex.
     """
 
     dim: int
@@ -80,29 +85,34 @@ class GeometricGraph:
     def __post_init__(self):
         if type(self.dim) is bool or not isinstance(self.dim, int) or self.dim < 1:
             raise ValueError(f"dim must be a positive integer, got {reprlib.repr(self.dim)}")
-        verts = []
-        for index, v in enumerate(self.vertices):
-            try:
-                p = tuple(v)
-            except TypeError:
-                raise ValueError(f"vertex {index} is not a sequence of coordinates") from None
-            if len(p) != self.dim:
-                raise ValueError(f"vertex {index} does not have dimension {self.dim}")
-            if not _PLAIN_NUMBERS.issuperset(map(type, p)):
-                for x in p:
-                    if isinstance(x, bool) or not isinstance(x, numbers.Real):
-                        raise ValueError(
-                            f"vertex {index}: coordinate {reprlib.repr(x)} is not a number")
-            try:
-                p = tuple(map(float, p))
-            except OverflowError:
-                raise ValueError(
-                    f"vertex {index} has a coordinate too large for a float") from None
-            # abs(nan) fails the test too
-            if not all(map(MAX_COORD.__ge__, map(abs, p))):
-                raise ValueError(f"vertex {index} has a coordinate that is not finite or "
-                                 f"exceeds 2**{math.log2(MAX_COORD):g} in magnitude")
-            verts.append(p)
+        if _plain_vertices(self.vertices, self.dim):
+            # through a list: tuple() over a map grows its result from a guessed
+            # size, and kept 0.7 MB more resident after 20,000 letter queries
+            verts = tuple([tuple(v) for v in self.vertices])
+        else:
+            verts = []
+            for index, v in enumerate(self.vertices):
+                try:
+                    p = tuple(v)
+                except TypeError:
+                    raise ValueError(f"vertex {index} is not a sequence of coordinates") from None
+                if len(p) != self.dim:
+                    raise ValueError(f"vertex {index} does not have dimension {self.dim}")
+                if not _PLAIN_NUMBERS.issuperset(map(type, p)):
+                    for x in p:
+                        if isinstance(x, bool) or not isinstance(x, numbers.Real):
+                            raise ValueError(
+                                f"vertex {index}: coordinate {reprlib.repr(x)} is not a number")
+                try:
+                    p = tuple(map(float, p))
+                except OverflowError:
+                    raise ValueError(
+                        f"vertex {index} has a coordinate too large for a float") from None
+                # abs(nan) fails the test too
+                if not all(map(MAX_COORD.__ge__, map(abs, p))):
+                    raise ValueError(f"vertex {index} has a coordinate that is not finite or "
+                                     f"exceeds 2**{math.log2(MAX_COORD):g} in magnitude")
+                verts.append(p)
         pairs = []
         for index, e in enumerate(self.edges):
             try:
@@ -187,6 +197,23 @@ class GeometricGraph:
         mat[j, i] = length
         mat.flags.writeable = False
         return mat
+
+
+def _plain_vertices(vertices, dim: int) -> bool:
+    """Whether `vertices` is a list or tuple of lists or tuples of `dim`
+    Python floats (exact types), each within MAX_COORD in magnitude, so that
+    the constructor's per-vertex checks would pass and change no value.
+
+    The test runs over the input in place and builds nothing; anything
+    else, ints and numpy scalars included, and every fault, is left to the
+    per-vertex checks, which name the first faulty vertex.
+    """
+    return (type(vertices) in _SEQUENCES
+            and _SEQUENCES.issuperset(map(type, vertices))
+            and _FLOAT.issuperset(map(type, itertools.chain.from_iterable(vertices)))
+            and all(map(dim.__eq__, map(len, vertices)))
+            # abs(nan) fails the test too
+            and all(map(MAX_COORD.__ge__, map(abs, itertools.chain.from_iterable(vertices)))))
 
 
 def _edge_index(x, index: int) -> int:
@@ -304,7 +331,9 @@ def planarize(g: GeometricGraph) -> GeometricGraph:
     A crossing splits both its edges there, and an endpoint inside an edge
     splits that edge. Where one edge meets one vertex more than once, the
     first event in pair order (edge a's before edge b's) gives the
-    parameter. An edge's stops run in (t, vertex id) order between its
+    parameter; only a touch or a crossing merged into another's vertex
+    can make that happen, so without either no event needs dropping. An
+    edge's stops run in (t, vertex id) order between its
     ends; a piece that joins a vertex to itself is dropped, and the first
     piece, in edge order, that repeats an earlier one raises.
 
@@ -371,11 +400,15 @@ def planarize(g: GeometricGraph) -> GeometricGraph:
     vid = g.n_vertices - 1 + np.cumsum(new)[rep]
 
     touch_at, touch_edge, touch_t, touch_vid = np.array(touches, dtype=float).reshape(-1, 4).T
+    # only a touch or a merged crossing can meet an edge at a vertex it already meets
+    when = None
+    if touches or not new.all():
+        when = np.concatenate([2 * at, 2 * at + 1, 2 * touch_at.astype(np.intp)])
     pieces = _split(edges,
                     np.concatenate([a, b, touch_edge.astype(np.intp)]),
                     np.concatenate([t, u, touch_t]),
                     np.concatenate([vid, vid, touch_vid.astype(np.intp)]),
-                    np.concatenate([2 * at, 2 * at + 1, 2 * touch_at.astype(np.intp)]))
+                    when)
     return GeometricGraph._from_valid(
         2, g.vertices + tuple(zip(px[new].tolist(), py[new].tolist())), pieces)
 
@@ -418,24 +451,28 @@ def _split(edges, edge, t, vertex, when):
 
     Event k puts `vertex[k]` at parameter `t[k]` along `edges[edge[k]]`;
     where an edge meets a vertex more than once, the event with the lowest
-    `when` counts. Each edge's chain is its first end, its stops in
-    (t, vertex) order and its second end, with the ends sorted in at
-    t = -inf and +inf. np.lexsort, whose float pass is a merge sort, takes
-    several times as long as ranking t and sorting one integer key, so it
+    `when` counts. `when` None says that no edge meets a vertex twice, and
+    then no event is dropped. Each edge's chain is its first end, its stops
+    in (t, vertex) order and its second end, with the ends sorted in at
+    t = -inf and +inf: one argsort of t, then a stable argsort of the edge
+    ids in the smallest integer type that holds them, which numpy runs as
+    a radix sort and which keeps t's order within each edge. np.lexsort,
+    whose float pass is a merge sort, takes several times as long, so it
     only runs where an edge holds two stops at equal t.
     """
-    first = np.lexsort((when, vertex, edge))
-    e, v = edge[first], vertex[first]
-    first = first[np.concatenate(([True], (e[1:] != e[:-1]) | (v[1:] != v[:-1])))]
+    if when is not None:
+        first = np.lexsort((when, vertex, edge))
+        e, v = edge[first], vertex[first]
+        first = first[np.concatenate(([True], (e[1:] != e[:-1]) | (v[1:] != v[:-1])))]
+        edge, t, vertex = edge[first], t[first], vertex[first]
     ids = np.arange(len(edges))
     ends = np.array(edges).reshape(-1, 2)
     inf = np.full(len(edges), np.inf)
-    edge = np.concatenate([ids, edge[first], ids])
-    t = np.concatenate([-inf, t[first], inf])
-    vertex = np.concatenate([ends[:, 0], vertex[first], ends[:, 1]])
-    rank = np.empty(len(t), dtype=np.intp)
-    rank[np.argsort(t)] = np.arange(len(t))
-    chain = np.argsort(edge * len(t) + rank)
+    edge = np.concatenate([ids, edge, ids])
+    t = np.concatenate([-inf, t, inf])
+    vertex = np.concatenate([ends[:, 0], vertex, ends[:, 1]])
+    chain = np.argsort(t)
+    chain = chain[np.argsort(edge[chain].astype(np.min_scalar_type(len(edges))), kind="stable")]
     owner, t = edge[chain], t[chain]
     if ((owner[1:] == owner[:-1]) & (t[1:] == t[:-1])).any():
         chain = chain[np.lexsort((vertex[chain], t, owner))]
@@ -471,7 +508,12 @@ def _pairs_that_may_meet(pts, edges):
     tolerance and widens each range by 2 * EPS/len + 1e-9. A kept pair is
     dropped too where |denom| is within half the parallel tolerance and
     |num_u| > 2 * EPS * len_a and |num_t| > 2 * EPS * len_b: parallel, and no
-    collinearity test holds, so "none".
+    collinearity test holds, so "none". It is dropped, too, where |denom| is
+    within half the tolerance and both ends of b project beyond the same
+    end of a: the collinear branch's t_c and t_d, the same float operations
+    as there but for len_a, lie outside a's range widened as above, so that
+    branch finds neither an overlap nor a point. So no two dashes of a
+    dashed line go to the Python loop.
 
     `sure` marks a kept pair that is certainly a crossing inside both
     segments; its t, u and (px, py) are then what `segment_intersection`
@@ -493,7 +535,8 @@ def _pairs_that_may_meet(pts, edges):
     With coordinates within MAX_COORD, as a GeometricGraph's are, no
     intermediate overflows. The pairs are tested in blocks of at most
     _PAIR_BLOCK, so the temporaries grow with the kept pairs, not with all
-    pairs.
+    pairs; a block's kept pairs are gathered by their flat positions, in
+    the same row-major (a, b) order.
     """
     ends = np.array([pts[i] + pts[j] for i, j in edges])  # x0, y0, x1, y1 per edge
     x0, y0, x1, y1 = ends.T
@@ -529,16 +572,28 @@ def _pairs_that_may_meet(pts, edges):
                 drop = apart & ((np.abs(t - 0.5) > half[a, None]) | (np.abs(u - 0.5) > half[b]))
             if b.start < a.stop:  # the block reaches the diagonal: drop (a, b) with b <= a
                 drop |= np.arange(b.start, b.stop) <= np.arange(a.start, a.stop)[:, None]
-            ia, ib = np.nonzero(~drop)
-            if ia.size:  # most blocks of a sparse drawing keep no pair
+            flat = np.flatnonzero(~drop)
+            if flat.size:  # most blocks of a sparse drawing keep no pair
+                ka, kb = np.divmod(flat, drop.shape[1])
+                ka += a.start
+                kb += b.start
+                denom, num_t, num_u = denom.ravel(), num_t.ravel(), num_u.ravel()
                 if not (apart | drop).all():  # a kept pair is within twice the tolerance
-                    d, nt, nu = denom[ia, ib], num_t[ia, ib], num_u[ia, ib]
-                    la, lb = length[ia + a.start], length[ib + b.start]
-                    meet = ((np.abs(d) > 0.5e-12 * la * lb)
-                            | (np.abs(nu) <= 2 * EPS * la) | (np.abs(nt) <= 2 * EPS * lb))
-                    ia, ib = ia[meet], ib[meet]
-                blocks.append((ia + a.start, ib + b.start,
-                               denom[ia, ib], num_t[ia, ib], num_u[ia, ib]))
+                    la, lb = length[ka], length[kb]
+                    # segment_intersection's collinear branch projects c and d
+                    # onto a: a pair beside each other on one line has both
+                    # beyond the same end of a's range
+                    with np.errstate(all="ignore"):
+                        la2, ra, sa = la * la, rx[ka], ry[ka]
+                        tc = (acx.ravel()[flat] * ra + acy.ravel()[flat] * sa) / la2
+                        td = ((x1[kb] - x0[ka]) * ra + (y1[kb] - y0[ka]) * sa) / la2
+                    beside = ((np.abs(tc - 0.5) > half[ka]) & (np.abs(td - 0.5) > half[ka])
+                              & ((tc > 0.5) == (td > 0.5)))
+                    meet = ((np.abs(denom[flat]) > 0.5e-12 * la * lb)
+                            | ((np.abs(num_u[flat]) <= 2 * EPS * la)
+                               | (np.abs(num_t[flat]) <= 2 * EPS * lb)) & ~beside)
+                    flat, ka, kb = flat[meet], ka[meet], kb[meet]
+                blocks.append((ka, kb, denom[flat], num_t[flat], num_u[flat]))
         r0 = a.stop
     ka, kb, denom, num_t, num_u = map(np.concatenate, zip(*blocks))
     p, q = ends[ka], ends[kb]

@@ -525,6 +525,18 @@ def _rungs(n):
     return [(0.5, -1.0), (0.5, float(n))] + [(x, float(k)) for k in range(n) for x in (0.0, 1.0)]
 
 
+def _dashes(n, gaps=None, angle=0.0):
+    """A dashed line of n unit segments at `angle`, with unit gaps or the
+    given ones, and a unit vertical through the middle of dash n // 2."""
+    c, s = math.cos(angle), math.sin(angle)
+    gaps = [1.0] * n if gaps is None else gaps
+    starts = itertools.accumulate([0.0] + [1.0 + gap for gap in gaps[:n - 1]])
+    dashes = [(x * c, x * s) for x0 in starts for x in (x0, x0 + 1.0)]
+    mx, my = dashes[n // 2 * 2]
+    mx, my = mx + 0.5 * c, my + 0.5 * s
+    return [(mx, my - 1.0), (mx, my + 1.0)] + dashes
+
+
 def _assert_matches_the_loop(g):
     try:
         expected = planarize_loop(g)
@@ -552,7 +564,13 @@ def test_planarize_matches_the_loop(drawings, data):
     TINY_ANGLE + PADDING,
     _crossing_onto_an_endpoint() + PADDING,
     [(-1e4, -4e-9), (1e4, 4e-9), (-1e4, 4e-9), (1e4, -4e-9)] + PADDING,
-], ids=["tiny-angle", "crossing-onto-an-endpoint", "below-the-parallel-tolerance"])
+    # edge (0, 1) meets the crossing at (0, 0) twice, once as itself and once
+    # as the crossing with the diagonal that merges into it, and the end of
+    # edge (6, 7) between: only the first event per edge and vertex counts
+    [(1.0, 0.0), (-1.0, 0.0), (0.0, -1.0), (0.0, 1.0), (-0.9999999996464466, -1.0000000003535534),
+     (1.0000000003535534, 0.9999999996464466), (-1.0, 1.0), (0.0, 0.0)] + PADDING,
+], ids=["tiny-angle", "crossing-onto-an-endpoint", "below-the-parallel-tolerance",
+        "vertex-met-twice"])
 def test_planarize_matches_the_loop_on_fixed_drawings(points):
     _assert_matches_the_loop(_segments(points))
 
@@ -581,6 +599,15 @@ def test_planarize_crossing_vertices_match_a_linear_scan(g):
 # a line crossed by parallel segments, and parallel segments 0 to 4 EPS apart
 @example(_segments(_rungs(20)))
 @example(_segments([(x, k * EPS) for k in (0.0, 0.5, 1.5, 2.5, 4.0) for x in (0.0, 1.0)]))
+# dashed lines: collinear segments that lie apart, along x and at an angle,
+# and ones 0 to 4 EPS apart along the line; a segment on a longer one's line
+# reaches past both its ends
+@example(_segments(_dashes(20)))
+@example(_segments([(4.0, 0.0), (5.0, 0.0), (0.0, 0.0), (10.0, 0.0)] + PADDING))
+@example(_segments(_dashes(20, angle=0.3)))
+@example(_segments(_dashes(6, [k * EPS for k in (0.0, 0.5, 1.5, 2.5, 4.0)]) + PADDING))
+@example(_segments(_dashes(6, [k * EPS for k in (0.0, 0.5, 1.5, 2.5, 4.0)], angle=0.3)
+                   + PADDING))
 def test_pair_pass_drops_only_pairs_that_do_not_meet(g):
     # and hands over a crossing only where segment_intersection finds the
     # same floats and the crossing is on no endpoint of either edge
@@ -607,6 +634,17 @@ def test_pair_pass_drops_parallel_segments_on_distinct_lines():
     g = _segments(_rungs(200))
     kept = _kept_pairs(g.vertices, g.edges)
     assert [(a, b) for a, b, _ in kept] == [(0, b) for b in range(1, 201)]
+    _assert_matches_the_loop(g)
+
+
+def test_pair_pass_drops_collinear_segments_that_lie_apart():
+    # the dashes lie on one line, so each of their 44,850 pairs passes the
+    # parallel and collinearity tests; only the vertical's crossing is kept.
+    # Over 256 edges, so that a split stage whose edge ids wrapped in a
+    # narrow integer type would join pieces of different edges
+    g = _segments(_dashes(300))
+    kept = _kept_pairs(g.vertices, g.edges)
+    assert [(a, b) for a, b, _ in kept] == [(0, 151)]
     _assert_matches_the_loop(g)
 
 

@@ -91,6 +91,50 @@ def test_graph_rejects_bad_edges(edges, message):
         GeometricGraph.build([(0, 0), (1, 0)], edges)
 
 
+def test_graph_vertices_of_any_number_type_make_one_graph():
+    # plain floats skip the per-vertex checks; the other forms go through them
+    points = [(0.0, 0.0), (3.0, -1.0), (2.0, 5.0), (-4.0, 1.0)]
+    edges = [(0, 1), (1, 2), (3, 2)]
+    forms = [points, tuple(points), [list(p) for p in points],
+             [tuple(map(np.float64, p)) for p in points], list(np.array(points)),
+             [tuple(map(int, p)) for p in points], [(0, 0.0), (3.0, -1), (2, 5), (-4, 1.0)],
+             (p for p in points), iter(points)]
+    graphs = [GeometricGraph(2, vertices, edges) for vertices in forms]
+    for g in graphs:
+        assert g == graphs[0] and hash(g) == hash(graphs[0])
+        assert g.vertices == tuple(points) and type(g.vertices) is tuple
+        assert all(type(v) is tuple and all(type(x) is float for x in v) for v in g.vertices)
+    assert GeometricGraph(2, [], []) == GeometricGraph(2, (), ()) == GeometricGraph(2, iter(()), ())
+
+
+BEYOND = math.nextafter(MAX_COORD, math.inf)
+NOT_FINITE = r"has a coordinate that is not finite or exceeds 2\*\*510 in magnitude$"
+
+
+@settings(max_examples=60, deadline=None)
+@given(n=st.integers(1, 40), data=st.data(),
+       fault=st.sampled_from([
+           ((0.0, True), r": coordinate True is not a number$"),
+           ((float("nan"), 0.0), " " + NOT_FINITE),
+           ((0.0, -BEYOND), " " + NOT_FINITE),
+           (("3", 0.0), r": coordinate '3' is not a number$"),
+           ((0.0, 1.0, 2.0), r" does not have dimension 2$"),
+           ((0.0,), r" does not have dimension 2$"),
+           (5.0, r" is not a sequence of coordinates$"),
+           (None, r" is not a sequence of coordinates$")]),
+       outer=st.sampled_from([list, tuple]), inner=st.sampled_from([list, tuple]))
+def test_graph_names_the_first_faulty_vertex_among_plain_floats(n, data, fault, outer, inner):
+    rng = np.random.default_rng(n)
+    vertices = [inner(p) for p in rng.uniform(-MAX_COORD, MAX_COORD, size=(n, 2)).tolist()]
+    k = data.draw(st.integers(0, n - 1))
+    bad, message = fault
+    vertices[k] = inner(bad) if isinstance(bad, tuple) else bad
+    if k + 1 < n:  # a later fault is not the one reported
+        vertices[data.draw(st.integers(k + 1, n - 1))] = inner((math.inf, "x"))
+    with pytest.raises(ValueError, match=rf"^vertex {k}{message}"):
+        GeometricGraph(2, outer(vertices), ())
+
+
 def test_graph_accepts_numpy_integer_indices():
     g = GeometricGraph.build([(0, 0), (1, 0), (0, 1)], [(np.int64(2), np.int32(0))])
     assert g.edges == ((0, 2),)
