@@ -42,14 +42,19 @@ class LetterRecord:
             raise ValueError(f"unknown distortion level {self.distortion!r}")
 
 
+def _parse_json(data: Union[bytes, str]):
+    """The value of a JSON document, bytes read as UTF-8. GraphFormatError
+    when it is not valid UTF-8 or JSON, nests deeper than the interpreter's
+    recursion limit or holds an integer too long to convert."""
+    try:
+        return json.loads(data.decode("utf-8") if isinstance(data, bytes) else data)
+    except (ValueError, RecursionError) as exc:
+        raise GraphFormatError(f"not valid JSON: {exc}") from exc
+
+
 def read_json_graph(data: Union[bytes, str]) -> GeometricGraph:
     """Parse the native format; the GeometricGraph constructor checks the graph."""
-    if isinstance(data, bytes):
-        data = data.decode("utf-8")
-    try:
-        doc = json.loads(data)
-    except json.JSONDecodeError as exc:
-        raise GraphFormatError(f"not valid JSON: {exc}") from exc
+    doc = _parse_json(data)
     if not isinstance(doc, dict):
         raise GraphFormatError("document is not a JSON object")
     missing = {"d", "vertices", "edges"} - doc.keys()
@@ -159,7 +164,7 @@ def load_letter_directory(path) -> list[LetterRecord]:
     labels_json = root / "labels.json"
     class_files = sorted(root.glob("*.cxl"))
     if labels_json.exists():
-        mapping = json.loads(labels_json.read_text())
+        mapping = _parse_json(labels_json.read_bytes())
         if not isinstance(mapping, dict):
             raise GraphFormatError(f"{labels_json} is not a JSON object")
         if not mapping:

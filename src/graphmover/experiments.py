@@ -6,9 +6,7 @@ can be diffed byte for byte.
 
 from __future__ import annotations
 
-import copy
 import io
-import operator
 import os
 import time
 from dataclasses import dataclass
@@ -20,7 +18,7 @@ import numpy as np
 from .dataset import LETTER_LABELS, LetterRecord
 from .geometry import CostParams, GeometricGraph, perturb, translate
 from .ggd import ggd_exact
-from .gmd import _stack_distances, _stacks_by_size, gmd
+from .gmd import _distance_matrix, gmd
 
 # the cost setting of the stability trials and the scaling benchmark
 UNIT_COSTS = CostParams(1.0, 1.0)
@@ -39,57 +37,6 @@ class RetrievalReport:
     runtime_seconds: float
 
 
-# The last prototype stacks asked for, with the graphs they were built from:
-# a call with the same graph objects reuses them. The slot holds its graphs,
-# so no other graph can take their ids while it is kept; hashing the 15
-# frozen graphs by value would cost a fifth of a rebuild. A miss replaces the
-# slot in one assignment, so a race between threads costs only a rebuild.
-_LAST_PROTOTYPES: tuple = ((), ())
-
-
-def _stack_prototypes(proto_graphs: tuple[GeometricGraph, ...]) -> tuple:
-    """The prototypes' `gmd._stacks_by_size` with read-only arrays: plain
-    arrays, so it pickles. Built once while the same graphs are asked for."""
-    global _LAST_PROTOTYPES
-    kept, stacks = _LAST_PROTOTYPES
-    if len(kept) == len(proto_graphs) and all(map(operator.is_, kept, proto_graphs)):
-        return stacks
-    stacks = _stacks_by_size(proto_graphs)
-    for _, arrays in stacks:
-        for array in arrays:
-            array.flags.writeable = False
-    _LAST_PROTOTYPES = (tuple(proto_graphs), stacks)
-    return stacks
-
-
-def _letter_distances(graphs: Sequence[GeometricGraph], stacks, params) -> np.ndarray:
-    """The matrix of gmd(graph, proto, params).value, one row per graph and
-    one column per prototype of `_stack_prototypes`. The graphs are grouped
-    by vertex count too, and each group's distances to each group of
-    prototypes come from one `gmd._stack_distances` call.
-
-    It stacks shallow copies of the graphs, so the coordinate and adjacency
-    arrays cached while pricing go with the call instead of staying on every
-    drawing the caller holds (a whole distortion level in `graphmover
-    classify`).
-    """
-    distances = np.empty((len(graphs), sum(len(indices) for indices, _ in stacks)))
-    for rows, queries in _stacks_by_size([copy.copy(graph) for graph in graphs]):
-        block = np.empty((len(rows), distances.shape[1]))
-        for indices, stack in stacks:
-            values, _ = _stack_distances(queries, stack, params)
-            block[:, indices] = values
-        distances[rows, :] = block
-    return distances
-
-
-def _rank_letters(graphs: Sequence[GeometricGraph], stacks, params) -> np.ndarray:
-    """Each graph's prototype indices from nearest to farthest, one row per graph."""
-    # ties broken by alphabetical letter order: the stacks index label-ordered
-    # prototypes, and a stable sort keeps equal distances in index order
-    return np.argsort(_letter_distances(graphs, stacks, params), axis=1, kind="stable")
-
-
 def _usable_cpus() -> int:
     """The CPUs this process may run on (its affinity set where the platform has one)."""
     if hasattr(os, "sched_getaffinity"):
@@ -102,13 +49,12 @@ def classify_topk(tests: Sequence[LetterRecord], prototypes: dict[str, Geometric
     """Rank the 15 prototypes by distance for each test drawing.
 
     A test counts as a hit at k when its true letter is among the k closest
-    prototypes, with the same distances as `gmd`. The prototypes are stacked
-    by vertex count (`gmd._stacks_by_size`), once for the same prototype
-    graphs across calls. The drawings are stacked by vertex count too, and
-    each group's distances to each group of prototypes come from one
-    `gmd._stack_distances` call. The drawings are split into one chunk per
-    usable CPU, at most one per drawing, and a pool ranks the chunks; with
-    one chunk they are ranked in-process.
+    prototypes, with the same distances as `gmd`. The distances come from
+    `gmd._distance_matrix`, which groups the drawings and the prototypes by
+    vertex count, once for the same prototype graphs across calls. The drawings
+    are split into one chunk per usable CPU, at most one per drawing, and a
+    pool's workers price the chunks; with one chunk they are priced
+    in-process. The ranking is done here, on the whole matrix.
     """
     ks = tuple(sorted(set(int(k) for k in ks)))
     if any(k < 1 for k in ks):
@@ -123,19 +69,21 @@ def classify_topk(tests: Sequence[LetterRecord], prototypes: dict[str, Geometric
     distortion = levels.pop() if len(levels) == 1 else "MIXED"
 
     start = time.perf_counter()
-    stacks = _stack_prototypes(proto_graphs)
     graphs = [r.graph for r in tests]
+    distances = partial(_distance_matrix, references=proto_graphs, params=params)
     workers = min(_usable_cpus(), len(graphs))
     if workers > 1:
         from concurrent.futures import ProcessPoolExecutor  # the serial path never loads it
 
         size = -(-len(graphs) // workers)
-        rank = partial(_rank_letters, stacks=stacks, params=params)
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            orders = np.concatenate(list(pool.map(
-                rank, [graphs[a:a + size] for a in range(0, len(graphs), size)])))
+            matrix = np.concatenate(list(pool.map(
+                distances, [graphs[a:a + size] for a in range(0, len(graphs), size)])))
     else:
-        orders = _rank_letters(graphs, stacks, params)
+        matrix = distances(graphs)
+    # ties broken by alphabetical letter order: the columns are label-ordered
+    # prototypes, and a stable sort keeps equal distances in column order
+    orders = np.argsort(matrix, axis=1, kind="stable")
 
     hits = {k: 0 for k in ks}
     confusion = np.zeros((len(LETTER_LABELS), len(LETTER_LABELS)), dtype=int)

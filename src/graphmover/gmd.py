@@ -45,12 +45,17 @@ the arrays of k graphs of n vertices, `_cost_stack` prices each of Q graphs
 against each of k, and `_solve_stack` is the one place that builds the flows
 and values. Within a stack every L1 sum has the same length p, so each entry,
 flow and value is the same float as in the pair's own solve.
-`ground_cost_matrix` and `gmd` are the Q = k = 1 case, and `_stack_distances`
-runs the groups of `_stacks_by_size`.
+`ground_cost_matrix` and `gmd` are the Q = k = 1 case. `_distance_matrix`
+is the ranker's batch: it groups its graphs by vertex count
+(`_stacks_by_size`), keeps the references' groups while the same reference
+graphs are asked for (`_reference_stacks`), and prices each pair of groups
+in one cost stack and one solve.
 """
 
 from __future__ import annotations
 
+import copy
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -131,17 +136,52 @@ def _stack(graphs) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         return np.array([h.coords for h in graphs]), adj, adj.sum(axis=2)
 
 
-def _stack_distances(queries, stack, params: CostParams) -> tuple[np.ndarray, np.ndarray]:
-    """The distances (Q, k) and optimal flows (Q, k, m+1, n+1) of each graph of
-    a `_stack` of Q graphs of m vertices against each graph of a `_stack` of k
-    graphs of n vertices, each the same floats as `gmd` on the pair.
+# The last reference stacks asked for, with the graphs they were built from:
+# a call with the same graph objects reuses them. The slot holds its graphs,
+# so no other graph can take their ids while it is kept; hashing the 15
+# frozen graphs by value would cost a fifth of a rebuild. A miss replaces the
+# slot in one assignment, so a race between threads costs only a rebuild.
+_LAST_REFERENCES: tuple = ((), ())
+
+
+def _reference_stacks(references) -> tuple:
+    """The references' `_stacks_by_size` with read-only arrays, built once
+    while the same graph objects are asked for."""
+    global _LAST_REFERENCES
+    kept, stacks = _LAST_REFERENCES
+    if len(kept) == len(references) and all(map(operator.is_, kept, references)):
+        return stacks
+    stacks = _stacks_by_size(references)
+    for _, arrays in stacks:
+        for array in arrays:
+            array.flags.writeable = False
+    _LAST_REFERENCES = (tuple(references), stacks)
+    return stacks
+
+
+def _distance_matrix(graphs, references, params: CostParams) -> np.ndarray:
+    """The matrix of gmd(graph, reference, params).value, one row per graph
+    and one column per reference, all of one dimension. Each size group of
+    the graphs is priced against each size group of `_reference_stacks` in
+    one `_cost_stack` and one `_solve_stack` call.
+
+    It stacks shallow copies of the graphs, so the coordinate and adjacency
+    arrays cached while pricing go with the call instead of staying on every
+    graph the caller holds (a whole distortion level in `graphmover
+    classify`).
 
     ValueError(_OVERFLOW) when a distance is not finite.
     """
-    costs = _cost_stack(queries, stack, params)
-    q, k, rows, cols = costs.shape
-    values, flows = _solve_stack(costs.reshape(q * k, rows, cols))
-    return values.reshape(q, k), flows.reshape(q, k, rows, cols)
+    stacks = _reference_stacks(references)
+    distances = np.empty((len(graphs), len(references)))
+    for rows, queries in _stacks_by_size([copy.copy(graph) for graph in graphs]):
+        block = np.empty((len(rows), len(references)))
+        for columns, stack in stacks:
+            costs = _cost_stack(queries, stack, params)
+            values, _ = _solve_stack(costs.reshape(-1, *costs.shape[2:]))
+            block[:, columns] = values.reshape(len(rows), len(columns))
+        distances[rows, :] = block
+    return distances
 
 
 def _cost_stack(queries, stack, params: CostParams) -> np.ndarray:

@@ -263,6 +263,16 @@ def test_labels_json_that_is_not_an_object_is_data_error(tmp_path, capsys):
     assert captured.err.count("\n") == 1
 
 
+def test_labels_json_nested_too_deep_is_data_error(tmp_path, capsys):
+    (tmp_path / "LOW").mkdir()
+    (tmp_path / "LOW" / "labels.json").write_text("[" * 100_000)
+    assert main(["classify", "--dataset", str(tmp_path)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: not valid JSON: ")
+    assert captured.err.count("\n") == 1
+
+
 def test_labels_json_without_drawings_is_data_error(tmp_path, capsys):
     # an empty level would lose its name to MIXED and report 0 tests as an accuracy
     (tmp_path / "LOW").mkdir()

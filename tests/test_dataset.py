@@ -73,6 +73,12 @@ def test_json_reader_rejects_bad_documents():
     for doc in ("[]", "3"):
         with pytest.raises(GraphFormatError, match="document is not a JSON object"):
             read_json_graph(doc)
+    # nesting beyond the recursion limit, an integer beyond the interpreter's
+    # 4,300-digit conversion limit and bytes that are not UTF-8
+    for doc in ("[" * 100_000, '{"d":1,"vertices":[[%s]],"edges":[]}' % ("1" * 5000),
+                '{"d":%s,"vertices":[],"edges":[]}' % ("2" * 5000), b'{"d":\xff}'):
+        with pytest.raises(GraphFormatError, match="^not valid JSON: "):
+            read_json_graph(doc)
 
 
 @settings(max_examples=40, deadline=None)

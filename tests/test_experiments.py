@@ -20,7 +20,8 @@ from graphmover.experiments import (bench_csv, classify_topk, confusion_csv,
                                     run_gmd_translation_suite, scaling_benchmark,
                                     stability_csv, triangle_inequality_survey)
 from graphmover.geometry import CostParams, GeometricGraph, perturb
-from graphmover.gmd import _stack, _stack_distances, gmd
+from graphmover.gmd import (_cost_stack, _distance_matrix, _reference_stacks, _solve_stack,
+                            _stack, gmd)
 
 from conftest import LETTER_COSTS, UNIT_COSTS
 from helpers import dense_gmd_value
@@ -89,12 +90,12 @@ def test_pool_and_serial_agree(prototypes, monkeypatch):
     rng = np.random.default_rng(4)
     tests = as_records([(perturb(prototypes[label], 0.5, int(rng.integers(1 << 30))), label)
                         for label in LETTER_LABELS])
-    # the pool's workers rank on unpickled prototype stacks
-    stacks = experiments._stack_prototypes(tuple(prototypes[label] for label in LETTER_LABELS))
-    copies = pickle.loads(pickle.dumps(stacks))
+    # the pool's workers price on unpickled prototype graphs
+    protos = tuple(prototypes[label] for label in LETTER_LABELS)
+    copies = pickle.loads(pickle.dumps(protos))
     graphs = [record.graph for record in tests]
-    assert (experiments._letter_distances(graphs, copies, LETTER_COSTS).tobytes()
-            == experiments._letter_distances(graphs, stacks, LETTER_COSTS).tobytes())
+    assert (_distance_matrix(graphs, copies, LETTER_COSTS).tobytes()
+            == _distance_matrix(graphs, protos, LETTER_COSTS).tobytes())
     every_k = tuple(range(1, 16))  # accuracy at every k compares whole rankings
     monkeypatch.setattr(experiments, "_usable_cpus", lambda: 1)
     serial = classify_topk(tests, prototypes, LETTER_COSTS, ks=every_k)
@@ -107,6 +108,12 @@ def test_pool_and_serial_agree(prototypes, monkeypatch):
 def per_pair_ranking(query, protos, params):
     values = [gmd(query, proto, params).value for proto in protos]
     return values, sorted(range(len(protos)), key=lambda a: (values[a], a))
+
+
+def batched_ranking(queries, protos, params):
+    """The distance matrix and the stable argsort that `classify_topk` ranks by."""
+    distances = _distance_matrix(queries, protos, params)
+    return distances, np.argsort(distances, axis=1, kind="stable")
 
 
 @st.composite
@@ -145,19 +152,19 @@ def path_graph(n, step=0.5):
        st.sampled_from((CostParams(), CostParams(1.0, 1.0), CostParams(0.1, 3.0))))
 def test_batched_ranking_is_bit_identical_to_per_pair_gmd(problem, params):
     queries, protos = problem
-    stacks = experiments._stack_prototypes(protos)
     rankings = [per_pair_ranking(query, protos, params) for query in queries]
-    distances = experiments._letter_distances(queries, stacks, params)
+    distances, orders = batched_ranking(queries, protos, params)
     assert distances.tolist() == [values for values, _ in rankings]
-    assert (experiments._rank_letters(queries, stacks, params).tolist()
-            == [order for _, order in rankings])
+    assert orders.tolist() == [order for _, order in rankings]
     for query, (values, _) in zip(queries, rankings):
         assert values == [dense_gmd_value(query, proto, params) for proto in protos]
     # the batched flows too, swapped groups (queries larger than prototype) included
     batch = _stack(queries)
-    for indices, stack in stacks:
-        _, flows = _stack_distances(batch, stack, params)
-        for query, query_flows in zip(queries, flows):
+    for indices, stack in _reference_stacks(protos):
+        costs = _cost_stack(batch, stack, params)
+        q, k, rows, cols = costs.shape
+        _, flows = _solve_stack(costs.reshape(q * k, rows, cols))
+        for query, query_flows in zip(queries, flows.reshape(q, k, rows, cols)):
             for a, flow in zip(indices, query_flows):
                 expected = gmd(query, protos[a], params).flow.values
                 assert flow.shape == expected.shape
@@ -168,12 +175,11 @@ def test_ranking_tie_goes_to_the_alphabetically_first_letter(prototypes):
     f = prototypes["F"]
     twins = dict(prototypes, H=GeometricGraph(f.dim, f.vertices, f.edges))
     protos = tuple(twins[label] for label in LETTER_LABELS)
-    stacks = experiments._stack_prototypes(protos)
     query = perturb(f, 0.05, 3)
     values, order = per_pair_ranking(query, protos, LETTER_COSTS)
     f_index, h_index = LETTER_LABELS.index("F"), LETTER_LABELS.index("H")
     assert values[f_index] == values[h_index]
-    assert experiments._rank_letters([query], stacks, LETTER_COSTS).tolist() == [order]
+    assert batched_ranking([query], protos, LETTER_COSTS)[1].tolist() == [order]
     assert order[:2] == [f_index, h_index]
     report = classify_topk(as_records([(query, "H")]), twins, LETTER_COSTS, ks=(1, 2))
     assert report.confusion[h_index, f_index] == 1
@@ -183,10 +189,10 @@ def test_ranking_tie_goes_to_the_alphabetically_first_letter(prototypes):
 def test_empty_query_ranks_by_deletion_cost(prototypes):
     empty = GeometricGraph(2, (), ())
     protos = tuple(prototypes[label] for label in LETTER_LABELS)
-    stacks = experiments._stack_prototypes(protos)
     values, order = per_pair_ranking(empty, protos, LETTER_COSTS)
-    assert experiments._letter_distances([empty], stacks, LETTER_COSTS).tolist() == [values]
-    assert experiments._rank_letters([empty], stacks, LETTER_COSTS).tolist() == [order]
+    distances, orders = batched_ranking([empty], protos, LETTER_COSTS)
+    assert distances.tolist() == [values]
+    assert orders.tolist() == [order]
     # every prototype edge is paid at both endpoints
     assert values == pytest.approx([2 * LETTER_COSTS.edge_cost * sum(
         float(np.linalg.norm(p.coords[i] - p.coords[j])) for i, j in p.edges) for p in protos])
@@ -195,8 +201,8 @@ def test_empty_query_ranks_by_deletion_cost(prototypes):
 
 def test_prototype_stacks_are_kept_read_only_for_the_same_graphs(prototypes):
     protos = tuple(prototypes[label] for label in LETTER_LABELS)
-    stacks = experiments._stack_prototypes(protos)
-    assert experiments._stack_prototypes(list(protos)) is stacks
+    stacks = _reference_stacks(protos)
+    assert _reference_stacks(list(protos)) is stacks
     for _, arrays in stacks:
         for array in arrays:
             with pytest.raises(ValueError):
@@ -204,12 +210,41 @@ def test_prototype_stacks_are_kept_read_only_for_the_same_graphs(prototypes):
     # equal graphs that are other objects get their own stacks, which replace
     # the kept ones
     twins = tuple(GeometricGraph(g.dim, g.vertices, g.edges) for g in protos)
-    twin_stacks = experiments._stack_prototypes(twins)
+    twin_stacks = _reference_stacks(twins)
     assert twin_stacks is not stacks
-    assert experiments._stack_prototypes(twins) is twin_stacks
-    again = experiments._stack_prototypes(protos)
+    assert _reference_stacks(twins) is twin_stacks
+    again = _reference_stacks(protos)
     assert again is not stacks
     assert pickle.dumps(again) == pickle.dumps(stacks)
+
+
+def test_one_query_prices_each_prototype_group_once(prototypes, monkeypatch):
+    gmd_module = sys.modules["graphmover.gmd"]
+    calls = {"_stack": [], "_cost_stack": [], "_solve_stack": []}
+    for name, log in calls.items():
+        def counting(first, *args, _original=getattr(gmd_module, name), _log=log):
+            _log.append(first)
+            return _original(first, *args)
+
+        monkeypatch.setattr(gmd_module, name, counting)
+    # equal graphs that are new objects, so that the first call stacks them
+    protos = tuple(GeometricGraph(g.dim, g.vertices, g.edges)
+                   for g in (prototypes[label] for label in LETTER_LABELS))
+    sizes = [g.n_vertices for g in protos]
+    groups = sorted(sizes.count(n) for n in set(sizes))
+    assert len(groups) > 1
+    query = perturb(prototypes["K"], 0.2, 1)
+    first = _distance_matrix([query], protos, LETTER_COSTS)
+    # one stack per prototype size group and one for the query
+    assert sorted(map(len, calls["_stack"])) == sorted(groups + [1])
+    assert len(calls["_cost_stack"]) == len(calls["_solve_stack"]) == len(groups)
+    # the same prototype objects again: only the query is stacked
+    for log in calls.values():
+        log.clear()
+    second = _distance_matrix([query], protos, LETTER_COSTS)
+    assert list(map(len, calls["_stack"])) == [1]
+    assert len(calls["_cost_stack"]) == len(calls["_solve_stack"]) == len(groups)
+    assert second.tobytes() == first.tobytes()
 
 
 def test_ranking_leaves_the_drawings_uncached(prototypes, monkeypatch):
