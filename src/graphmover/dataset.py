@@ -12,6 +12,7 @@ document order likewise defines the vertex order.
 from __future__ import annotations
 
 import json
+from contextlib import contextmanager
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Union
@@ -154,7 +155,8 @@ def load_letter_directory(path) -> list[LetterRecord]:
     from the directory's class files (any ``*.cxl``, concatenated in sorted
     filename order) or from a ``labels.json`` object mapping file names to
     letters. Graphs are planarized so that downstream consumers see valid
-    geometric graphs.
+    geometric graphs. A data error in a file (labels, class or drawing) is
+    a GraphFormatError whose message starts with the file's path.
     """
     root = Path(path)
     distortion = root.name.upper()
@@ -164,7 +166,8 @@ def load_letter_directory(path) -> list[LetterRecord]:
     labels_json = root / "labels.json"
     class_files = sorted(root.glob("*.cxl"))
     if labels_json.exists():
-        mapping = _parse_json(labels_json.read_bytes())
+        with _naming(labels_json):
+            mapping = _parse_json(labels_json.read_bytes())
         if not isinstance(mapping, dict):
             raise GraphFormatError(f"{labels_json} is not a JSON object")
         if not mapping:
@@ -172,12 +175,26 @@ def load_letter_directory(path) -> list[LetterRecord]:
         entries = sorted(mapping.items())
     elif class_files:
         for cf in class_files:
-            entries.extend(read_class_index(cf.read_bytes()))
+            with _naming(cf):
+                entries.extend(read_class_index(cf.read_bytes()))
     else:
         raise GraphFormatError(f"no labels.json or *.cxl class file in {root}")
-    return [LetterRecord(planarize(read_graph_file(root / fname)), label, distortion,
-                         Path(fname).stem)
-            for fname, label in entries]
+    records = []
+    for fname, label in entries:
+        with _naming(root / fname):
+            records.append(LetterRecord(planarize(read_graph_file(root / fname)), label,
+                                        distortion, Path(fname).stem))
+    return records
+
+
+@contextmanager
+def _naming(path):
+    """Turn a ValueError raised inside into a GraphFormatError that starts
+    with the path of the file at fault."""
+    try:
+        yield
+    except ValueError as exc:
+        raise GraphFormatError(f"{path}: {exc}") from exc
 
 
 def load_prototypes(path=None) -> dict[str, GeometricGraph]:

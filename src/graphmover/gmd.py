@@ -38,18 +38,23 @@ bound sum over rows of min(red, 0), and dropping any of them raises the cost.
 The flow is then written directly, and only the other matrices go to
 `_assign_rows`. The value is the flow's objective, sum(flow * costs).
 
-Every step works on stacks of graphs of one size, so that `gmd` (one pair)
-and the letter ranker (a group of same-size drawings against a group of
-same-size prototypes) share one cost formula and one solve: `_stack` holds
-the arrays of k graphs of n vertices, `_cost_stack` prices each of Q graphs
-against each of k, and `_solve_stack` is the one place that builds the flows
-and values. Within a stack every L1 sum has the same length p, so each entry,
-flow and value is the same float as in the pair's own solve.
-`ground_cost_matrix` and `gmd` are the Q = k = 1 case. `_distance_matrix`
-is the ranker's batch: it groups its graphs by vertex count
-(`_stacks_by_size`), keeps the references' groups while the same reference
-graphs are asked for (`_reference_stacks`), and prices each pair of groups
-in one cost stack and one solve.
+Every step works on stacks of graphs, so that `gmd` (one pair) and the
+letter ranker (a group of same-size drawings against the 15 prototypes)
+share one cost formula and one solve. `_stack` holds the arrays of k graphs
+of n vertices; `_fuse` lays out one or more stacks of references as columns,
+each graph's vertices followed by its dummy; `_cost_stack` prices a stack of
+Q queries against all the columns of a fused set in one pass and cuts out
+each stack's (Q, k, m+1, n+1) matrices; and `_solve_stack`, once per stack,
+is the one place that builds the flows and values. Stacks of different
+sizes n are fused only up to `_SEQUENTIAL_TERMS` (7) vertices: their
+adjacency rows are zero-padded to the widest n and the terms past each
+column's own p = min(m, n) are masked to 0, and numpy sums fewer than 8
+terms one after another, so every entry, flow and value is the same float
+as in the pair's own solve. `ground_cost_matrix` and `gmd` are the Q = k = 1
+case. `_distance_matrix` is the ranker's batch: it groups its graphs by
+vertex count (`_stacks_by_size`), keeps the references' fused sets while the
+same reference graphs are asked for (`_reference_stacks`), and prices each
+query group against each set in one cost pass.
 """
 
 from __future__ import annotations
@@ -64,13 +69,13 @@ from .geometry import CostParams, GeometricGraph
 
 _OVERFLOW = "the graph mover's distance overflows a float"
 
-# The costs are built in blocks of queries and rows whose Q x k x m x n x p
+# The costs are built in blocks of queries and rows whose Q x m x C x p
 # temporaries of the L1 term (the difference and its absolute value) and
-# Q x k x m x n x d temporaries of the displacement term (the difference and
-# its square) hold at most this many float64 each, 16 MB, instead of one
-# O(Q*k*m*n*max(p, d)) array. A block is at least one row of one query, which
-# exceeds the cap only when k * n * max(p, d) > 2**21; a whole level of letter
-# drawings fits in a few blocks.
+# Q x m x C x d temporaries of the displacement term (the difference and its
+# square), for C columns of references, hold at most this many float64 each,
+# 16 MB, instead of one O(Q*m*C*max(p, d)) array. A block is at least one row
+# of one query, which exceeds the cap only when C * max(p, d) > 2**21; a
+# whole level of letter drawings fits in a few blocks.
 _BLOCK_ENTRIES = 2 ** 21
 
 
@@ -112,7 +117,7 @@ def ground_cost_matrix(g: GeometricGraph, h: GeometricGraph,
     """Pairwise unit-transport costs between the vertices of g and h plus dummies."""
     if g.dim != h.dim:
         raise ValueError(f"dimension mismatch: {g.dim} vs {h.dim}")
-    out = _cost_stack(_stack([g]), _stack([h]), params)[0, 0]
+    out = _cost_stack(_stack([g]), _fuse([_stack([h])]), params)[0][0, 0]
     out.flags.writeable = False
     return GroundCostMatrix(out, g.n_vertices, h.n_vertices)
 
@@ -136,7 +141,45 @@ def _stack(graphs) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         return np.array([h.coords for h in graphs]), adj, adj.sum(axis=2)
 
 
-# The last reference stacks asked for, with the graphs they were built from:
+# numpy adds fewer than 8 terms one after another, in order; from 8 on it
+# keeps 8 partial sums. So a sum of at most this many non-negative terms is
+# the same float with zero terms appended up to this many, which lets `_fuse`
+# pad the stacks of at most this many vertices to one width, and the same
+# float when added slice by slice, which lets `_cost_stack` lay such sums out
+# term by term. Tests pin both on the installed numpy.
+_SEQUENTIAL_TERMS = 7
+
+
+def _fuse(stacks) -> tuple:
+    """The reference columns that `_cost_stack` prices in one pass, from
+    `_stack`s of k graphs of n vertices each, all of one dimension d: the
+    (k, n) of each stack, then per column its coordinates (C, d), adjacency
+    row zero-padded to the widest n, w (C, w), and row sum (C,); the mask of
+    each row's own n entries (C, w), or None when all stacks have one n; and
+    the indices of the dummy columns. Each graph gives its n vertex columns
+    and then a dummy column of zeros, C = sum of k (n + 1) in all, so that
+    each graph's (m+1) x (n+1) matrix is one slice of a query's columns."""
+    shapes = tuple(sums.shape for _, _, sums in stacks)
+    width = max(n for _, n in shapes)
+    dim = stacks[0][0].shape[2]
+    total = sum(k * (n + 1) for k, n in shapes)
+    coords, adj, sums = np.zeros((total, dim)), np.zeros((total, width)), np.zeros(total)
+    mask = np.zeros((total, width), dtype=bool)
+    start = 0
+    for (k, n), (stack_coords, stack_adj, stack_sums) in zip(shapes, stacks):
+        columns = slice(start, start + k * (n + 1))
+        coords[columns].reshape(k, n + 1, dim)[:, :n] = stack_coords
+        adj[columns].reshape(k, n + 1, width)[:, :n, :n] = stack_adj
+        sums[columns].reshape(k, n + 1)[:, :n] = stack_sums
+        mask[columns].reshape(k, n + 1, width)[:, :n, :n] = True
+        start = columns.stop
+    dummies = np.cumsum([n + 1 for k, n in shapes for _ in range(k)]) - 1
+    if len({n for _, n in shapes}) == 1:
+        mask = None
+    return shapes, coords, adj, sums, mask, dummies
+
+
+# The last reference sets asked for, with the graphs they were built from:
 # a call with the same graph objects reuses them. The slot holds its graphs,
 # so no other graph can take their ids while it is kept; hashing the 15
 # frozen graphs by value would cost a fifth of a rebuild. A miss replaces the
@@ -145,25 +188,36 @@ _LAST_REFERENCES: tuple = ((), ())
 
 
 def _reference_stacks(references) -> tuple:
-    """The references' `_stacks_by_size` with read-only arrays, built once
-    while the same graph objects are asked for."""
+    """The references' `_stacks_by_size` as `_fuse`d sets, each as (the
+    indices of its stacks' graphs into references, its arrays, read-only):
+    one set of every stack of at most `_SEQUENTIAL_TERMS` vertices, then one set
+    per larger stack. Built once while the same graph objects are asked for."""
     global _LAST_REFERENCES
-    kept, stacks = _LAST_REFERENCES
+    kept, sets = _LAST_REFERENCES
     if len(kept) == len(references) and all(map(operator.is_, kept, references)):
-        return stacks
-    stacks = _stacks_by_size(references)
-    for _, arrays in stacks:
-        for array in arrays:
-            array.flags.writeable = False
-    _LAST_REFERENCES = (tuple(references), stacks)
-    return stacks
+        return sets
+    small, large = [], []
+    for indices, stack in _stacks_by_size(references):
+        n = stack[2].shape[1]
+        (small if n <= _SEQUENTIAL_TERMS else large).append((indices, stack))
+    sets = []
+    for groups in ([small] if small else []) + [[group] for group in large]:
+        indices, stacks = zip(*groups)
+        sets.append((indices, _fuse(stacks)))
+        for array in sets[-1][1][1:]:
+            if array is not None:
+                array.flags.writeable = False
+    sets = tuple(sets)
+    _LAST_REFERENCES = (tuple(references), sets)
+    return sets
 
 
 def _distance_matrix(graphs, references, params: CostParams) -> np.ndarray:
     """The matrix of gmd(graph, reference, params).value, one row per graph
     and one column per reference, all of one dimension. Each size group of
-    the graphs is priced against each size group of `_reference_stacks` in
-    one `_cost_stack` and one `_solve_stack` call.
+    the graphs is priced against each set of `_reference_stacks` in one
+    `_cost_stack` call, and against each size group of the set in one
+    `_solve_stack` call.
 
     It stacks shallow copies of the graphs, so the coordinate and adjacency
     arrays cached while pricing go with the call instead of staying on every
@@ -172,46 +226,79 @@ def _distance_matrix(graphs, references, params: CostParams) -> np.ndarray:
 
     ValueError(_OVERFLOW) when a distance is not finite.
     """
-    stacks = _reference_stacks(references)
+    sets = _reference_stacks(references)
     distances = np.empty((len(graphs), len(references)))
     for rows, queries in _stacks_by_size([copy.copy(graph) for graph in graphs]):
         block = np.empty((len(rows), len(references)))
-        for columns, stack in stacks:
-            costs = _cost_stack(queries, stack, params)
-            values, _ = _solve_stack(costs.reshape(-1, *costs.shape[2:]))
-            block[:, columns] = values.reshape(len(rows), len(columns))
+        for groups, fused in sets:
+            for columns, costs in zip(groups, _cost_stack(queries, fused, params)):
+                values, _ = _solve_stack(costs.reshape(-1, *costs.shape[2:]))
+                block[:, columns] = values.reshape(len(rows), len(columns))
         distances[rows, :] = block
     return distances
 
 
-def _cost_stack(queries, stack, params: CostParams) -> np.ndarray:
-    """The (Q, k, m+1, n+1) ground cost matrices of each graph of a `_stack`
-    of Q graphs of m vertices against each graph of a `_stack` of k graphs of
-    n vertices, all of one dimension. An entry that overflows is inf or nan,
-    without a warning; `_solve_stack` refuses it."""
+def _cost_stack(queries, references, params: CostParams) -> list[np.ndarray]:
+    """The ground cost matrices of each graph of a `_stack` of Q graphs of m
+    vertices against each graph of a `_fuse`d set, all of one dimension d:
+    for each stack of k graphs of n vertices in the set, its (Q, k, m+1, n+1)
+    matrices, cut out of one (Q, m+1, C) array priced in one pass.
+    The L1 term of a column sums the first p = min(m, w) entries of the two
+    rows, those past the column's own min(m, n) masked to 0; that is exact
+    while w <= `_SEQUENTIAL_TERMS`, and a set of one n needs no mask. The
+    dummy row and the dummy columns are priced once per pass. An entry that
+    overflows is inf or nan, without a warning; `_solve_stack` refuses it."""
     qcoords, qadj, qsums = queries
-    coords, adj, sums = stack
+    shapes, coords, adj, sums, mask, dummies = references
     q, m = qsums.shape
-    k, n = sums.shape
-    p = min(m, n)
-    out = np.zeros((q, k, m + 1, n + 1))
+    total, width = adj.shape
+    p = min(m, width)
+    dim = coords.shape[1]
+    # sums of at most _SEQUENTIAL_TERMS terms are laid out term by term and
+    # added slice by slice: the same floats, with inner loops over the C
+    # columns instead of over a handful of terms; longer sums stay numpy's
+    # sums of rows
+    across = max(p, dim) <= _SEQUENTIAL_TERMS
+    axis = 1 if across else -1  # the terms' axis in the temporaries below
+    if across:
+        qcoords, qadj = qcoords.swapaxes(1, 2), qadj.swapaxes(1, 2)
+        coords, adj = np.ascontiguousarray(coords.T), np.ascontiguousarray(adj[:, :p].T)
+        if mask is not None:
+            mask = np.ascontiguousarray(mask[:, :p].T)
+    out = np.empty((q, m + 1, total))
     with np.errstate(over="ignore", invalid="ignore"):
-        if m and n:
-            width = k * n * max(p, coords.shape[2])  # the entries of one row's temporaries
-            rows = min(m, max(1, _BLOCK_ENTRIES // width))
-            per = max(1, _BLOCK_ENTRIES // (rows * width))
+        if m and width:
+            size = total * max(p, dim)  # the entries of one row's temporaries
+            rows = min(m, max(1, _BLOCK_ENTRIES // size))
+            per = max(1, _BLOCK_ENTRIES // (rows * size))
             for first in range(0, q, per):
                 block = slice(first, first + per)
                 for start in range(0, m, rows):
                     part = slice(start, min(start + rows, m))
-                    diff = qcoords[block, None, part, None, :] - coords[None, :, None, :, :]
-                    pos = params.vertex_cost * np.sqrt((diff * diff).sum(axis=-1))
-                    l1 = np.abs(qadj[block, None, part, None, :p]
-                                - adj[None, :, None, :, :p]).sum(axis=-1)
-                    out[block, :, part, :n] = pos + params.edge_cost * l1
-        out[:, :, m, :n] = params.edge_cost * sums
-        out[:, :, :m, n] = params.edge_cost * qsums[:, None, :]
-    return out
+                    if across:  # (Q, terms, rows, C)
+                        diff = qcoords[block, :, part, None] - coords[:, None]
+                        terms = np.abs(qadj[block, :p, part, None] - adj[:, None])
+                        if mask is not None:
+                            terms *= mask[:, None]
+                    else:  # (Q, rows, C, terms)
+                        diff = qcoords[block, part, None, :] - coords
+                        terms = np.abs(qadj[block, part, None, :p] - adj[:, :p])
+                        if mask is not None:
+                            terms *= mask[:, :p]
+                    pos = params.vertex_cost * np.sqrt((diff * diff).sum(axis=axis))
+                    out[block, part] = pos + params.edge_cost * terms.sum(axis=axis)
+                    del diff, terms  # before the next block's temporaries
+        # the dummy column of every graph, then the dummy row (0 at the corners)
+        out[:, :m, dummies] = params.edge_cost * qsums[:, :, None]
+        out[:, m] = params.edge_cost * sums
+    groups = []
+    start = 0
+    for k, n in shapes:
+        columns = out[:, :, start:start + k * (n + 1)]
+        # a C-ordered copy: the sums of `_solve_stack` follow the memory order
+        groups.append(np.ascontiguousarray(columns.reshape(q, m + 1, k, n + 1).swapaxes(1, 2)))
+        start += k * (n + 1)
+    return groups
 
 
 def _solve_stack(entries: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

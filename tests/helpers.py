@@ -98,6 +98,13 @@ def dense_gmd_value(g: GeometricGraph, h: GeometricGraph, params: CostParams) ->
     used before it batched the ranking, kept to pin its arithmetic bit for
     bit: one broadcast ground cost, `assigned_flow` on it, and the flow's
     objective as sum(flow * costs)."""
+    costs = dense_ground_cost(g, h, params)
+    return float((assigned_flow(costs) * costs).sum())
+
+
+def dense_ground_cost(g: GeometricGraph, h: GeometricGraph, params: CostParams) -> np.ndarray:
+    """The pair's ground cost matrix as one broadcast, each L1 term numpy's
+    sum of its row of p = min(m, n) terms."""
     m, n = g.n_vertices, h.n_vertices
     p = min(m, n)
     eg, eh = g.adjacency_length_matrix, h.adjacency_length_matrix
@@ -109,7 +116,7 @@ def dense_gmd_value(g: GeometricGraph, h: GeometricGraph, params: CostParams) ->
         costs[:m, :n] = pos + params.edge_cost * adj
     costs[m, :n] = params.edge_cost * eh.sum(axis=1)
     costs[:m, n] = params.edge_cost * eg.sum(axis=1)
-    return float((assigned_flow(costs) * costs).sum())
+    return costs
 
 
 def assigned_flow(costs: np.ndarray) -> np.ndarray:

@@ -146,7 +146,9 @@ def test_coordinate_beyond_the_bound_is_data_error(command, tmp_path, capsys):
     assert main([command, *argv]) == 1
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert captured.err == ("error: vertex 1 has a coordinate that is not finite "
+    # classify reads many files, so it names the one at fault
+    named = f"{path}: " if command == "classify" else ""
+    assert captured.err == (f"error: {named}vertex 1 has a coordinate that is not finite "
                             "or exceeds 2**510 in magnitude\n")
 
 
@@ -269,8 +271,28 @@ def test_labels_json_nested_too_deep_is_data_error(tmp_path, capsys):
     assert main(["classify", "--dataset", str(tmp_path)]) == 1
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert captured.err.startswith("error: not valid JSON: ")
+    assert captured.err.startswith(f"error: {tmp_path / 'LOW' / 'labels.json'}: "
+                                   "not valid JSON: ")
     assert captured.err.count("\n") == 1
+
+
+@pytest.mark.parametrize("document, message", [
+    ('{"d": 2, "vertices": [[0, 0]], "edges": [[0, 5]]}',
+     "edge (0, 5): index out of range for 1 vertices"),
+    ('{"d": 2, "vertices": [[0, 0], [2, 0], [1, 0], [3, 0]], "edges": [[0, 1], [2, 3]]}',
+     "edges (0, 1) and (2, 3) overlap along a collinear stretch"),
+], ids=["parse", "planarize"])
+def test_classify_names_the_malformed_drawing(document, message, tmp_path, capsys):
+    dataset = tmp_path / "letters"
+    assert main(["synth", "--out", str(dataset), "--per-letter", "1", "--seed", "3"]) == 0
+    level = dataset / "MED"
+    bad = level / sorted(json.loads((level / "labels.json").read_text()))[7]
+    bad.write_text(document)
+    capsys.readouterr()
+    assert main(["classify", "--dataset", str(dataset)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {bad}: {message}\n"
 
 
 def test_labels_json_without_drawings_is_data_error(tmp_path, capsys):

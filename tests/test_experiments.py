@@ -148,6 +148,11 @@ def path_graph(n, step=0.5):
 # three 6-vertex queries against prototypes of 0-14 vertices: both sides of the swap
 @example(((path_graph(6), path_graph(6, 0.7), path_graph(6, 0.2)),
           tuple(path_graph(n) for n in range(15))), CostParams())
+# an 8-vertex query against empty prototypes: each value sums 9 entries of a
+# one-column matrix, whose order follows the memory order of the costs
+@example(((GeometricGraph(3, ((0.0, 0.0, 0.0),) * 2 + ((0.0, 0.0, 0.2), (0.0, 0.0, 0.1))
+                          + ((0.0, 0.0, 0.0),) * 4, ((0, 1), (0, 2), (0, 3))),),
+          tuple(GeometricGraph(3, (), ()) for _ in range(15))), CostParams(1.0, 1.0))
 @given(ranking_problems(),
        st.sampled_from((CostParams(), CostParams(1.0, 1.0), CostParams(0.1, 3.0))))
 def test_batched_ranking_is_bit_identical_to_per_pair_gmd(problem, params):
@@ -160,15 +165,15 @@ def test_batched_ranking_is_bit_identical_to_per_pair_gmd(problem, params):
         assert values == [dense_gmd_value(query, proto, params) for proto in protos]
     # the batched flows too, swapped groups (queries larger than prototype) included
     batch = _stack(queries)
-    for indices, stack in _reference_stacks(protos):
-        costs = _cost_stack(batch, stack, params)
-        q, k, rows, cols = costs.shape
-        _, flows = _solve_stack(costs.reshape(q * k, rows, cols))
-        for query, query_flows in zip(queries, flows.reshape(q, k, rows, cols)):
-            for a, flow in zip(indices, query_flows):
-                expected = gmd(query, protos[a], params).flow.values
-                assert flow.shape == expected.shape
-                assert flow.tobytes() == expected.tobytes()
+    for groups, fused in _reference_stacks(protos):
+        for indices, costs in zip(groups, _cost_stack(batch, fused, params)):
+            q, k, rows, cols = costs.shape
+            _, flows = _solve_stack(costs.reshape(q * k, rows, cols))
+            for query, query_flows in zip(queries, flows.reshape(q, k, rows, cols)):
+                for a, flow in zip(indices, query_flows):
+                    expected = gmd(query, protos[a], params).flow.values
+                    assert flow.shape == expected.shape
+                    assert flow.tobytes() == expected.tobytes()
 
 
 def test_ranking_tie_goes_to_the_alphabetically_first_letter(prototypes):
@@ -203,7 +208,7 @@ def test_prototype_stacks_are_kept_read_only_for_the_same_graphs(prototypes):
     protos = tuple(prototypes[label] for label in LETTER_LABELS)
     stacks = _reference_stacks(protos)
     assert _reference_stacks(list(protos)) is stacks
-    for _, arrays in stacks:
+    for _, (_, *arrays) in stacks:
         for array in arrays:
             with pytest.raises(ValueError):
                 array[...] = 0.0
@@ -220,7 +225,7 @@ def test_prototype_stacks_are_kept_read_only_for_the_same_graphs(prototypes):
 
 def test_one_query_prices_each_prototype_group_once(prototypes, monkeypatch):
     gmd_module = sys.modules["graphmover.gmd"]
-    calls = {"_stack": [], "_cost_stack": [], "_solve_stack": []}
+    calls = {"_stack": [], "_fuse": [], "_cost_stack": [], "_solve_stack": []}
     for name, log in calls.items():
         def counting(first, *args, _original=getattr(gmd_module, name), _log=log):
             _log.append(first)
@@ -233,17 +238,24 @@ def test_one_query_prices_each_prototype_group_once(prototypes, monkeypatch):
     sizes = [g.n_vertices for g in protos]
     groups = sorted(sizes.count(n) for n in set(sizes))
     assert len(groups) > 1
+    # no prototype has more than 7 vertices, so all groups are fused in one set
+    assert max(sizes) <= 7
     query = perturb(prototypes["K"], 0.2, 1)
     first = _distance_matrix([query], protos, LETTER_COSTS)
     # one stack per prototype size group and one for the query
     assert sorted(map(len, calls["_stack"])) == sorted(groups + [1])
-    assert len(calls["_cost_stack"]) == len(calls["_solve_stack"]) == len(groups)
+    assert list(map(len, calls["_fuse"])) == [len(groups)]
+    # one cost pass for the set, one solve per size group
+    assert len(calls["_cost_stack"]) == 1
+    assert len(calls["_solve_stack"]) == len(groups)
     # the same prototype objects again: only the query is stacked
     for log in calls.values():
         log.clear()
     second = _distance_matrix([query], protos, LETTER_COSTS)
     assert list(map(len, calls["_stack"])) == [1]
-    assert len(calls["_cost_stack"]) == len(calls["_solve_stack"]) == len(groups)
+    assert calls["_fuse"] == []
+    assert len(calls["_cost_stack"]) == 1
+    assert len(calls["_solve_stack"]) == len(groups)
     assert second.tobytes() == first.tobytes()
 
 

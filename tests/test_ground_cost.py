@@ -3,14 +3,16 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+import hypothesis.strategies as st
+from hypothesis import example, given, settings
 
 from graphmover.experiments import random_graph
 from graphmover.geometry import CostParams, GeometricGraph, translate
-from graphmover.gmd import _cost_stack, _stack, gmd, ground_cost_matrix
+from graphmover.gmd import (_SEQUENTIAL_TERMS, _cost_stack, _fuse, _reference_stacks, _stack,
+                            gmd, ground_cost_matrix)
 
-from conftest import UNIT_COSTS, geometric_graphs
-from helpers import naive_ground_cost
+from conftest import LETTER_COSTS, UNIT_COSTS, geometric_graphs
+from helpers import dense_ground_cost, naive_ground_cost
 
 
 def test_matched_twin_vertices_cost_zero(zero_distance_pair):
@@ -125,10 +127,10 @@ def test_query_stack_is_blocked_and_equals_each_pair(n_second):
     rng = np.random.default_rng(100)
     queries = [random_graph(rng, 20) for _ in range(100)]
     protos = [random_graph(rng, n_second) for _ in range(6)]
-    batch, stack = _stack(queries), _stack(protos)
+    batch, stack = _stack(queries), _fuse([_stack(protos)])
     tracemalloc.start()
     try:
-        costs = _cost_stack(batch, stack, UNIT_COSTS)
+        costs, = _cost_stack(batch, stack, UNIT_COSTS)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -152,13 +154,78 @@ def test_displacement_term_is_blocked_when_the_dimension_exceeds_p():
                for _ in range(1100)]
     ring = rng.uniform(-5.0, 5.0, size=(2000, 3))
     proto = GeometricGraph.build(ring, [(i, (i + 1) % 2000) for i in range(2000)], dim=3)
-    batch, stack = _stack(queries), _stack([proto])
+    batch, stack = _stack(queries), _fuse([_stack([proto])])
     tracemalloc.start()
     try:
-        costs = _cost_stack(batch, stack, UNIT_COSTS)
+        costs, = _cost_stack(batch, stack, UNIT_COSTS)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
     assert peak < costs.nbytes + 64e6
     for query, entries in zip(queries[::100], costs[::100, 0]):
         assert entries.tobytes() == ground_cost_matrix(query, proto, UNIT_COSTS).entries.tobytes()
+
+
+def test_numpy_sums_up_to_seven_terms_in_order():
+    """The rule `_SEQUENTIAL_TERMS` stands for, on the installed numpy: a row
+    sum of at most 7 non-negative terms is the same float with zero terms
+    appended up to 7, and the same float summed across the rows of the
+    transposed terms. From 8 terms on numpy keeps 8 partial sums, so padding
+    4 to 7 terms up to 8 changes some sums."""
+    assert _SEQUENTIAL_TERMS == 7
+    rng = np.random.default_rng(7)
+    for p in range(1, 8):
+        terms = np.abs(rng.standard_normal((4000, p))) * rng.uniform(0.0, 1e3, (4000, 1))
+        row_sums = terms.sum(axis=-1).tobytes()
+        padded = np.zeros((4000, 8))
+        padded[:, :p] = terms
+        assert padded[:, :7].sum(axis=-1).tobytes() == row_sums
+        assert np.ascontiguousarray(terms.T).sum(axis=0).tobytes() == row_sums
+        if p >= 4:
+            assert padded.sum(axis=-1).tobytes() != row_sums
+
+
+def mixed_size_graphs(seed, dim, sizes):
+    """Graphs of the given sizes with random coordinates and about half of
+    the vertex pairs joined, so that L1 sums have many non-zero terms."""
+    rng = np.random.default_rng(seed)
+    return [GeometricGraph.build(rng.uniform(-5.0, 5.0, size=(n, dim)),
+                                 [(i, j) for i in range(n) for j in range(i + 1, n)
+                                  if rng.random() < 0.5], dim=dim)
+            for n in sizes]
+
+
+@settings(max_examples=150, deadline=None)
+# queries of 9 vertices against stacks of 3 to 12: fused, padded and alone
+@example(1, 2, 9, 2, [3, 5, 8, 12, 0, 5, 7, 4], LETTER_COSTS)
+# queries larger than every reference, and the displacement summed pairwise
+@example(2, 8, 12, 1, [6, 2, 7, 3], UNIT_COSTS)
+@given(st.integers(0, 2 ** 32 - 1), st.sampled_from((1, 2, 3, 8)), st.integers(0, 12),
+       st.integers(1, 3), st.lists(st.integers(0, 12), min_size=1, max_size=8),
+       st.sampled_from((LETTER_COSTS, UNIT_COSTS, CostParams(0.1, 3.0))))
+def test_one_pass_over_mixed_sizes_prices_each_stack_as_alone(seed, dim, m, count, sizes,
+                                                              params):
+    """Reference stacks of 0-12 vertices, priced in one `_cost_stack` call per
+    set of `_reference_stacks`, give the bytes of each stack priced alone and
+    of each pair's own dense ground cost matrix."""
+    *queries, = mixed_size_graphs(seed, dim, [m] * count)
+    references = mixed_size_graphs(seed + 1, dim, sizes)
+    batch = _stack(queries)
+    sets = _reference_stacks(references)
+    widths = [[n for _, n in fused[0]] for _, fused in sets]
+    # one set of every stack of at most 7 vertices, then one per larger stack
+    assert sorted(n for set_widths in widths for n in set_widths) == sorted(set(sizes))
+    assert all(max(set_widths) <= 7 or len(set_widths) == 1 for set_widths in widths)
+    assert sum(max(set_widths) <= 7 for set_widths in widths) == (min(sizes) <= 7)
+    for groups, fused in sets:
+        for indices, costs in zip(groups, _cost_stack(batch, fused, params)):
+            alone, = _cost_stack(batch, _fuse([_stack([references[a] for a in indices])]),
+                                 params)
+            # C order, as the sums of `_solve_stack` follow the memory order
+            assert costs.flags.c_contiguous and alone.flags.c_contiguous
+            assert costs.shape == alone.shape
+            assert costs.tobytes() == alone.tobytes()
+            for query, row in zip(queries, costs):
+                for a, entries in zip(indices, row):
+                    expected = dense_ground_cost(query, references[a], params)
+                    assert entries.tobytes() == expected.tobytes()
