@@ -12,6 +12,7 @@ import math
 import numbers
 import operator
 import reprlib
+import sys
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable, Optional, Sequence
@@ -49,7 +50,8 @@ class CollinearOverlapError(ValueError):
 
 @dataclass(frozen=True)
 class CostParams:
-    """Positive coefficients weighting vertex displacement and edge length terms."""
+    """Positive coefficients weighting vertex displacement and edge length
+    terms: finite real numbers, not bools, else ValueError."""
 
     vertex_cost: float = 4.5
     edge_cost: float = 1.0
@@ -57,8 +59,11 @@ class CostParams:
     def __post_init__(self):
         for name in ("vertex_cost", "edge_cost"):
             value = getattr(self, name)
-            if not (math.isfinite(value) and value > 0):
-                raise ValueError(f"{name} must be a positive finite number, got {value!r}")
+            # compared, not converted: an int too large for a float is refused too
+            if (isinstance(value, bool) or not isinstance(value, numbers.Real)
+                    or not 0 < value <= sys.float_info.max):
+                raise ValueError(
+                    f"{name} must be a positive finite number, got {reprlib.repr(value)}")
 
 
 @dataclass(frozen=True)

@@ -46,8 +46,8 @@ each graph's vertices followed by its dummy; `_cost_stack` prices a stack of
 Q queries against all the columns of a fused set in one pass and cuts out
 each stack's (Q, k, m+1, n+1) matrices; and `_solve_stack`, once per stack,
 is the one place that builds the flows and values. Stacks of different
-sizes n are fused only up to `_SEQUENTIAL_TERMS` (7) vertices: their
-adjacency rows are zero-padded to the widest n and the terms past each
+sizes n in dimension d are fused only while n, d <= `_SEQUENTIAL_TERMS` (7):
+their adjacency rows are zero-padded to the widest n, the terms past each
 column's own p = min(m, n) are masked to 0, and numpy sums fewer than 8
 terms one after another, so every entry, flow and value is the same float
 as in the pair's own solve. `ground_cost_matrix` and `gmd` are the Q = k = 1
@@ -143,10 +143,10 @@ def _stack(graphs) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 
 # numpy adds fewer than 8 terms one after another, in order; from 8 on it
 # keeps 8 partial sums. So a sum of at most this many non-negative terms is
-# the same float with zero terms appended up to this many, which lets `_fuse`
-# pad the stacks of at most this many vertices to one width, and the same
-# float when added slice by slice, which lets `_cost_stack` lay such sums out
-# term by term. Tests pin both on the installed numpy.
+# the same float with zero terms appended up to this many, and the same float
+# added slice by slice. `_cost_stack` lays such sums out term by term, so
+# `_reference_stacks` pads stacks of several sizes to one width only for n
+# and d up to this many. Tests pin both on the installed numpy.
 _SEQUENTIAL_TERMS = 7
 
 
@@ -155,27 +155,25 @@ def _fuse(stacks) -> tuple:
     `_stack`s of k graphs of n vertices each, all of one dimension d: the
     (k, n) of each stack, then per column its coordinates (C, d), adjacency
     row zero-padded to the widest n, w (C, w), and row sum (C,); the mask of
-    each row's own n entries (C, w), or None when all stacks have one n; and
-    the indices of the dummy columns. Each graph gives its n vertex columns
-    and then a dummy column of zeros, C = sum of k (n + 1) in all, so that
-    each graph's (m+1) x (n+1) matrix is one slice of a query's columns."""
+    each vertex column's own n entries, terms-major (w, C); and the indices
+    of the dummy columns. Each graph gives its n vertex columns and then a
+    dummy column of zeros, C = sum of k (n + 1) in all, so that each graph's
+    (m+1) x (n+1) matrix is one slice of a query's columns."""
     shapes = tuple(sums.shape for _, _, sums in stacks)
     width = max(n for _, n in shapes)
     dim = stacks[0][0].shape[2]
     total = sum(k * (n + 1) for k, n in shapes)
     coords, adj, sums = np.zeros((total, dim)), np.zeros((total, width)), np.zeros(total)
-    mask = np.zeros((total, width), dtype=bool)
+    mask = np.zeros((width, total), dtype=bool)
     start = 0
     for (k, n), (stack_coords, stack_adj, stack_sums) in zip(shapes, stacks):
         columns = slice(start, start + k * (n + 1))
         coords[columns].reshape(k, n + 1, dim)[:, :n] = stack_coords
         adj[columns].reshape(k, n + 1, width)[:, :n, :n] = stack_adj
         sums[columns].reshape(k, n + 1)[:, :n] = stack_sums
-        mask[columns].reshape(k, n + 1, width)[:, :n, :n] = True
+        mask[:, columns].reshape(width, k, n + 1)[:n, :, :n] = True
         start = columns.stop
     dummies = np.cumsum([n + 1 for k, n in shapes for _ in range(k)]) - 1
-    if len({n for _, n in shapes}) == 1:
-        mask = None
     return shapes, coords, adj, sums, mask, dummies
 
 
@@ -190,23 +188,22 @@ _LAST_REFERENCES: tuple = ((), ())
 def _reference_stacks(references) -> tuple:
     """The references' `_stacks_by_size` as `_fuse`d sets, each as (the
     indices of its stacks' graphs into references, its arrays, read-only):
-    one set of every stack of at most `_SEQUENTIAL_TERMS` vertices, then one set
-    per larger stack. Built once while the same graph objects are asked for."""
+    one set of the stacks with n and d at most `_SEQUENTIAL_TERMS`, then one
+    set per other stack. Built once while the same graph objects are asked for."""
     global _LAST_REFERENCES
     kept, sets = _LAST_REFERENCES
     if len(kept) == len(references) and all(map(operator.is_, kept, references)):
         return sets
     small, large = [], []
     for indices, stack in _stacks_by_size(references):
-        n = stack[2].shape[1]
-        (small if n <= _SEQUENTIAL_TERMS else large).append((indices, stack))
+        n, dim = stack[0].shape[1:]
+        (small if max(n, dim) <= _SEQUENTIAL_TERMS else large).append((indices, stack))
     sets = []
     for groups in ([small] if small else []) + [[group] for group in large]:
         indices, stacks = zip(*groups)
         sets.append((indices, _fuse(stacks)))
         for array in sets[-1][1][1:]:
-            if array is not None:
-                array.flags.writeable = False
+            array.flags.writeable = False
     sets = tuple(sets)
     _LAST_REFERENCES = (tuple(references), sets)
     return sets
@@ -244,8 +241,9 @@ def _cost_stack(queries, references, params: CostParams) -> list[np.ndarray]:
     for each stack of k graphs of n vertices in the set, its (Q, k, m+1, n+1)
     matrices, cut out of one (Q, m+1, C) array priced in one pass.
     The L1 term of a column sums the first p = min(m, w) entries of the two
-    rows, those past the column's own min(m, n) masked to 0; that is exact
-    while w <= `_SEQUENTIAL_TERMS`, and a set of one n needs no mask. The
+    rows: laid out term by term while max(p, d) <= `_SEQUENTIAL_TERMS`, those
+    past the column's own min(m, n) masked to 0, else numpy's unmasked row
+    sums, so a set of several sizes needs w, d <= `_SEQUENTIAL_TERMS`. The
     dummy row and the dummy columns are priced once per pass. An entry that
     overflows is inf or nan, without a warning; `_solve_stack` refuses it."""
     qcoords, qadj, qsums = queries
@@ -263,8 +261,6 @@ def _cost_stack(queries, references, params: CostParams) -> list[np.ndarray]:
     if across:
         qcoords, qadj = qcoords.swapaxes(1, 2), qadj.swapaxes(1, 2)
         coords, adj = np.ascontiguousarray(coords.T), np.ascontiguousarray(adj[:, :p].T)
-        if mask is not None:
-            mask = np.ascontiguousarray(mask[:, :p].T)
     out = np.empty((q, m + 1, total))
     with np.errstate(over="ignore", invalid="ignore"):
         if m and width:
@@ -278,13 +274,10 @@ def _cost_stack(queries, references, params: CostParams) -> list[np.ndarray]:
                     if across:  # (Q, terms, rows, C)
                         diff = qcoords[block, :, part, None] - coords[:, None]
                         terms = np.abs(qadj[block, :p, part, None] - adj[:, None])
-                        if mask is not None:
-                            terms *= mask[:, None]
+                        terms *= mask[:p, None]
                     else:  # (Q, rows, C, terms)
                         diff = qcoords[block, part, None, :] - coords
                         terms = np.abs(qadj[block, part, None, :p] - adj[:, :p])
-                        if mask is not None:
-                            terms *= mask[:, :p]
                     pos = params.vertex_cost * np.sqrt((diff * diff).sum(axis=axis))
                     out[block, part] = pos + params.edge_cost * terms.sum(axis=axis)
                     del diff, terms  # before the next block's temporaries
@@ -295,8 +288,7 @@ def _cost_stack(queries, references, params: CostParams) -> list[np.ndarray]:
     start = 0
     for k, n in shapes:
         columns = out[:, :, start:start + k * (n + 1)]
-        # a C-ordered copy: the sums of `_solve_stack` follow the memory order
-        groups.append(np.ascontiguousarray(columns.reshape(q, m + 1, k, n + 1).swapaxes(1, 2)))
+        groups.append(columns.reshape(q, m + 1, k, n + 1).swapaxes(1, 2))
         start += k * (n + 1)
     return groups
 
@@ -304,10 +296,12 @@ def _cost_stack(queries, references, params: CostParams) -> list[np.ndarray]:
 def _solve_stack(entries: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Distances of a stack (k, m+1, n+1) of ground cost matrices, and the
     stack (k, m+1, n+1) of their optimal 0/1 flows (the corner counts the
-    matched pairs).
+    matched pairs). It C-orders the stack first: the value sums follow the
+    memory order, and a stack that `_cost_stack` cuts out is strided.
 
     ValueError(_OVERFLOW) when a reduced cost or a distance is not finite.
     """
+    entries = np.ascontiguousarray(entries)
     m, n = entries.shape[1] - 1, entries.shape[2] - 1
     with np.errstate(over="ignore", invalid="ignore"):
         red = entries[:, :m, :n] - entries[:, :m, n:] - entries[:, m:, :n]

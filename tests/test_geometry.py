@@ -21,6 +21,11 @@ def test_cost_params_require_positive_coefficients():
         CostParams(1.0, -2.0)
     with pytest.raises(ValueError):
         CostParams(float("nan"), 1.0)
+    CostParams(np.float64(0.5), 2)
+    for vertex_cost, edge_cost in ((True, 1.0), (1.0, False), ("4.5", 1.0), (None, 1.0),
+                                   (np.bool_(True), 1.0), (1.0, b"1"), (10 ** 400, 1.0)):
+        with pytest.raises(ValueError, match=r"^(vertex|edge)_cost must be a positive finite"):
+            CostParams(vertex_cost, edge_cost)
 
 
 def test_graph_normalizes_edge_orientation_and_order():

@@ -182,6 +182,26 @@ def cost_stacks(draw):
     return entries
 
 
+@pytest.mark.parametrize("n", [0, 1, 3])
+def test_strided_stack_solves_as_its_c_ordered_copy(n):
+    """Stacks of k >= 2 matrices cut the way `_cost_stack` cuts them out of
+    its one array of columns, with m + 1 = 2 to 13 rows, are strided. Their
+    values and flows are the bytes of the same stack in C order: the value
+    sums follow the memory order, and summed across a strided axis the
+    matrices of one column (references of 0 vertices) read other last bits."""
+    rng = np.random.default_rng(24 + n)
+    for _ in range(100):
+        k, m, offset = int(rng.integers(2, 6)), int(rng.integers(1, 13)), int(rng.integers(4))
+        out = rng.uniform(0.0, 10.0, (m + 1, offset + k * (n + 1)))[:, offset:]
+        stack = out.reshape(m + 1, k, n + 1).swapaxes(0, 1)
+        assert not stack.flags.c_contiguous
+        values, flows = _solve_stack(stack)
+        expected_values, expected_flows = _solve_stack(np.ascontiguousarray(stack))
+        assert flows.flags.c_contiguous
+        assert values.tobytes() == expected_values.tobytes()
+        assert flows.tobytes() == expected_flows.tobytes()
+
+
 @settings(max_examples=300, deadline=None)
 @given(cost_stacks())
 def test_direct_flows_equal_the_assignment_flows(entries):

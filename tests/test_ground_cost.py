@@ -198,7 +198,8 @@ def mixed_size_graphs(seed, dim, sizes):
 @settings(max_examples=150, deadline=None)
 # queries of 9 vertices against stacks of 3 to 12: fused, padded and alone
 @example(1, 2, 9, 2, [3, 5, 8, 12, 0, 5, 7, 4], LETTER_COSTS)
-# queries larger than every reference, and the displacement summed pairwise
+# queries larger than every reference; in dimension 8 each stack alone, the
+# displacement summed pairwise
 @example(2, 8, 12, 1, [6, 2, 7, 3], UNIT_COSTS)
 @given(st.integers(0, 2 ** 32 - 1), st.sampled_from((1, 2, 3, 8)), st.integers(0, 12),
        st.integers(1, 3), st.lists(st.integers(0, 12), min_size=1, max_size=8),
@@ -213,16 +214,15 @@ def test_one_pass_over_mixed_sizes_prices_each_stack_as_alone(seed, dim, m, coun
     batch = _stack(queries)
     sets = _reference_stacks(references)
     widths = [[n for _, n in fused[0]] for _, fused in sets]
-    # one set of every stack of at most 7 vertices, then one per larger stack
-    assert sorted(n for set_widths in widths for n in set_widths) == sorted(set(sizes))
-    assert all(max(set_widths) <= 7 or len(set_widths) == 1 for set_widths in widths)
-    assert sum(max(set_widths) <= 7 for set_widths in widths) == (min(sizes) <= 7)
+    # one set of every stack with n and d at most 7, then one per other
+    # stack, each in order of first appearance
+    order = list(dict.fromkeys(sizes))
+    small = [n for n in order if max(n, dim) <= 7]
+    assert widths == [small] * bool(small) + [[n] for n in order if max(n, dim) > 7]
     for groups, fused in sets:
         for indices, costs in zip(groups, _cost_stack(batch, fused, params)):
             alone, = _cost_stack(batch, _fuse([_stack([references[a] for a in indices])]),
                                  params)
-            # C order, as the sums of `_solve_stack` follow the memory order
-            assert costs.flags.c_contiguous and alone.flags.c_contiguous
             assert costs.shape == alone.shape
             assert costs.tobytes() == alone.tobytes()
             for query, row in zip(queries, costs):
