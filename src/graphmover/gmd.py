@@ -43,23 +43,26 @@ letter ranker (a group of same-size drawings against the 15 prototypes)
 share one cost formula and one solve. `_stack` holds the arrays of k graphs
 of n vertices; `_fuse` lays out one or more stacks of references as columns,
 each graph's vertices followed by its dummy; `_cost_stack` prices a stack of
-Q queries against all the columns of a fused set in one pass and cuts out
-each stack's (Q, k, m+1, n+1) matrices; and `_solve_stack`, once per stack,
-is the one place that builds the flows and values. Stacks of different
-sizes n in dimension d are fused only while n, d <= `_SEQUENTIAL_TERMS` (7):
-their adjacency rows are zero-padded to the widest n, the terms past each
-column's own p = min(m, n) are masked to 0, and numpy sums fewer than 8
-terms one after another, so every entry, flow and value is the same float
-as in the pair's own solve. `ground_cost_matrix` and `gmd` are the Q = k = 1
-case. `_distance_matrix` is the ranker's batch: it groups its graphs by
-vertex count (`_stacks_by_size`), keeps the references' fused sets while the
-same reference graphs are asked for (`_reference_stacks`), and prices each
-query group against each set in one cost pass.
+Q queries against all the columns of a fused set in one (Q, m+1, C) pass;
+and `_solve_stack`, once per set on that whole array, is the one place that
+builds the flows and values: it reduces, counts and writes the flows across
+all the set's columns at once, assigns each crowded matrix on its own
+slice, and sums each stack's values from its C-ordered matrices. Stacks of
+different sizes n in dimension d are fused only while n, d <=
+`_SEQUENTIAL_TERMS` (7): their adjacency rows are zero-padded to the widest
+n, the terms past each column's own p = min(m, n) are masked to 0, and numpy
+sums fewer than 8 terms one after another, so every entry, flow and value is
+the same float as in the pair's own solve. `ground_cost_matrix` and `gmd` are
+the Q = k = 1 case. `_distance_matrix` is the ranker's batch: it groups its
+graphs by vertex count (`_stacks_by_size`), keeps the references' fused sets
+while the same reference graphs are asked for (`_reference_stacks`), and
+prices and solves each query group against each set in one call each.
 """
 
 from __future__ import annotations
 
 import copy
+import functools
 import operator
 from dataclasses import dataclass
 
@@ -105,8 +108,9 @@ def gmd(g: GeometricGraph, h: GeometricGraph, params: CostParams) -> GmdResult:
     ValueError when the distance is not finite: the costs overflow a float.
     """
     matrix = ground_cost_matrix(g, h, params)
-    values, flows = _solve_stack(matrix.entries[None])
-    value = float(values[0])
+    shapes = ((1, h.n_vertices),)
+    values, flows = _solve_stack(matrix.entries[None], (shapes, *_columns(shapes)))
+    value = float(values[0, 0])
     flow = flows[0]
     flow.flags.writeable = False
     return GmdResult(value, Flow(flow, value), matrix)
@@ -117,7 +121,7 @@ def ground_cost_matrix(g: GeometricGraph, h: GeometricGraph,
     """Pairwise unit-transport costs between the vertices of g and h plus dummies."""
     if g.dim != h.dim:
         raise ValueError(f"dimension mismatch: {g.dim} vs {h.dim}")
-    out = _cost_stack(_stack([g]), _fuse([_stack([h])]), params)[0][0, 0]
+    out = _cost_stack(_stack([g]), _fuse([_stack([h])]), params)[0]
     out.flags.writeable = False
     return GroundCostMatrix(out, g.n_vertices, h.n_vertices)
 
@@ -155,10 +159,10 @@ def _fuse(stacks) -> tuple:
     `_stack`s of k graphs of n vertices each, all of one dimension d: the
     (k, n) of each stack, then per column its coordinates (C, d), adjacency
     row zero-padded to the widest n, w (C, w), and row sum (C,); the mask of
-    each vertex column's own n entries, terms-major (w, C); and the indices
-    of the dummy columns. Each graph gives its n vertex columns and then a
-    dummy column of zeros, C = sum of k (n + 1) in all, so that each graph's
-    (m+1) x (n+1) matrix is one slice of a query's columns."""
+    each vertex column's own n entries, terms-major (w, C); and the set's
+    `_columns`, which `_solve_stack` reads. Each graph gives its n vertex
+    columns and then a dummy column of zeros, C = sum of k (n + 1) in all, so
+    that each graph's (m+1) x (n+1) matrix is one slice of a query's columns."""
     shapes = tuple(sums.shape for _, _, sums in stacks)
     width = max(n for _, n in shapes)
     dim = stacks[0][0].shape[2]
@@ -173,8 +177,21 @@ def _fuse(stacks) -> tuple:
         sums[columns].reshape(k, n + 1)[:, :n] = stack_sums
         mask[:, columns].reshape(width, k, n + 1)[:n, :, :n] = True
         start = columns.stop
-    dummies = np.cumsum([n + 1 for k, n in shapes for _ in range(k)]) - 1
-    return shapes, coords, adj, sums, mask, dummies
+    return shapes, coords, adj, sums, mask, *_columns(shapes)
+
+
+@functools.lru_cache(maxsize=64)
+def _columns(shapes: tuple) -> tuple:
+    """The columns of `_fuse`d stacks of k graphs of n vertices, for each
+    (k, n) of shapes: the index of each graph's dummy column (K,) and first
+    column (K,), and of each column's graph's dummy column (C,), read-only.
+    Kept for the last shapes asked for, as `gmd` asks for them per pair."""
+    widths = np.array([n + 1 for k, n in shapes for _ in range(k)])
+    dummies = widths.cumsum() - 1
+    columns = dummies, dummies - widths + 1, dummies.repeat(widths)
+    for array in columns:
+        array.flags.writeable = False
+    return columns
 
 
 # The last reference sets asked for, with the graphs they were built from:
@@ -187,9 +204,10 @@ _LAST_REFERENCES: tuple = ((), ())
 
 def _reference_stacks(references) -> tuple:
     """The references' `_stacks_by_size` as `_fuse`d sets, each as (the
-    indices of its stacks' graphs into references, its arrays, read-only):
-    one set of the stacks with n and d at most `_SEQUENTIAL_TERMS`, then one
-    set per other stack. Built once while the same graph objects are asked for."""
+    indices of its graphs into references, in the set's order; its arrays,
+    read-only): one set of the stacks with n and d at most
+    `_SEQUENTIAL_TERMS`, then one set per other stack. Built once while the
+    same graph objects are asked for."""
     global _LAST_REFERENCES
     kept, sets = _LAST_REFERENCES
     if len(kept) == len(references) and all(map(operator.is_, kept, references)):
@@ -201,7 +219,7 @@ def _reference_stacks(references) -> tuple:
     sets = []
     for groups in ([small] if small else []) + [[group] for group in large]:
         indices, stacks = zip(*groups)
-        sets.append((indices, _fuse(stacks)))
+        sets.append((sum(indices, ()), _fuse(stacks)))
         for array in sets[-1][1][1:]:
             array.flags.writeable = False
     sets = tuple(sets)
@@ -213,8 +231,7 @@ def _distance_matrix(graphs, references, params: CostParams) -> np.ndarray:
     """The matrix of gmd(graph, reference, params).value, one row per graph
     and one column per reference, all of one dimension. Each size group of
     the graphs is priced against each set of `_reference_stacks` in one
-    `_cost_stack` call, and against each size group of the set in one
-    `_solve_stack` call.
+    `_cost_stack` call and solved in one `_solve_stack` call.
 
     It stacks shallow copies of the graphs, so the coordinate and adjacency
     arrays cached while pricing go with the call instead of staying on every
@@ -227,19 +244,18 @@ def _distance_matrix(graphs, references, params: CostParams) -> np.ndarray:
     distances = np.empty((len(graphs), len(references)))
     for rows, queries in _stacks_by_size([copy.copy(graph) for graph in graphs]):
         block = np.empty((len(rows), len(references)))
-        for groups, fused in sets:
-            for columns, costs in zip(groups, _cost_stack(queries, fused, params)):
-                values, _ = _solve_stack(costs.reshape(-1, *costs.shape[2:]))
-                block[:, columns] = values.reshape(len(rows), len(columns))
+        for columns, fused in sets:
+            values, _ = _solve_stack(_cost_stack(queries, fused, params), fused)
+            block[:, columns] = values
         distances[rows, :] = block
     return distances
 
 
-def _cost_stack(queries, references, params: CostParams) -> list[np.ndarray]:
+def _cost_stack(queries, references, params: CostParams) -> np.ndarray:
     """The ground cost matrices of each graph of a `_stack` of Q graphs of m
-    vertices against each graph of a `_fuse`d set, all of one dimension d:
-    for each stack of k graphs of n vertices in the set, its (Q, k, m+1, n+1)
-    matrices, cut out of one (Q, m+1, C) array priced in one pass.
+    vertices against each graph of a `_fuse`d set, all of one dimension d, as
+    one (Q, m+1, C) array priced in one pass: a query's matrix against a
+    graph is that graph's n + 1 columns.
     The L1 term of a column sums the first p = min(m, w) entries of the two
     rows: laid out term by term while max(p, d) <= `_SEQUENTIAL_TERMS`, those
     past the column's own min(m, n) masked to 0, else numpy's unmasked row
@@ -247,7 +263,7 @@ def _cost_stack(queries, references, params: CostParams) -> list[np.ndarray]:
     dummy row and the dummy columns are priced once per pass. An entry that
     overflows is inf or nan, without a warning; `_solve_stack` refuses it."""
     qcoords, qadj, qsums = queries
-    shapes, coords, adj, sums, mask, dummies = references
+    _, coords, adj, sums, mask, dummies, _, _ = references
     q, m = qsums.shape
     total, width = adj.shape
     p = min(m, width)
@@ -284,55 +300,67 @@ def _cost_stack(queries, references, params: CostParams) -> list[np.ndarray]:
         # the dummy column of every graph, then the dummy row (0 at the corners)
         out[:, :m, dummies] = params.edge_cost * qsums[:, :, None]
         out[:, m] = params.edge_cost * sums
-    groups = []
-    start = 0
-    for k, n in shapes:
-        columns = out[:, :, start:start + k * (n + 1)]
-        groups.append(columns.reshape(q, m + 1, k, n + 1).swapaxes(1, 2))
-        start += k * (n + 1)
-    return groups
+    return out
 
 
-def _solve_stack(entries: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Distances of a stack (k, m+1, n+1) of ground cost matrices, and the
-    stack (k, m+1, n+1) of their optimal 0/1 flows (the corner counts the
-    matched pairs). It C-orders the stack first: the value sums follow the
-    memory order, and a stack that `_cost_stack` cuts out is strided.
+def _solve_stack(out: np.ndarray, references) -> tuple[np.ndarray, np.ndarray]:
+    """The distances (Q, K) of the ground cost matrices (Q, m+1, C) that
+    `_cost_stack` prices against the K graphs of a `_fuse`d set, whose dummy
+    corners are 0, and their optimal 0/1 flows (Q, m+1, C) in the same layout
+    (each corner counts its matrix's matched pairs). It reads only the set's
+    shapes (first) and `_columns` (last), so `gmd` passes just those. A
+    graph's value sums its matrix's entries in C order, with its stack's
+    matrices in one row sum each, as for the C-ordered stack alone.
 
     ValueError(_OVERFLOW) when a reduced cost or a distance is not finite.
     """
-    entries = np.ascontiguousarray(entries)
-    m, n = entries.shape[1] - 1, entries.shape[2] - 1
+    shapes, dummies, firsts, column_dummies = references[0], *references[-3:]
+    q, m = out.shape[0], out.shape[1] - 1
     with np.errstate(over="ignore", invalid="ignore"):
-        red = entries[:, :m, :n] - entries[:, :m, n:] - entries[:, m:, :n]
+        # 0 in the dummy columns (x - x - 0), so that they never pair
+        red = out[:, :m] - out[:, :m, column_dummies] - out[:, m:]
         if not np.isfinite(red).all():
             raise ValueError(_OVERFLOW)
         # the matched pairs: every red < 0 where those lie in distinct rows and
-        # columns, else the assigned pairs with red < 0
+        # columns of a graph, else the assigned pairs with red < 0
         pairs = red < 0.0
-        per_row = pairs.sum(axis=2)
-        per_col = pairs.sum(axis=1)
-        crowded = (per_row > 1).any(axis=1) | (per_col > 1).any(axis=1)
+        per_row = np.add.reduceat(pairs, firsts, axis=2)  # (Q, m, K)
+        per_col = pairs.sum(axis=1)  # (Q, C)
+        crowded = (per_row > 1).any(axis=1) | (np.maximum.reduceat(per_col, firsts, axis=1) > 1)
         if crowded.any():
-            for t in np.flatnonzero(crowded).tolist():
+            for t, graph in zip(*np.nonzero(crowded)):
+                first, dummy = int(firsts[graph]), int(dummies[graph])
+                n, columns = dummy - first, slice(first, dummy)
                 # with m > n the assignment's rows are the columns of red
-                match = pairs[t] if m <= n else pairs[t].T
-                cost_rows = np.minimum(red[t] if m <= n else red[t].T, 0.0).tolist()
+                match = pairs[t, :, columns] if m <= n else pairs[t, :, columns].T
+                cost_rows = red[t, :, columns] if m <= n else red[t, :, columns].T
+                cost_rows = np.minimum(cost_rows, 0.0).tolist()
                 match[:] = False
                 for r, c in enumerate(_assign_rows(cost_rows, max(m, n))):
                     if cost_rows[r][c] < 0.0:  # min(red, 0) < 0 exactly where red < 0
                         match[r, c] = True
-            per_row = pairs.sum(axis=2)
+            per_row = np.add.reduceat(pairs, firsts, axis=2)
             per_col = pairs.sum(axis=1)
         # a vertex in no pair goes to its dummy
-        flows = np.empty_like(entries)
-        flows[:, :m, :n] = pairs
-        flows[:, :m, n] = 1 - per_row
-        flows[:, m, :n] = 1 - per_col
-        flows[:, m, n] = per_row.sum(axis=1)
-        # no 0 * inf: with m, n >= 1 a finite red means finite entries, and
-        # with m or n = 0 every entry off the corner carries flow 1
-        values = (flows * entries).reshape(len(entries), -1).sum(axis=1)
+        flows = np.empty(out.shape)
+        flows[:, :m] = pairs
+        flows[:, :m, dummies] = 1 - per_row
+        flows[:, m] = 1 - per_col
+        flows[:, m, dummies] = per_row.sum(axis=1)
+        # no 0 * inf: with m >= 1 a finite red means finite entries, the dummy
+        # columns' included, and with m = 0 every entry off the corners
+        # carries flow 1
+        costs = flows * out
+        values = []
+        start = 0
+        for k, n in shapes:
+            # the stack's matrices C-ordered: summed across a strided axis, the
+            # one-column matrices of n = 0 would read other last bits
+            stack = costs[:, :, start:start + k * (n + 1)].reshape(q, m + 1, k, n + 1)
+            stack = np.ascontiguousarray(stack.swapaxes(1, 2)).reshape(q * k, -1)
+            values.append(stack.sum(axis=1).reshape(q, k))
+            start += k * (n + 1)
+        values = np.concatenate(values, axis=1)
         if not np.isfinite(values).all():
             raise ValueError(_OVERFLOW)
     return values, flows
@@ -342,7 +370,7 @@ def _assign_rows(cost_rows: list[list[float]], n: int) -> list[int]:
     """The column of each row in a least-cost assignment of the rows to
     distinct columns, on the matrix's rows as lists of n finite floats of any
     sign (at least as many columns as rows), unchecked: `_solve_stack` checks
-    a whole stack at once and orients each matrix so that rows <= columns.
+    all its matrices at once and orients each so that rows <= columns.
 
     Rows are added one at a time, each along a shortest augmenting path in
     reduced costs cost[i][j] - u[i] - v[j], which stay non-negative on the

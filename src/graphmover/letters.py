@@ -84,10 +84,15 @@ def make_letter_records(distortion: str, per_letter: int = 150,
     packaged prototypes."""
     if distortion not in DISTORTION_LEVELS:
         raise ValueError(f"distortion must be one of {DISTORTION_LEVELS}, got {distortion!r}")
+    return list(_letter_records(distortion, per_letter, seed))
+
+
+def _letter_records(distortion: str, per_letter: int, seed: int):
+    """The records of `make_letter_records` one at a time, so that
+    `write_letter_dataset` holds one drawing instead of a whole level."""
     protos = load_prototypes()
     profile = DISTORTION_PROFILES[distortion]
     rng = np.random.default_rng([seed, DISTORTION_LEVELS.index(distortion)])
-    records = []
     for label in LETTER_LABELS:
         for t in range(per_letter):
             for _ in range(16):
@@ -98,9 +103,7 @@ def make_letter_records(distortion: str, per_letter: int = 150,
                     continue  # jittered edges landed collinear; redraw
             else:
                 raise RuntimeError(f"could not distort prototype {label}")
-            records.append(LetterRecord(g, label, distortion,
-                                        f"{label}{distortion[0]}_{t:04d}"))
-    return records
+            yield LetterRecord(g, label, distortion, f"{label}{distortion[0]}_{t:04d}")
 
 
 def write_letter_dataset(root, per_letter: int = 150, seed: int = 7) -> None:
@@ -119,7 +122,7 @@ def write_letter_dataset(root, per_letter: int = 150, seed: int = 7) -> None:
         level_dir = root / level
         level_dir.mkdir(parents=True, exist_ok=True)
         labels = {}
-        for rec in make_letter_records(level, per_letter=per_letter, seed=seed):
+        for rec in _letter_records(level, per_letter, seed):
             fname = f"{rec.source_id}.json"
             (level_dir / fname).write_text(write_json_graph(rec.graph))
             labels[fname] = rec.label

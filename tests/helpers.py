@@ -19,7 +19,7 @@ from graphmover.dataset import read_graph_file
 from graphmover.geometry import (EPS, CollinearOverlapError, CostParams, GeometricGraph,
                                  _nearest_endpoint, segment_intersection)
 from graphmover.ggd import InstanceTooLargeError, enumerate_matchings
-from graphmover.gmd import _assign_rows, ground_cost_matrix
+from graphmover.gmd import _OVERFLOW, _assign_rows, _fuse, _stack, ground_cost_matrix
 
 BRUTEFORCE_MAX_VERTICES = 6
 
@@ -142,6 +142,82 @@ def assigned_flow(costs: np.ndarray) -> np.ndarray:
     flow[m, cols] = 0.0
     flow[m, n] = len(rows)
     return flow
+
+
+def solve_stack(entries: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Distances of a stack (k, m+1, n+1) of ground cost matrices, and the
+    stack (k, m+1, n+1) of their optimal 0/1 flows (the corner counts the
+    matched pairs): the library's solve of one stack of one size before it
+    solved a whole fused set at once, kept as that solve's oracle. It
+    C-orders the stack first, as the value sums follow the memory order.
+
+    ValueError(_OVERFLOW) when a reduced cost or a distance is not finite.
+    """
+    entries = np.ascontiguousarray(entries)
+    m, n = entries.shape[1] - 1, entries.shape[2] - 1
+    with np.errstate(over="ignore", invalid="ignore"):
+        red = entries[:, :m, :n] - entries[:, :m, n:] - entries[:, m:, :n]
+        if not np.isfinite(red).all():
+            raise ValueError(_OVERFLOW)
+        # the matched pairs: every red < 0 where those lie in distinct rows and
+        # columns, else the assigned pairs with red < 0
+        pairs = red < 0.0
+        per_row = pairs.sum(axis=2)
+        per_col = pairs.sum(axis=1)
+        crowded = (per_row > 1).any(axis=1) | (per_col > 1).any(axis=1)
+        if crowded.any():
+            for t in np.flatnonzero(crowded).tolist():
+                # with m > n the assignment's rows are the columns of red
+                match = pairs[t] if m <= n else pairs[t].T
+                cost_rows = np.minimum(red[t] if m <= n else red[t].T, 0.0).tolist()
+                match[:] = False
+                for r, c in enumerate(_assign_rows(cost_rows, max(m, n))):
+                    if cost_rows[r][c] < 0.0:  # min(red, 0) < 0 exactly where red < 0
+                        match[r, c] = True
+            per_row = pairs.sum(axis=2)
+            per_col = pairs.sum(axis=1)
+        # a vertex in no pair goes to its dummy
+        flows = np.empty_like(entries)
+        flows[:, :m, :n] = pairs
+        flows[:, :m, n] = 1 - per_row
+        flows[:, m, :n] = 1 - per_col
+        flows[:, m, n] = per_row.sum(axis=1)
+        values = (flows * entries).reshape(len(entries), -1).sum(axis=1)
+        if not np.isfinite(values).all():
+            raise ValueError(_OVERFLOW)
+    return values, flows
+
+
+def solve_layout(shapes) -> tuple:
+    """A `_fuse`d set of edgeless graphs, one stack of k graphs of n vertices
+    per (k, n) of shapes: the layout in which `_solve_stack` solves cost
+    matrices of those shapes."""
+    return _fuse([_stack([GeometricGraph(1, ((0.0,),) * n, ()) for _ in range(k)])
+                  for k, n in shapes])
+
+
+def stacks_of(array: np.ndarray, shapes) -> list[np.ndarray]:
+    """Views of the (Q, rows, k, n+1) blocks of a (Q, rows, C) array laid out
+    as a `_fuse`d set of stacks of the given shapes (k, n), each swapped to
+    (Q, k, rows, n+1): one matrix per query and graph of the stack."""
+    q, rows = array.shape[:2]
+    stacks = []
+    start = 0
+    for k, n in shapes:
+        block = array[:, :, start:start + k * (n + 1)].reshape(q, rows, k, n + 1)
+        stacks.append(block.swapaxes(1, 2))
+        start += k * (n + 1)
+    return stacks
+
+
+def mixed_size_graphs(seed, dim, sizes):
+    """Graphs of the given sizes with random coordinates and about half of
+    the vertex pairs joined, so that L1 sums have many non-zero terms."""
+    rng = np.random.default_rng(seed)
+    return [GeometricGraph.build(rng.uniform(-5.0, 5.0, size=(n, dim)),
+                                 [(i, j) for i in range(n) for j in range(i + 1, n)
+                                  if rng.random() < 0.5], dim=dim)
+            for n in sizes]
 
 
 def enumerate_integral_flows(supplies, demands):

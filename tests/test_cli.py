@@ -3,6 +3,7 @@ import re
 
 import pytest
 
+from graphmover import experiments
 from graphmover.cli import main
 from graphmover.dataset import read_json_graph, write_json_graph
 from graphmover.geometry import GeometricGraph
@@ -196,6 +197,19 @@ def test_overflowing_ggd_prints_one_error_line(case, fixture_files, tmp_path, ca
     assert captured.out == ""
     assert captured.err == ("error: no inexact matching has a finite cost: "
                             "the costs overflow a float\n")
+
+
+@pytest.mark.filterwarnings("error")
+def test_overflowing_classify_prints_one_error_line(tmp_path, capsys, monkeypatch):
+    # one usable CPU: the drawings are priced in this process, by the fused solve
+    monkeypatch.setattr(experiments, "_usable_cpus", lambda: 1)
+    dataset = tmp_path / "letters"
+    assert main(["synth", "--out", str(dataset), "--per-letter", "1", "--seed", "3"]) == 0
+    capsys.readouterr()
+    assert main(["classify", "--dataset", str(dataset), "--cv", "1e308"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: the graph mover's distance overflows a float\n"
 
 
 def test_convert_gxl_to_json(tmp_path, capsys):

@@ -24,7 +24,7 @@ from graphmover.gmd import (_cost_stack, _distance_matrix, _reference_stacks, _s
                             _stack, gmd)
 
 from conftest import LETTER_COSTS, UNIT_COSTS
-from helpers import dense_gmd_value
+from helpers import dense_gmd_value, stacks_of
 
 
 @pytest.fixture(scope="module")
@@ -165,15 +165,15 @@ def test_batched_ranking_is_bit_identical_to_per_pair_gmd(problem, params):
         assert values == [dense_gmd_value(query, proto, params) for proto in protos]
     # the batched flows too, swapped groups (queries larger than prototype) included
     batch = _stack(queries)
-    for groups, fused in _reference_stacks(protos):
-        for indices, costs in zip(groups, _cost_stack(batch, fused, params)):
-            q, k, rows, cols = costs.shape
-            _, flows = _solve_stack(costs.reshape(q * k, rows, cols))
-            for query, query_flows in zip(queries, flows.reshape(q, k, rows, cols)):
-                for a, flow in zip(indices, query_flows):
-                    expected = gmd(query, protos[a], params).flow.values
-                    assert flow.shape == expected.shape
-                    assert flow.tobytes() == expected.tobytes()
+    for columns, fused in _reference_stacks(protos):
+        _, flows = _solve_stack(_cost_stack(batch, fused, params), fused)
+        stack_flows = [graph_flows for stack in stacks_of(flows, fused[0])
+                       for graph_flows in stack.swapaxes(0, 1)]
+        for a, graph_flows in zip(columns, stack_flows, strict=True):
+            for query, flow in zip(queries, graph_flows, strict=True):
+                expected = gmd(query, protos[a], params).flow.values
+                assert flow.shape == expected.shape
+                assert flow.tobytes() == expected.tobytes()
 
 
 def test_ranking_tie_goes_to_the_alphabetically_first_letter(prototypes):
@@ -245,9 +245,9 @@ def test_one_query_prices_each_prototype_group_once(prototypes, monkeypatch):
     # one stack per prototype size group and one for the query
     assert sorted(map(len, calls["_stack"])) == sorted(groups + [1])
     assert list(map(len, calls["_fuse"])) == [len(groups)]
-    # one cost pass for the set, one solve per size group
+    # one cost pass and one solve for the set
     assert len(calls["_cost_stack"]) == 1
-    assert len(calls["_solve_stack"]) == len(groups)
+    assert len(calls["_solve_stack"]) == 1
     # the same prototype objects again: only the query is stacked
     for log in calls.values():
         log.clear()
@@ -255,7 +255,7 @@ def test_one_query_prices_each_prototype_group_once(prototypes, monkeypatch):
     assert list(map(len, calls["_stack"])) == [1]
     assert calls["_fuse"] == []
     assert len(calls["_cost_stack"]) == 1
-    assert len(calls["_solve_stack"]) == len(groups)
+    assert len(calls["_solve_stack"]) == 1
     assert second.tobytes() == first.tobytes()
 
 

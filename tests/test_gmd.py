@@ -3,15 +3,16 @@ from itertools import combinations
 import hypothesis.strategies as st
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 
 from graphmover.geometry import CostParams, GeometricGraph, translate
 from graphmover.ggd import InstanceTooLargeError
-from graphmover.gmd import _solve_stack, gmd
+from graphmover.gmd import _cost_stack, _reference_stacks, _solve_stack, _stack, gmd
 from graphmover.transport import TransportInstance, check_flow, solve_transport
 
 from conftest import LETTER_COSTS, UNIT_COSTS
-from helpers import assigned_flow, gmd_bruteforce, random_graph_pair
+from helpers import (assigned_flow, gmd_bruteforce, mixed_size_graphs, random_graph_pair,
+                     solve_layout, solve_stack, stacks_of)
 
 
 def test_zero_distance_pair_is_zero(zero_distance_pair):
@@ -184,29 +185,98 @@ def cost_stacks(draw):
 
 @pytest.mark.parametrize("n", [0, 1, 3])
 def test_strided_stack_solves_as_its_c_ordered_copy(n):
-    """Stacks of k >= 2 matrices cut the way `_cost_stack` cuts them out of
-    its one array of columns, with m + 1 = 2 to 13 rows, are strided. Their
-    values and flows are the bytes of the same stack in C order: the value
-    sums follow the memory order, and summed across a strided axis the
-    matrices of one column (references of 0 vertices) read other last bits."""
+    """Sets of k >= 2 graphs of n vertices, laid out as `_cost_stack` lays
+    them out for Q = 1 to 3 queries of m + 1 = 2 to 13 rows, and taken from a
+    wider array, so that each stack is strided. Their values and flows are
+    the bytes of the stack solved alone in C order: the value sums follow the
+    memory order, and summed across a strided axis the matrices of one column
+    (references of 0 vertices) read other last bits."""
     rng = np.random.default_rng(24 + n)
     for _ in range(100):
         k, m, offset = int(rng.integers(2, 6)), int(rng.integers(1, 13)), int(rng.integers(4))
-        out = rng.uniform(0.0, 10.0, (m + 1, offset + k * (n + 1)))[:, offset:]
-        stack = out.reshape(m + 1, k, n + 1).swapaxes(0, 1)
+        q = int(rng.integers(1, 4))
+        layout = solve_layout([(k, n)])
+        out = rng.uniform(0.0, 10.0, (q, m + 1, offset + k * (n + 1)))[:, :, offset:]
+        out[:, m, layout[5]] = 0.0  # the dummy corners, as `_cost_stack` prices them
+        stack, = stacks_of(out, layout[0])
         assert not stack.flags.c_contiguous
-        values, flows = _solve_stack(stack)
-        expected_values, expected_flows = _solve_stack(np.ascontiguousarray(stack))
+        values, flows = _solve_stack(out, layout)
+        expected_values, expected_flows = solve_stack(
+            np.ascontiguousarray(stack).reshape(q * k, m + 1, n + 1))
         assert flows.flags.c_contiguous
         assert values.tobytes() == expected_values.tobytes()
-        assert flows.tobytes() == expected_flows.tobytes()
+        assert stacks_of(flows, layout[0])[0].tobytes() == expected_flows.tobytes()
 
 
 @settings(max_examples=300, deadline=None)
 @given(cost_stacks())
 def test_direct_flows_equal_the_assignment_flows(entries):
-    values, flows = _solve_stack(entries)
+    k, rows, cols = entries.shape
+    values, flows = _solve_stack(entries.swapaxes(0, 1).reshape(1, rows, -1),
+                                 solve_layout([(k, cols - 1)]))
     for t, costs in enumerate(entries):
         expected = assigned_flow(costs)
-        assert flows[t].tobytes() == expected.tobytes()
-        assert values[t] == (expected * costs).reshape(-1).sum()
+        assert flows[0, :, t * cols:(t + 1) * cols].tobytes() == expected.tobytes()
+        assert values[0, t] == (expected * costs).reshape(-1).sum()
+
+
+def solve_each_stack_alone(out, fused):
+    """Values (Q, K) and flows (Q, m+1, C) of `_solve_stack`'s layout, each
+    stack of the set solved alone by the `solve_stack` oracle."""
+    q, rows = out.shape[:2]
+    values, flows = [], []
+    for costs in stacks_of(out, fused[0]):
+        k, cols = costs.shape[1], costs.shape[3]
+        stack_values, stack_flows = solve_stack(costs.reshape(q * k, rows, cols))
+        values.append(stack_values.reshape(q, k))
+        flows.append(stack_flows.reshape(q, k, rows, cols).swapaxes(1, 2).reshape(q, rows, -1))
+    return np.concatenate(values, axis=1), np.concatenate(flows, axis=2)
+
+
+# 5-vertex queries against references of 0-7 vertices: the swap differs
+# inside one set, and most matrices need an assignment
+FUSED_SOLVE_CASE = (5, 2, 5, 3, [3, 7, 5, 0, 6, 7, 2, 0], LETTER_COSTS)
+
+
+@settings(max_examples=150, deadline=None)
+@example(*FUSED_SOLVE_CASE)
+# empty queries, and queries larger than every reference
+@example(6, 2, 0, 2, [3, 0, 4, 0], UNIT_COSTS)
+@example(7, 3, 9, 2, [1, 0, 6, 2, 0], CostParams(0.1, 3.0))
+# in dimension 8 each stack is a set of its own
+@example(8, 8, 4, 2, [9, 3, 0, 9], UNIT_COSTS)
+# one 9-vertex query against a stack of empty references: each value sums
+# the 10 entries of a one-column matrix, pairwise only in C order
+@example(9, 2, 9, 1, [0, 3, 0, 5, 0], LETTER_COSTS)
+@given(st.integers(0, 2 ** 32 - 1), st.sampled_from((1, 2, 3, 8)), st.integers(0, 10),
+       st.integers(1, 3), st.lists(st.integers(0, 10), min_size=1, max_size=8),
+       st.sampled_from((LETTER_COSTS, UNIT_COSTS, CostParams(0.1, 3.0))))
+def test_fused_solve_equals_each_stack_solved_alone(seed, dim, m, count, sizes, params):
+    """One `_solve_stack` call over a set of `_reference_stacks` gives the
+    bytes of the values and flows of each of its stacks solved alone."""
+    queries = mixed_size_graphs(seed, dim, [m] * count)
+    references = mixed_size_graphs(seed + 1, dim, sizes)
+    for columns, fused in _reference_stacks(references):
+        out = _cost_stack(_stack(queries), fused, params)
+        values, flows = _solve_stack(out, fused)
+        expected_values, expected_flows = solve_each_stack_alone(out, fused)
+        assert values.shape == (count, len(columns))
+        assert flows.shape == out.shape
+        assert values.tobytes() == expected_values.tobytes()
+        assert flows.tobytes() == expected_flows.tobytes()
+
+
+def test_fused_solve_case_holds_crowded_and_direct_matrices():
+    """The first explicit case above is one set that holds both matrices
+    with two reduced costs below 0 in one row or column, which go to
+    `_assign_rows`, and matrices whose flows are written directly."""
+    seed, dim, m, count, sizes, params = FUSED_SOLVE_CASE
+    queries = mixed_size_graphs(seed, dim, [m] * count)
+    (_, fused), = _reference_stacks(mixed_size_graphs(seed + 1, dim, sizes))
+    crowded = []
+    for costs in stacks_of(_cost_stack(_stack(queries), fused, params), fused[0]):
+        n = costs.shape[3] - 1
+        pairs = (costs[:, :, :m, :n] - costs[:, :, :m, n:] - costs[:, :, m:, :n]) < 0.0
+        crowded += ((pairs.sum(axis=3) > 1).any(axis=2)
+                    | (pairs.sum(axis=2) > 1).any(axis=2)).ravel().tolist()
+    assert any(crowded) and not all(crowded)

@@ -12,7 +12,7 @@ from graphmover.gmd import (_SEQUENTIAL_TERMS, _cost_stack, _fuse, _reference_st
                             gmd, ground_cost_matrix)
 
 from conftest import LETTER_COSTS, UNIT_COSTS, geometric_graphs
-from helpers import dense_ground_cost, naive_ground_cost
+from helpers import dense_ground_cost, mixed_size_graphs, naive_ground_cost, stacks_of
 
 
 def test_matched_twin_vertices_cost_zero(zero_distance_pair):
@@ -130,10 +130,11 @@ def test_query_stack_is_blocked_and_equals_each_pair(n_second):
     batch, stack = _stack(queries), _fuse([_stack(protos)])
     tracemalloc.start()
     try:
-        costs, = _cost_stack(batch, stack, UNIT_COSTS)
+        out = _cost_stack(batch, stack, UNIT_COSTS)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
+    costs, = stacks_of(out, stack[0])
     assert peak < 48e6
     assert costs.shape == (100, 6, 21, n_second + 1)
     for query, rows in zip(queries, costs):
@@ -157,10 +158,11 @@ def test_displacement_term_is_blocked_when_the_dimension_exceeds_p():
     batch, stack = _stack(queries), _fuse([_stack([proto])])
     tracemalloc.start()
     try:
-        costs, = _cost_stack(batch, stack, UNIT_COSTS)
+        out = _cost_stack(batch, stack, UNIT_COSTS)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
+    costs, = stacks_of(out, stack[0])
     assert peak < costs.nbytes + 64e6
     for query, entries in zip(queries[::100], costs[::100, 0]):
         assert entries.tobytes() == ground_cost_matrix(query, proto, UNIT_COSTS).entries.tobytes()
@@ -183,16 +185,6 @@ def test_numpy_sums_up_to_seven_terms_in_order():
         assert np.ascontiguousarray(terms.T).sum(axis=0).tobytes() == row_sums
         if p >= 4:
             assert padded.sum(axis=-1).tobytes() != row_sums
-
-
-def mixed_size_graphs(seed, dim, sizes):
-    """Graphs of the given sizes with random coordinates and about half of
-    the vertex pairs joined, so that L1 sums have many non-zero terms."""
-    rng = np.random.default_rng(seed)
-    return [GeometricGraph.build(rng.uniform(-5.0, 5.0, size=(n, dim)),
-                                 [(i, j) for i in range(n) for j in range(i + 1, n)
-                                  if rng.random() < 0.5], dim=dim)
-            for n in sizes]
 
 
 @settings(max_examples=150, deadline=None)
@@ -219,10 +211,13 @@ def test_one_pass_over_mixed_sizes_prices_each_stack_as_alone(seed, dim, m, coun
     order = list(dict.fromkeys(sizes))
     small = [n for n in order if max(n, dim) <= 7]
     assert widths == [small] * bool(small) + [[n] for n in order if max(n, dim) > 7]
-    for groups, fused in sets:
-        for indices, costs in zip(groups, _cost_stack(batch, fused, params)):
-            alone, = _cost_stack(batch, _fuse([_stack([references[a] for a in indices])]),
-                                 params)
+    for columns, fused in sets:
+        start = 0
+        for costs in stacks_of(_cost_stack(batch, fused, params), fused[0]):
+            indices = columns[start:start + costs.shape[1]]
+            start += costs.shape[1]
+            alone = _fuse([_stack([references[a] for a in indices])])
+            alone, = stacks_of(_cost_stack(batch, alone, params), alone[0])
             assert costs.shape == alone.shape
             assert costs.tobytes() == alone.tobytes()
             for query, row in zip(queries, costs):
