@@ -10,7 +10,9 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
+from functools import partial
 from pathlib import Path
 
 from . import experiments
@@ -136,17 +138,42 @@ def _run_pair_distance(args, exact: bool) -> int:
     return 0
 
 
+def _usable_cpus() -> int:
+    """The CPUs this process may run on (its affinity set where the platform has one)."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+def _classify_level(directory, prototypes, params, ks):
+    """Load one distortion level and rank the prototypes for its drawings."""
+    return experiments.classify_topk(load_letter_directory(directory), prototypes, params, ks=ks)
+
+
 def _run_classify(args) -> int:
+    """Load and rank each level, then report them in the order given.
+
+    Each level is one job. The jobs run in a pool of one worker per usable
+    CPU, at most one per level, or in this process when that is one worker.
+    The prototypes are loaded here first, so a missing one fails before any
+    worker starts, and the first failing level in level order is the error.
+    """
     root = Path(args.dataset)
     levels = args.distortion or [lv for lv in DISTORTION_LEVELS if (root / lv).is_dir()]
     if not levels:
         print(f"error: no distortion directories under {root}", file=sys.stderr)
         return 1
-    protos = load_prototypes(args.prototypes)
-    reports = []
-    for level in levels:
-        records = load_letter_directory(root / level)
-        reports.append(experiments.classify_topk(records, protos, args.params, ks=args.k))
+    job = partial(_classify_level, prototypes=load_prototypes(args.prototypes),
+                  params=args.params, ks=args.k)
+    directories = [root / level for level in levels]
+    workers = min(_usable_cpus(), len(levels))
+    if workers > 1:
+        from concurrent.futures import ProcessPoolExecutor  # one worker never loads it
+
+        with ProcessPoolExecutor(max_workers=workers) as pool:
+            reports = list(pool.map(job, directories))
+    else:
+        reports = list(map(job, directories))
     if args.confusion_out:
         conf_dir = Path(args.confusion_out)
         conf_dir.mkdir(parents=True, exist_ok=True)

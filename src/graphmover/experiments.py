@@ -7,10 +7,8 @@ can be diffed byte for byte.
 from __future__ import annotations
 
 import io
-import os
 import time
 from dataclasses import dataclass
-from functools import partial
 from typing import Callable, Iterable, Sequence
 
 import numpy as np
@@ -37,13 +35,6 @@ class RetrievalReport:
     runtime_seconds: float
 
 
-def _usable_cpus() -> int:
-    """The CPUs this process may run on (its affinity set where the platform has one)."""
-    if hasattr(os, "sched_getaffinity"):
-        return len(os.sched_getaffinity(0))
-    return os.cpu_count() or 1
-
-
 def classify_topk(tests: Sequence[LetterRecord], prototypes: dict[str, GeometricGraph],
                   params: CostParams, ks: Iterable[int] = (1, 3, 5)) -> RetrievalReport:
     """Rank the 15 prototypes by distance for each test drawing.
@@ -51,10 +42,9 @@ def classify_topk(tests: Sequence[LetterRecord], prototypes: dict[str, Geometric
     A test counts as a hit at k when its true letter is among the k closest
     prototypes, with the same distances as `gmd`. The distances come from
     `gmd._distance_matrix`, which groups the drawings and the prototypes by
-    vertex count, once for the same prototype graphs across calls. The drawings
-    are split into one chunk per usable CPU, at most one per drawing, and a
-    pool's workers price the chunks; with one chunk they are priced
-    in-process. The ranking is done here, on the whole matrix.
+    vertex count, once for the same prototype graphs across calls. All the
+    drawings are priced in one call, in this process, and ranked here on the
+    whole matrix.
     """
     ks = tuple(sorted(set(int(k) for k in ks)))
     if any(k < 1 for k in ks):
@@ -69,18 +59,7 @@ def classify_topk(tests: Sequence[LetterRecord], prototypes: dict[str, Geometric
     distortion = levels.pop() if len(levels) == 1 else "MIXED"
 
     start = time.perf_counter()
-    graphs = [r.graph for r in tests]
-    distances = partial(_distance_matrix, references=proto_graphs, params=params)
-    workers = min(_usable_cpus(), len(graphs))
-    if workers > 1:
-        from concurrent.futures import ProcessPoolExecutor  # the serial path never loads it
-
-        size = -(-len(graphs) // workers)
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            matrix = np.concatenate(list(pool.map(
-                distances, [graphs[a:a + size] for a in range(0, len(graphs), size)])))
-    else:
-        matrix = distances(graphs)
+    matrix = _distance_matrix([r.graph for r in tests], proto_graphs, params)
     # ties broken by alphabetical letter order: the columns are label-ordered
     # prototypes, and a stable sort keeps equal distances in column order
     orders = np.argsort(matrix, axis=1, kind="stable")

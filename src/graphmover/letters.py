@@ -78,17 +78,9 @@ def distort(graph: GeometricGraph, rng: np.random.Generator,
     return planarize(GeometricGraph.build(moved, edges, dim=2))
 
 
-def make_letter_records(distortion: str, per_letter: int = 150,
-                        seed: int = 7) -> list[LetterRecord]:
-    """Deterministic synthetic test set for one distortion level, drawn from the
-    packaged prototypes."""
-    if distortion not in DISTORTION_LEVELS:
-        raise ValueError(f"distortion must be one of {DISTORTION_LEVELS}, got {distortion!r}")
-    return list(_letter_records(distortion, per_letter, seed))
-
-
 def _letter_records(distortion: str, per_letter: int, seed: int):
-    """The records of `make_letter_records` one at a time, so that
+    """The deterministic synthetic drawings of one distortion level, drawn
+    from the packaged prototypes one at a time, so that
     `write_letter_dataset` holds one drawing instead of a whole level."""
     protos = load_prototypes()
     profile = DISTORTION_PROFILES[distortion]

@@ -15,11 +15,12 @@ from typing import Optional, Sequence
 import numpy as np
 
 import graphmover
-from graphmover.dataset import read_graph_file
+from graphmover.dataset import DISTORTION_LEVELS, LetterRecord, read_graph_file
 from graphmover.geometry import (EPS, CollinearOverlapError, CostParams, GeometricGraph,
                                  _nearest_endpoint, segment_intersection)
 from graphmover.ggd import InstanceTooLargeError, enumerate_matchings
 from graphmover.gmd import _OVERFLOW, _assign_rows, _fuse, _stack, ground_cost_matrix
+from graphmover.letters import _letter_records
 
 BRUTEFORCE_MAX_VERTICES = 6
 
@@ -463,8 +464,13 @@ def random_integer_transport(rng, max_side=4, max_weight=3):
     return supplies.astype(float), demands.astype(float), costs
 
 
-def grid_points(rng, n, spread=10.0):
-    return rng.uniform(0.0, spread, size=(n, 2))
+def make_letter_records(distortion: str, per_letter: int = 150,
+                        seed: int = 7) -> list[LetterRecord]:
+    """The synthetic drawings of one distortion level, as `graphmover synth`
+    writes them, held in memory."""
+    if distortion not in DISTORTION_LEVELS:
+        raise ValueError(f"distortion must be one of {DISTORTION_LEVELS}, got {distortion!r}")
+    return list(_letter_records(distortion, per_letter, seed))
 
 
 def random_graph_pair(rng, max_vertices=5):

@@ -21,11 +21,10 @@ from graphmover.experiments import (classify_topk, random_graph, retrieval_csv,
 from graphmover.geometry import CostParams, GeometricGraph, translate
 from graphmover.ggd import ggd_exact
 from graphmover.gmd import gmd
-from graphmover.letters import make_letter_records
 from graphmover.transport import TransportInstance, solve_transport
 
-from helpers import (gmd_bruteforce, hausdorff_vertices, min_integral_flow_cost,
-                     packaged_graph, random_integer_transport)
+from helpers import (gmd_bruteforce, hausdorff_vertices, make_letter_records,
+                     min_integral_flow_cost, packaged_graph, random_integer_transport)
 
 UNIT = CostParams(1.0, 1.0)
 LETTER = CostParams(4.5, 1.0)

@@ -3,7 +3,7 @@ import re
 
 import pytest
 
-from graphmover import experiments
+from graphmover import cli
 from graphmover.cli import main
 from graphmover.dataset import read_json_graph, write_json_graph
 from graphmover.geometry import GeometricGraph
@@ -201,8 +201,8 @@ def test_overflowing_ggd_prints_one_error_line(case, fixture_files, tmp_path, ca
 
 @pytest.mark.filterwarnings("error")
 def test_overflowing_classify_prints_one_error_line(tmp_path, capsys, monkeypatch):
-    # one usable CPU: the drawings are priced in this process, by the fused solve
-    monkeypatch.setattr(experiments, "_usable_cpus", lambda: 1)
+    # one usable CPU: the levels are loaded and ranked in this process
+    monkeypatch.setattr(cli, "_usable_cpus", lambda: 1)
     dataset = tmp_path / "letters"
     assert main(["synth", "--out", str(dataset), "--per-letter", "1", "--seed", "3"]) == 0
     capsys.readouterr()
@@ -307,6 +307,49 @@ def test_classify_names_the_malformed_drawing(document, message, tmp_path, capsy
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == f"error: {bad}: {message}\n"
+
+
+@pytest.mark.parametrize("case", ["overflow", "malformed-drawing"])
+def test_level_pool_prints_one_error_line(case, tmp_path, capfd, monkeypatch):
+    # two usable CPUs: the levels are loaded and ranked by the pool's workers,
+    # whose output capfd captures too
+    monkeypatch.setattr(cli, "_usable_cpus", lambda: 2)
+    dataset = tmp_path / "letters"
+    assert main(["synth", "--out", str(dataset), "--per-letter", "1", "--seed", "3"]) == 0
+    if case == "overflow":
+        argv = ["--cv", "1e308"]
+        expected = "error: the graph mover's distance overflows a float\n"
+    else:
+        argv = []
+        level = dataset / "MED"
+        bad = level / sorted(json.loads((level / "labels.json").read_text()))[7]
+        bad.write_text('{"d": 2, "vertices": [[0, 0]], "edges": [[0, 5]]}')
+        expected = f"error: {bad}: edge (0, 5): index out of range for 1 vertices\n"
+    capfd.readouterr()
+    assert main(["classify", "--dataset", str(dataset), *argv]) == 1
+    captured = capfd.readouterr()
+    assert captured.out == ""
+    assert captured.err == expected
+
+
+@pytest.mark.parametrize("cpus, levels", [(1, ["LOW", "MED", "HIGH"]), (2, ["MED"])],
+                         ids=["one-cpu", "one-level"])
+def test_classify_without_a_second_worker_starts_no_pool(cpus, levels, tmp_path, capsys,
+                                                         monkeypatch):
+    import concurrent.futures
+
+    def no_pool(*args, **kwargs):
+        raise AssertionError("a worker pool was started")
+
+    monkeypatch.setattr(cli, "_usable_cpus", lambda: cpus)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", no_pool)
+    dataset = tmp_path / "letters"
+    assert main(["synth", "--out", str(dataset), "--per-letter", "1", "--seed", "3"]) == 0
+    capsys.readouterr()
+    assert main(["classify", "--dataset", str(dataset), "--distortion", *levels,
+                 "--format", "csv"]) == 0
+    rows = capsys.readouterr().out.splitlines()[1:]
+    assert [row.split(",")[0] for row in rows[::3]] == levels
 
 
 def test_labels_json_without_drawings_is_data_error(tmp_path, capsys):

@@ -1,3 +1,4 @@
+import json
 import os
 import pickle
 import subprocess
@@ -11,7 +12,7 @@ import pytest
 from hypothesis import example, given, settings
 
 import graphmover
-from graphmover import experiments
+from graphmover import cli
 from graphmover.dataset import LETTER_LABELS, LetterRecord, load_prototypes
 from graphmover.experiments import (bench_csv, classify_topk, confusion_csv,
                                     ggd_perturbation_trial, ggd_translation_trial,
@@ -86,23 +87,38 @@ def test_classify_validates_inputs(prototypes):
         classify_topk(as_records([(line, "A")]), prototypes, LETTER_COSTS)
 
 
-def test_pool_and_serial_agree(prototypes, monkeypatch):
+def test_pool_and_serial_agree(prototypes, monkeypatch, tmp_path, capfd):
+    # the level pool's workers price on unpickled prototype graphs
     rng = np.random.default_rng(4)
-    tests = as_records([(perturb(prototypes[label], 0.5, int(rng.integers(1 << 30))), label)
-                        for label in LETTER_LABELS])
-    # the pool's workers price on unpickled prototype graphs
+    graphs = [perturb(prototypes[label], 0.5, int(rng.integers(1 << 30)))
+              for label in LETTER_LABELS]
     protos = tuple(prototypes[label] for label in LETTER_LABELS)
     copies = pickle.loads(pickle.dumps(protos))
-    graphs = [record.graph for record in tests]
     assert (_distance_matrix(graphs, copies, LETTER_COSTS).tobytes()
             == _distance_matrix(graphs, protos, LETTER_COSTS).tobytes())
-    every_k = tuple(range(1, 16))  # accuracy at every k compares whole rankings
-    monkeypatch.setattr(experiments, "_usable_cpus", lambda: 1)
-    serial = classify_topk(tests, prototypes, LETTER_COSTS, ks=every_k)
-    monkeypatch.setattr(experiments, "_usable_cpus", lambda: 2)
-    pooled = classify_topk(tests, prototypes, LETTER_COSTS, ks=every_k)
-    assert serial.accuracy == pooled.accuracy
-    assert np.array_equal(serial.confusion, pooled.confusion)
+    dataset = tmp_path / "letters"
+    assert cli.main(["synth", "--out", str(dataset), "--per-letter", "2", "--seed", "3"]) == 0
+    levels = ["HIGH", "LOW", "MED"]
+    every_k = ",".join(map(str, range(1, 16)))  # accuracy at every k compares whole rankings
+    runs = {}
+    for cpus in (1, 2):
+        monkeypatch.setattr(cli, "_usable_cpus", lambda: cpus)
+        for fmt in ("csv", "json"):
+            conf = tmp_path / f"conf-{cpus}-{fmt}"
+            capfd.readouterr()
+            assert cli.main(["classify", "--dataset", str(dataset), "--distortion", *levels,
+                             "--k", every_k, "--format", fmt,
+                             "--confusion-out", str(conf)]) == 0
+            captured = capfd.readouterr()
+            assert captured.err == ""
+            runs[cpus, fmt] = (captured.out, {p.name: p.read_bytes()
+                                              for p in sorted(conf.iterdir())})
+    for fmt in ("csv", "json"):
+        assert runs[1, fmt] == runs[2, fmt]
+    rows = runs[1, "csv"][0].splitlines()[1:]
+    assert [row.split(",")[0] for row in rows[::15]] == levels
+    assert [entry["distortion"] for entry in json.loads(runs[1, "json"][0])] == levels
+    assert sorted(runs[1, "csv"][1]) == [f"confusion_{level}.csv" for level in sorted(levels)]
 
 
 def per_pair_ranking(query, protos, params):
@@ -259,21 +275,20 @@ def test_one_query_prices_each_prototype_group_once(prototypes, monkeypatch):
     assert second.tobytes() == first.tobytes()
 
 
-def test_ranking_leaves_the_drawings_uncached(prototypes, monkeypatch):
-    monkeypatch.setattr(experiments, "_usable_cpus", lambda: 1)
+def test_ranking_leaves_the_drawings_uncached(prototypes):
     tests = as_records([(perturb(prototypes[label], 0.3, 5), label) for label in ("A", "E")])
     before = [dict(vars(record.graph)) for record in tests]
     assert classify_topk(tests, prototypes, LETTER_COSTS).accuracy[1] == 1.0
     assert [vars(record.graph) for record in tests] == before
 
 
-def test_one_usable_cpu_scores_in_process(prototypes, monkeypatch):
+def test_classify_topk_starts_no_pool(prototypes, monkeypatch):
     import concurrent.futures
 
     def no_pool(*args, **kwargs):
         raise AssertionError("a worker pool was started")
 
-    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
     monkeypatch.setattr(os, "cpu_count", lambda: 2)
     monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", no_pool)
     tests = as_records([(prototypes[label], label) for label in LETTER_LABELS])

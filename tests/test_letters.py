@@ -7,10 +7,9 @@ from graphmover import letters
 from graphmover.dataset import (DISTORTION_LEVELS, LETTER_LABELS, load_letter_directory,
                                 load_prototypes)
 from graphmover.geometry import CollinearOverlapError
-from graphmover.letters import (DISTORTION_PROFILES, distort, make_letter_records,
-                                write_letter_dataset)
+from graphmover.letters import DISTORTION_PROFILES, distort, write_letter_dataset
 
-from helpers import validate_graph
+from helpers import make_letter_records, validate_graph
 
 
 def test_profiles_cover_all_levels():
