@@ -191,17 +191,28 @@ class GeometricGraph:
     @cached_property
     def adjacency_length_matrix(self) -> np.ndarray:
         """Symmetric matrix whose (i, k) entry is the length of edge (i, k), else 0."""
-        n = self.n_vertices
-        mat = np.zeros((n, n))
-        i, j = np.array(self.edges, dtype=np.intp).reshape(-1, 2).T
-        d = self.coords[i] - self.coords[j]
-        # each edge's own dot product, which rounds as np.linalg.norm's does;
-        # (d * d).sum(axis=1) and norm(d, axis=1) can differ in the last bit
-        length = np.sqrt(d[:, None, :] @ d[:, :, None]).reshape(-1)
-        mat[i, j] = length
-        mat[j, i] = length
+        mat = adjacency_lengths(self.coords[None], [self.edges])[0]
         mat.flags.writeable = False
         return mat
+
+
+def adjacency_lengths(coords: np.ndarray, edges: Sequence) -> np.ndarray:
+    """The adjacency length matrices (k, n, n) of k graphs of n vertices each,
+    from their coordinates (k, n, d) and their k edge lists of index pairs
+    (i, j): entry (t, i, j) and (t, j, i) is the length of edge (i, j) of
+    graph t, every other entry 0. A length that overflows is inf, with
+    numpy's overflow warning unless the caller silences it."""
+    k, n = coords.shape[:2]
+    graph = np.repeat(np.arange(k), [len(pairs) for pairs in edges])
+    i, j = np.array(list(itertools.chain.from_iterable(edges)), dtype=np.intp).reshape(-1, 2).T
+    d = coords[graph, i] - coords[graph, j]
+    # each edge's own dot product, which rounds as np.linalg.norm's does;
+    # (d * d).sum(axis=1) and norm(d, axis=1) can differ in the last bit
+    length = np.sqrt(d[:, None, :] @ d[:, :, None]).reshape(-1)
+    mat = np.zeros((k, n, n))
+    mat[graph, i, j] = length
+    mat[graph, j, i] = length
+    return mat
 
 
 def _plain_vertices(vertices, dim: int) -> bool:

@@ -30,18 +30,28 @@ at most 0, so the full optimum is no larger; and dropping the pairs with
 red >= 0 from a full assignment leaves a partial injection whose red sum is
 the assignment's cost, so it is no smaller.
 
-Often no assignment needs to run. When the entries with red < 0 lie in
-distinct rows and distinct columns, those entries are the optimal partial
-injection: each row's least min(red, 0) is its negative entry (or 0 when it
-has none), no two rows want the same column, so the pairs reach the lower
-bound sum over rows of min(red, 0), and dropping any of them raises the cost.
-The flow is then written directly, and only the other matrices go to
-`_assign_rows`. The value is the flow's objective, sum(flow * costs).
+Often no assignment needs to run. Join two entries with red < 0 when they
+share a row or a column. The optimal partial injection splits over the
+components this makes, as no pair with red >= 0 lowers its cost. A
+component that is a star, one row or one column, can give only one pair, so
+its least entry is its optimum, the only one when that entry is unique; a
+lone entry is a star of one. One numpy pass over a whole fused set keeps
+each red < 0 that is least in its row of its graph and in its column, which
+is each star's least entry, and writes those flows directly. A graph's
+whole matrix goes to `_assign_rows` only when a component has at least 2
+rows and 2 columns (it holds a red < 0 whose row and column each hold
+another), or when a star's least entry is tied, where the pass keeps both
+and the assignment's tie rule picks one. Of the 20,250 matrices of the
+1,350 seed-601 letter queries of `perfbench` against the 15 prototypes, 317
+need an assignment; 3,758 did when only entries in distinct rows and
+columns were written directly. The value is the flow's objective,
+sum(flow * costs).
 
 Every step works on stacks of graphs, so that `gmd` (one pair) and the
 letter ranker (a group of same-size drawings against the 15 prototypes)
 share one cost formula and one solve. `_stack` holds the arrays of k graphs
-of n vertices; `_fuse` lays out one or more stacks of references as columns,
+of n vertices, their adjacency matrices built in one `adjacency_lengths`
+pass; `_fuse` lays out one or more stacks of references as columns,
 each graph's vertices followed by its dummy; `_cost_stack` prices a stack of
 Q queries against all the columns of a fused set in one (Q, m+1, C) pass;
 and `_solve_stack`, once per set on that whole array, is the one place that
@@ -53,22 +63,22 @@ different sizes n in dimension d are fused only while n, d <=
 n, the terms past each column's own p = min(m, n) are masked to 0, and numpy
 sums fewer than 8 terms one after another, so every entry, flow and value is
 the same float as in the pair's own solve. `ground_cost_matrix` and `gmd` are
-the Q = k = 1 case. `_distance_matrix` is the ranker's batch: it groups its
-graphs by vertex count (`_stacks_by_size`), keeps the references' fused sets
-while the same reference graphs are asked for (`_reference_stacks`), and
-prices and solves each query group against each set in one call each.
+the Q = k = 1 case, their stacks taken from each graph's cached arrays.
+`_distance_matrix` is the ranker's batch: it groups its graphs by vertex
+count (`_stacks_by_size`), keeps the references' fused sets while the same
+reference graphs are asked for (`_reference_stacks`), and prices and solves
+each query group against each set in one call each.
 """
 
 from __future__ import annotations
 
-import copy
 import functools
 import operator
 from dataclasses import dataclass
 
 import numpy as np
 
-from .geometry import CostParams, GeometricGraph
+from .geometry import CostParams, GeometricGraph, adjacency_lengths
 
 _OVERFLOW = "the graph mover's distance overflows a float"
 
@@ -121,9 +131,18 @@ def ground_cost_matrix(g: GeometricGraph, h: GeometricGraph,
     """Pairwise unit-transport costs between the vertices of g and h plus dummies."""
     if g.dim != h.dim:
         raise ValueError(f"dimension mismatch: {g.dim} vs {h.dim}")
-    out = _cost_stack(_stack([g]), _fuse([_stack([h])]), params)[0]
+    out = _cost_stack(_cached_stack(g), _fuse([_cached_stack(h)]), params)[0]
     out.flags.writeable = False
     return GroundCostMatrix(out, g.n_vertices, h.n_vertices)
+
+
+def _cached_stack(graph: GeometricGraph) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The `_stack` of one graph from its cached `coords` and
+    `adjacency_length_matrix`, so that repeated `gmd` calls on one graph
+    build its matrix once (`_stack` of one letter drawing takes about 25 us)."""
+    with np.errstate(over="ignore", invalid="ignore"):  # a length that overflows is inf
+        adj = graph.adjacency_length_matrix
+        return graph.coords[None], adj[None], adj.sum(axis=1)[None]
 
 
 def _stacks_by_size(graphs) -> tuple:
@@ -138,11 +157,15 @@ def _stacks_by_size(graphs) -> tuple:
 
 def _stack(graphs) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """The coordinates (k, n, d), adjacency length matrices (k, n, n) and their
-    row sums (k, n) of k >= 1 graphs of n vertices each, for `_cost_stack`."""
+    row sums (k, n) of k >= 1 graphs of n vertices each, for `_cost_stack`,
+    built from the graphs' vertices and edges in one pass, so that nothing is
+    cached on the graphs."""
+    k, n, dim = len(graphs), graphs[0].n_vertices, graphs[0].dim
+    coords = np.array([h.vertices for h in graphs], dtype=float).reshape(k, n, dim)
     with np.errstate(over="ignore", invalid="ignore"):  # a length that overflows is inf
-        adj = np.array([h.adjacency_length_matrix for h in graphs])
+        adj = adjacency_lengths(coords, [h.edges for h in graphs])
         # row by row the same sums as each matrix's adj.sum(axis=1)
-        return np.array([h.coords for h in graphs]), adj, adj.sum(axis=2)
+        return coords, adj, adj.sum(axis=2)
 
 
 # numpy adds fewer than 8 terms one after another, in order; from 8 on it
@@ -184,11 +207,13 @@ def _fuse(stacks) -> tuple:
 def _columns(shapes: tuple) -> tuple:
     """The columns of `_fuse`d stacks of k graphs of n vertices, for each
     (k, n) of shapes: the index of each graph's dummy column (K,) and first
-    column (K,), and of each column's graph's dummy column (C,), read-only.
-    Kept for the last shapes asked for, as `gmd` asks for them per pair."""
+    column (K,), and per column the index of its graph's dummy column (C,)
+    and of its graph (C,), read-only. Kept for the last shapes asked for, as
+    `gmd` asks for them per pair."""
     widths = np.array([n + 1 for k, n in shapes for _ in range(k)])
     dummies = widths.cumsum() - 1
-    columns = dummies, dummies - widths + 1, dummies.repeat(widths)
+    columns = (dummies, dummies - widths + 1, dummies.repeat(widths),
+               np.arange(len(widths)).repeat(widths))
     for array in columns:
         array.flags.writeable = False
     return columns
@@ -233,16 +258,15 @@ def _distance_matrix(graphs, references, params: CostParams) -> np.ndarray:
     the graphs is priced against each set of `_reference_stacks` in one
     `_cost_stack` call and solved in one `_solve_stack` call.
 
-    It stacks shallow copies of the graphs, so the coordinate and adjacency
-    arrays cached while pricing go with the call instead of staying on every
-    graph the caller holds (a whole distortion level in `graphmover
-    classify`).
+    `_stack` reads only the graphs' vertices and edges, so no coordinate or
+    adjacency array stays cached on a graph the caller holds (a whole
+    distortion level in `graphmover classify`).
 
     ValueError(_OVERFLOW) when a distance is not finite.
     """
     sets = _reference_stacks(references)
     distances = np.empty((len(graphs), len(references)))
-    for rows, queries in _stacks_by_size([copy.copy(graph) for graph in graphs]):
+    for rows, queries in _stacks_by_size(graphs):
         block = np.empty((len(rows), len(references)))
         for columns, fused in sets:
             values, _ = _solve_stack(_cost_stack(queries, fused, params), fused)
@@ -263,7 +287,7 @@ def _cost_stack(queries, references, params: CostParams) -> np.ndarray:
     dummy row and the dummy columns are priced once per pass. An entry that
     overflows is inf or nan, without a warning; `_solve_stack` refuses it."""
     qcoords, qadj, qsums = queries
-    _, coords, adj, sums, mask, dummies, _, _ = references
+    _, coords, adj, sums, mask, dummies, _, _, _ = references
     q, m = qsums.shape
     total, width = adj.shape
     p = min(m, width)
@@ -314,33 +338,49 @@ def _solve_stack(out: np.ndarray, references) -> tuple[np.ndarray, np.ndarray]:
 
     ValueError(_OVERFLOW) when a reduced cost or a distance is not finite.
     """
-    shapes, dummies, firsts, column_dummies = references[0], *references[-3:]
+    shapes, dummies, firsts, column_dummies, column_graphs = references[0], *references[-4:]
     q, m = out.shape[0], out.shape[1] - 1
     with np.errstate(over="ignore", invalid="ignore"):
         # 0 in the dummy columns (x - x - 0), so that they never pair
         red = out[:, :m] - out[:, :m, column_dummies] - out[:, m:]
         if not np.isfinite(red).all():
             raise ValueError(_OVERFLOW)
-        # the matched pairs: every red < 0 where those lie in distinct rows and
-        # columns of a graph, else the assigned pairs with red < 0
+        # the matched pairs: every red < 0 while no two share a row of a
+        # graph or a column; else each red < 0 that is least in its row of
+        # its graph and in its column, which settles every star of red < 0
+        # (one row, or one column) whose least entry is unique, and the
+        # graphs with a tie or with a component of 2 rows and 2 columns are
+        # assigned
         pairs = red < 0.0
         per_row = np.add.reduceat(pairs, firsts, axis=2)  # (Q, m, K)
         per_col = pairs.sum(axis=1)  # (Q, C)
-        crowded = (per_row > 1).any(axis=1) | (np.maximum.reduceat(per_col, firsts, axis=1) > 1)
-        if crowded.any():
-            for t, graph in zip(*np.nonzero(crowded)):
-                first, dummy = int(firsts[graph]), int(dummies[graph])
-                n, columns = dummy - first, slice(first, dummy)
-                # with m > n the assignment's rows are the columns of red
-                match = pairs[t, :, columns] if m <= n else pairs[t, :, columns].T
-                cost_rows = red[t, :, columns] if m <= n else red[t, :, columns].T
-                cost_rows = np.minimum(cost_rows, 0.0).tolist()
-                match[:] = False
-                for r, c in enumerate(_assign_rows(cost_rows, max(m, n))):
-                    if cost_rows[r][c] < 0.0:  # min(red, 0) < 0 exactly where red < 0
-                        match[r, c] = True
+        many_in_row, many_in_col = per_row > 1, per_col > 1
+        if many_in_row.any() or many_in_col.any():  # so m >= 1
+            negative = pairs
+            row_least = np.minimum.reduceat(red, firsts, axis=2)[:, :, column_graphs]
+            pairs = negative & (red == row_least) & (red == red.min(axis=1)[:, None])
             per_row = np.add.reduceat(pairs, firsts, axis=2)
             per_col = pairs.sum(axis=1)
+            # a component of 2 rows and 2 columns holds a red < 0 whose row
+            # and whose column each hold another
+            meshed = negative & many_in_row[:, :, column_graphs] & many_in_col[:, None]
+            crowded = (np.logical_or.reduceat(meshed.any(axis=1), firsts, axis=1)
+                       | (per_row > 1).any(axis=1)
+                       | (np.maximum.reduceat(per_col, firsts, axis=1) > 1))
+            if crowded.any():
+                for t, graph in zip(*np.nonzero(crowded)):
+                    first, dummy = int(firsts[graph]), int(dummies[graph])
+                    n, columns = dummy - first, slice(first, dummy)
+                    # with m > n the assignment's rows are the columns of red
+                    match = pairs[t, :, columns] if m <= n else pairs[t, :, columns].T
+                    cost_rows = red[t, :, columns] if m <= n else red[t, :, columns].T
+                    cost_rows = np.minimum(cost_rows, 0.0).tolist()
+                    match[:] = False
+                    for r, c in enumerate(_assign_rows(cost_rows, max(m, n))):
+                        if cost_rows[r][c] < 0.0:  # min(red, 0) < 0 exactly where red < 0
+                            match[r, c] = True
+                per_row = np.add.reduceat(pairs, firsts, axis=2)
+                per_col = pairs.sum(axis=1)
         # a vertex in no pair goes to its dummy
         flows = np.empty(out.shape)
         flows[:, :m] = pairs

@@ -35,6 +35,14 @@ def matching_count(m: int, n: int) -> int:
     return sum(math.comb(m, k) * math.perm(n, k) for k in range(min(m, n) + 1))
 
 
+def adjacency_norm_loop(g: GeometricGraph) -> np.ndarray:
+    """The adjacency length matrix of g, one `np.linalg.norm` per edge."""
+    mat = np.zeros((g.n_vertices, g.n_vertices))
+    for i, j in g.edges:
+        mat[i, j] = mat[j, i] = float(np.linalg.norm(g.coords[i] - g.coords[j]))
+    return mat
+
+
 def naive_ground_cost(g: GeometricGraph, h: GeometricGraph, params: CostParams) -> np.ndarray:
     """Ground cost matrix computed entry by entry with plain Python loops."""
     m, n = g.n_vertices, h.n_vertices
@@ -211,11 +219,15 @@ def stacks_of(array: np.ndarray, shapes) -> list[np.ndarray]:
     return stacks
 
 
-def mixed_size_graphs(seed, dim, sizes):
+def mixed_size_graphs(seed, dim, sizes, grid=False):
     """Graphs of the given sizes with random coordinates and about half of
-    the vertex pairs joined, so that L1 sums have many non-zero terms."""
+    the vertex pairs joined, so that L1 sums have many non-zero terms. With
+    `grid` the coordinates are integers from -2 to 2, so that vertices
+    coincide, lengths repeat and reduced costs tie exactly or a few ulps
+    apart."""
     rng = np.random.default_rng(seed)
-    return [GeometricGraph.build(rng.uniform(-5.0, 5.0, size=(n, dim)),
+    return [GeometricGraph.build(rng.integers(-2, 3, size=(n, dim)).astype(float) if grid
+                                 else rng.uniform(-5.0, 5.0, size=(n, dim)),
                                  [(i, j) for i in range(n) for j in range(i + 1, n)
                                   if rng.random() < 0.5], dim=dim)
             for n in sizes]

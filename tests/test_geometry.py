@@ -1,16 +1,18 @@
 import math
+from itertools import combinations
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from graphmover.dataset import GraphFormatError, read_json_graph
-from graphmover.geometry import (MAX_COORD, CostParams, GeometricGraph, perturb,
-                                 segment_intersection, translate)
+from graphmover.geometry import (MAX_COORD, CostParams, GeometricGraph, adjacency_lengths,
+                                 perturb, segment_intersection, translate)
 
 from conftest import geometric_graphs
-from helpers import hausdorff_vertices, packaged_graph, total_length, validate_graph
+from helpers import (adjacency_norm_loop, hausdorff_vertices, packaged_graph, total_length,
+                     validate_graph)
 
 
 def test_cost_params_require_positive_coefficients():
@@ -213,10 +215,42 @@ def test_adjacency_matrix_is_symmetric_and_counts_each_edge_twice(g):
 @given(st.integers(1, 4).flatmap(
     lambda dim: geometric_graphs(max_vertices=8, dim=dim, min_vertices=0)))
 def test_adjacency_matrix_equals_the_per_edge_norm_loop(g):
-    loop = np.zeros((g.n_vertices, g.n_vertices))
-    for i, j in g.edges:
-        loop[i, j] = loop[j, i] = float(np.linalg.norm(g.coords[i] - g.coords[j]))
-    assert g.adjacency_length_matrix.tobytes() == loop.tobytes()
+    assert g.adjacency_length_matrix.tobytes() == adjacency_norm_loop(g).tobytes()
+
+
+@st.composite
+def same_size_graphs(draw):
+    """1-4 graphs of one size n = 0 to 8 in dimension 1, 2, 3 or 8, each with
+    its own edges; some coordinates are +-MAX_COORD, where a length
+    overflows to inf from four dimensions on."""
+    k, n = draw(st.integers(1, 4)), draw(st.integers(0, 8))
+    dim = draw(st.sampled_from((1, 2, 3, 8)))
+    coordinate = st.one_of(st.floats(-10.0, 10.0), st.sampled_from((MAX_COORD, -MAX_COORD)))
+    pairs = list(combinations(range(n), 2))
+    graphs = []
+    for _ in range(k):
+        points = tuple(tuple(draw(coordinate) for _ in range(dim)) for _ in range(n))
+        edges = sorted(draw(st.sets(st.sampled_from(pairs)))) if pairs else []
+        graphs.append(GeometricGraph(dim, points, tuple(edges)))
+    return graphs
+
+
+@settings(max_examples=150, deadline=None)
+@example([GeometricGraph(8, ((MAX_COORD,) * 8, (-MAX_COORD,) * 8), ((0, 1),)),
+          GeometricGraph(8, ((0.0,) * 8, (1.0, 2.0, 2.0) + (0.0,) * 5), ((0, 1),))])
+@example([GeometricGraph(2, (), ())] * 3)
+@given(same_size_graphs())
+def test_adjacency_lengths_of_a_group_equal_the_per_edge_norm_loop(graphs):
+    """One `adjacency_lengths` pass over graphs of one size gives the bytes
+    of each graph's per-edge norms, inf where a length overflows, and of its
+    own `adjacency_length_matrix`."""
+    n = graphs[0].n_vertices
+    with np.errstate(over="ignore"):
+        expected = [adjacency_norm_loop(g).tobytes() for g in graphs]
+        batch = adjacency_lengths(np.array([g.coords for g in graphs]), [g.edges for g in graphs])
+        assert batch.shape == (len(graphs), n, n)
+        assert [mat.tobytes() for mat in batch] == expected
+        assert [g.adjacency_length_matrix.tobytes() for g in graphs] == expected
 
 
 def test_hausdorff_identical_and_shared_sets(shared_vertex_pair):

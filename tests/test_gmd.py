@@ -1,3 +1,4 @@
+import sys
 from itertools import combinations
 
 import hypothesis.strategies as st
@@ -155,9 +156,11 @@ def test_assignment_path_matches_transport_and_bruteforce(pair, params):
 
 
 # reduced costs where a float tie or an absorbed term could change an
-# assignment: subnormals, exact ties, and magnitudes 2**40 apart
+# assignment: subnormals, exact ties, values 1 ulp apart (either side of -1)
+# and magnitudes 2**40 apart
 TRAP_VALUES = (0.0, 0.0, 0.0, 1.0, 2.0, -1.0, -2.0, -5e-324, -1e-310, 5e-324,
-               -2.0 ** 40, -2.0 ** -40, 2.0 ** 40, -2.0 ** 80, -3.0)
+               -2.0 ** 40, -2.0 ** -40, 2.0 ** 40, -2.0 ** 80, -3.0,
+               -1.0 - 2.0 ** -52, -1.0 + 2.0 ** -53)
 
 
 @st.composite
@@ -165,18 +168,36 @@ def cost_stacks(draw):
     """A stack of 1-4 cost matrices (k, m+1, n+1) with m and n from 0 to 6
     (both orientations, an empty side included). The dummy row and column are
     zero about half the time, so that the reduced costs are exactly the trap
-    values; a drawn density keeps both the cases with negative entries in
-    distinct rows and columns and the crowded cases common."""
+    values. The negative entries are placed at a drawn density, which keeps
+    both the cases with negative entries in distinct rows and columns and
+    the crowded cases common, or as stars: each column left of a cut holds
+    at most one, in a row above another cut (stars of one row), and each
+    row below that cut at most one, in a column right of the first (stars
+    of one column)."""
     k, m, n = draw(st.integers(1, 4)), draw(st.integers(0, 6)), draw(st.integers(0, 6))
-    density = draw(st.sampled_from((0.1, 0.3, 0.7)))
+    density = draw(st.sampled_from((0.1, 0.3, 0.7, "stars")))
     dummy = st.sampled_from((0.0, 1.0, 2.0 ** 40, 5e-324, 3.0))
     entries = np.zeros((k, m + 1, n + 1))
     for t in range(k):
+        negative = np.zeros((m, n), dtype=bool)
+        if density == "stars":
+            a, b = draw(st.integers(0, m)), draw(st.integers(0, n))
+            for j in range(b):
+                i = draw(st.integers(-1, a - 1))  # -1: none in this column
+                if i >= 0:
+                    negative[i, j] = True
+            for i in range(a, m):
+                j = draw(st.integers(b - 1, n - 1))  # b - 1: none in this row
+                if j >= b:
+                    negative[i, j] = True
+        else:
+            for i in range(m):
+                for j in range(n):
+                    negative[i, j] = draw(st.floats(0, 1)) < density
         for i in range(m):
             for j in range(n):
-                negative = draw(st.floats(0, 1)) < density
                 entries[t, i, j] = draw(st.sampled_from(
-                    [v for v in TRAP_VALUES if (v < 0) == negative]))
+                    [v for v in TRAP_VALUES if (v < 0) == negative[i, j]]))
         if draw(st.booleans()):
             entries[t, :m, n] = draw(st.lists(dummy, min_size=m, max_size=m))
             entries[t, m, :n] = draw(st.lists(dummy, min_size=n, max_size=n))
@@ -209,6 +230,16 @@ def test_strided_stack_solves_as_its_c_ordered_copy(n):
 
 
 @settings(max_examples=300, deadline=None)
+# a star of one row whose least entries tie: `_assign_rows` gives the row its
+# last tied free column, which the solve does not settle on its own
+@example(np.array([[[-1.0, -1.0, 0.0, 0.0], [0.0, 0.0, 0.0, 0.0]]]))
+# stars of one row and of one column whose least entries are 1 ulp apart,
+# with m < n and with m > n
+@example(np.array([[[-1.0, -1.0 + 2.0 ** -53, 0.0, 0.0], [0.0, 0.0, -1.0 - 2.0 ** -52, 0.0],
+                    [0.0, 0.0, -1.0, 0.0], [0.0, 0.0, 0.0, 0.0]]]))
+@example(np.array([[[-1.0 + 2.0 ** -53, 0.0, 0.0], [-1.0, 0.0, 0.0],
+                    [0.0, -3.0, 0.0], [0.0, -2.0, 0.0], [0.0, 0.0, 0.0]]]))
+@example(np.zeros((2, 1, 4)))  # m = 0
 @given(cost_stacks())
 def test_direct_flows_equal_the_assignment_flows(entries):
     k, rows, cols = entries.shape
@@ -234,28 +265,33 @@ def solve_each_stack_alone(out, fused):
 
 
 # 5-vertex queries against references of 0-7 vertices: the swap differs
-# inside one set, and most matrices need an assignment
-FUSED_SOLVE_CASE = (5, 2, 5, 3, [3, 7, 5, 0, 6, 7, 2, 0], LETTER_COSTS)
+# inside one set, and it holds matrices solved directly, stars settled
+# without an assignment and components that need one
+FUSED_SOLVE_CASE = (5, 2, 5, 3, [3, 7, 5, 0, 6, 7, 2, 0], LETTER_COSTS, False)
 
 
 @settings(max_examples=150, deadline=None)
 @example(*FUSED_SOLVE_CASE)
 # empty queries, and queries larger than every reference
-@example(6, 2, 0, 2, [3, 0, 4, 0], UNIT_COSTS)
-@example(7, 3, 9, 2, [1, 0, 6, 2, 0], CostParams(0.1, 3.0))
+@example(6, 2, 0, 2, [3, 0, 4, 0], UNIT_COSTS, False)
+@example(7, 3, 9, 2, [1, 0, 6, 2, 0], CostParams(0.1, 3.0), False)
 # in dimension 8 each stack is a set of its own
-@example(8, 8, 4, 2, [9, 3, 0, 9], UNIT_COSTS)
+@example(8, 8, 4, 2, [9, 3, 0, 9], UNIT_COSTS, False)
 # one 9-vertex query against a stack of empty references: each value sums
 # the 10 entries of a one-column matrix, pairwise only in C order
-@example(9, 2, 9, 1, [0, 3, 0, 5, 0], LETTER_COSTS)
+@example(9, 2, 9, 1, [0, 3, 0, 5, 0], LETTER_COSTS, False)
+# a star of one row whose least reduced costs tie exactly
+@example(95, 1, 1, 3, [0, 0, 4, 5], UNIT_COSTS, False)
+# a star whose two least reduced costs are 1 ulp apart
+@example(62, 2, 5, 2, [4, 2], LETTER_COSTS, True)
 @given(st.integers(0, 2 ** 32 - 1), st.sampled_from((1, 2, 3, 8)), st.integers(0, 10),
        st.integers(1, 3), st.lists(st.integers(0, 10), min_size=1, max_size=8),
-       st.sampled_from((LETTER_COSTS, UNIT_COSTS, CostParams(0.1, 3.0))))
-def test_fused_solve_equals_each_stack_solved_alone(seed, dim, m, count, sizes, params):
+       st.sampled_from((LETTER_COSTS, UNIT_COSTS, CostParams(0.1, 3.0))), st.booleans())
+def test_fused_solve_equals_each_stack_solved_alone(seed, dim, m, count, sizes, params, grid):
     """One `_solve_stack` call over a set of `_reference_stacks` gives the
     bytes of the values and flows of each of its stacks solved alone."""
-    queries = mixed_size_graphs(seed, dim, [m] * count)
-    references = mixed_size_graphs(seed + 1, dim, sizes)
+    queries = mixed_size_graphs(seed, dim, [m] * count, grid)
+    references = mixed_size_graphs(seed + 1, dim, sizes, grid)
     for columns, fused in _reference_stacks(references):
         out = _cost_stack(_stack(queries), fused, params)
         values, flows = _solve_stack(out, fused)
@@ -266,17 +302,64 @@ def test_fused_solve_equals_each_stack_solved_alone(seed, dim, m, count, sizes, 
         assert flows.tobytes() == expected_flows.tobytes()
 
 
-def test_fused_solve_case_holds_crowded_and_direct_matrices():
-    """The first explicit case above is one set that holds both matrices
-    with two reduced costs below 0 in one row or column, which go to
-    `_assign_rows`, and matrices whose flows are written directly."""
-    seed, dim, m, count, sizes, params = FUSED_SOLVE_CASE
-    queries = mixed_size_graphs(seed, dim, [m] * count)
-    (_, fused), = _reference_stacks(mixed_size_graphs(seed + 1, dim, sizes))
-    crowded = []
-    for costs in stacks_of(_cost_stack(_stack(queries), fused, params), fused[0]):
+def negative_components(red: np.ndarray) -> list[tuple[set, set]]:
+    """The components of the entries red < 0 of one matrix, each as its sets
+    of rows and of columns: two such entries join when they share a row or
+    a column."""
+    m = red.shape[0]
+    parent = list(range(m + red.shape[1]))
+
+    def root(a):
+        while parent[a] != a:
+            a = parent[a]
+        return a
+
+    entries = list(zip(*np.nonzero(red < 0.0)))
+    for i, j in entries:
+        parent[root(int(i))] = root(m + int(j))
+    components: dict[int, tuple[set, set]] = {}
+    for i, j in entries:
+        rows, columns = components.setdefault(root(int(i)), (set(), set()))
+        rows.add(int(i))
+        columns.add(int(j))
+    return list(components.values())
+
+
+def test_fused_solve_case_holds_crowded_and_direct_matrices(monkeypatch):
+    """The first explicit case above is one set that holds matrices whose
+    reduced costs below 0 lie in distinct rows and columns, matrices with a
+    star of them (two or more in one row, or in one column) whose least entry
+    is unique, and matrices with a component of at least 2 rows and 2
+    columns. Only the matrices with such a component, or with a star whose
+    least entries tie, go to `_assign_rows`, one call each."""
+    seed, dim, m, count, sizes, params, grid = FUSED_SOLVE_CASE
+    queries = mixed_size_graphs(seed, dim, [m] * count, grid)
+    (_, fused), = _reference_stacks(mixed_size_graphs(seed + 1, dim, sizes, grid))
+    out = _cost_stack(_stack(queries), fused, params)
+    kinds = []
+    for costs in stacks_of(out, fused[0]):
         n = costs.shape[3] - 1
-        pairs = (costs[:, :, :m, :n] - costs[:, :, :m, n:] - costs[:, :, m:, :n]) < 0.0
-        crowded += ((pairs.sum(axis=3) > 1).any(axis=2)
-                    | (pairs.sum(axis=2) > 1).any(axis=2)).ravel().tolist()
-    assert any(crowded) and not all(crowded)
+        red = costs[:, :, :m, :n] - costs[:, :, :m, n:] - costs[:, :, m:, :n]
+        for matrix in red.reshape(costs.shape[0] * costs.shape[1], m, n):
+            kind = "direct"
+            for rows, columns in negative_components(matrix):
+                least = sorted(matrix[i, j] for i in rows for j in columns if matrix[i, j] < 0.0)
+                if len(rows) > 1 and len(columns) > 1:
+                    kind = "component"
+                    break
+                if len(least) > 1 and least[0] == least[1]:
+                    kind = "assigned"
+                elif len(least) > 1 and kind == "direct":
+                    kind = "star"
+            kinds.append(kind)
+    assert {"direct", "star", "component"} <= set(kinds)
+    gmd_module = sys.modules["graphmover.gmd"]
+    calls = []
+
+    def counting(cost_rows, n, _original=gmd_module._assign_rows):
+        calls.append(n)
+        return _original(cost_rows, n)
+
+    monkeypatch.setattr(gmd_module, "_assign_rows", counting)
+    _solve_stack(out, fused)
+    assert len(calls) == kinds.count("component") + kinds.count("assigned")
