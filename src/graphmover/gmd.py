@@ -63,7 +63,7 @@ different sizes n in dimension d are fused only while n, d <=
 n, the terms past each column's own p = min(m, n) are masked to 0, and numpy
 sums fewer than 8 terms one after another, so every entry, flow and value is
 the same float as in the pair's own solve. `ground_cost_matrix` and `gmd` are
-the Q = k = 1 case, their stacks taken from each graph's cached arrays.
+the Q = k = 1 case.
 `_distance_matrix` is the ranker's batch: it groups its graphs by vertex
 count (`_stacks_by_size`), keeps the references' fused sets while the same
 reference graphs are asked for (`_reference_stacks`), and prices and solves
@@ -131,18 +131,9 @@ def ground_cost_matrix(g: GeometricGraph, h: GeometricGraph,
     """Pairwise unit-transport costs between the vertices of g and h plus dummies."""
     if g.dim != h.dim:
         raise ValueError(f"dimension mismatch: {g.dim} vs {h.dim}")
-    out = _cost_stack(_cached_stack(g), _fuse([_cached_stack(h)]), params)[0]
+    out = _cost_stack(_stack([g]), _fuse([_stack([h])]), params)[0]
     out.flags.writeable = False
     return GroundCostMatrix(out, g.n_vertices, h.n_vertices)
-
-
-def _cached_stack(graph: GeometricGraph) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The `_stack` of one graph from its cached `coords` and
-    `adjacency_length_matrix`, so that repeated `gmd` calls on one graph
-    build its matrix once (`_stack` of one letter drawing takes about 25 us)."""
-    with np.errstate(over="ignore", invalid="ignore"):  # a length that overflows is inf
-        adj = graph.adjacency_length_matrix
-        return graph.coords[None], adj[None], adj.sum(axis=1)[None]
 
 
 def _stacks_by_size(graphs) -> tuple:
@@ -345,42 +336,38 @@ def _solve_stack(out: np.ndarray, references) -> tuple[np.ndarray, np.ndarray]:
         red = out[:, :m] - out[:, :m, column_dummies] - out[:, m:]
         if not np.isfinite(red).all():
             raise ValueError(_OVERFLOW)
-        # the matched pairs: every red < 0 while no two share a row of a
-        # graph or a column; else each red < 0 that is least in its row of
-        # its graph and in its column, which settles every star of red < 0
-        # (one row, or one column) whose least entry is unique, and the
-        # graphs with a tie or with a component of 2 rows and 2 columns are
-        # assigned
-        pairs = red < 0.0
+        # the matched pairs: each red < 0 that is least in its row of its
+        # graph and in its column, which settles every star of red < 0 (one
+        # row, or one column) whose least entry is unique; the graphs with a
+        # tie or with a component of 2 rows and 2 columns are assigned
+        negative = red < 0.0
+        row_least = np.minimum.reduceat(red, firsts, axis=2)[:, :, column_graphs]
+        col_least = red.min(axis=1, initial=np.inf)  # inf when m = 0
+        pairs = negative & (red == row_least) & (red == col_least[:, None])
         per_row = np.add.reduceat(pairs, firsts, axis=2)  # (Q, m, K)
         per_col = pairs.sum(axis=1)  # (Q, C)
-        many_in_row, many_in_col = per_row > 1, per_col > 1
-        if many_in_row.any() or many_in_col.any():  # so m >= 1
-            negative = pairs
-            row_least = np.minimum.reduceat(red, firsts, axis=2)[:, :, column_graphs]
-            pairs = negative & (red == row_least) & (red == red.min(axis=1)[:, None])
+        # a component of 2 rows and 2 columns holds a red < 0 whose row and
+        # whose column each hold another
+        many_in_row = np.add.reduceat(negative, firsts, axis=2) > 1
+        many_in_col = negative.sum(axis=1) > 1
+        meshed = negative & many_in_row[:, :, column_graphs] & many_in_col[:, None]
+        crowded = (np.logical_or.reduceat(meshed.any(axis=1), firsts, axis=1)
+                   | (per_row > 1).any(axis=1)
+                   | (np.maximum.reduceat(per_col, firsts, axis=1) > 1))
+        if crowded.any():
+            for t, graph in zip(*np.nonzero(crowded)):
+                first, dummy = int(firsts[graph]), int(dummies[graph])
+                n, columns = dummy - first, slice(first, dummy)
+                # with m > n the assignment's rows are the columns of red
+                match = pairs[t, :, columns] if m <= n else pairs[t, :, columns].T
+                cost_rows = red[t, :, columns] if m <= n else red[t, :, columns].T
+                cost_rows = np.minimum(cost_rows, 0.0).tolist()
+                match[:] = False
+                for r, c in enumerate(_assign_rows(cost_rows, max(m, n))):
+                    if cost_rows[r][c] < 0.0:  # min(red, 0) < 0 exactly where red < 0
+                        match[r, c] = True
             per_row = np.add.reduceat(pairs, firsts, axis=2)
             per_col = pairs.sum(axis=1)
-            # a component of 2 rows and 2 columns holds a red < 0 whose row
-            # and whose column each hold another
-            meshed = negative & many_in_row[:, :, column_graphs] & many_in_col[:, None]
-            crowded = (np.logical_or.reduceat(meshed.any(axis=1), firsts, axis=1)
-                       | (per_row > 1).any(axis=1)
-                       | (np.maximum.reduceat(per_col, firsts, axis=1) > 1))
-            if crowded.any():
-                for t, graph in zip(*np.nonzero(crowded)):
-                    first, dummy = int(firsts[graph]), int(dummies[graph])
-                    n, columns = dummy - first, slice(first, dummy)
-                    # with m > n the assignment's rows are the columns of red
-                    match = pairs[t, :, columns] if m <= n else pairs[t, :, columns].T
-                    cost_rows = red[t, :, columns] if m <= n else red[t, :, columns].T
-                    cost_rows = np.minimum(cost_rows, 0.0).tolist()
-                    match[:] = False
-                    for r, c in enumerate(_assign_rows(cost_rows, max(m, n))):
-                        if cost_rows[r][c] < 0.0:  # min(red, 0) < 0 exactly where red < 0
-                            match[r, c] = True
-                per_row = np.add.reduceat(pairs, firsts, axis=2)
-                per_col = pairs.sum(axis=1)
         # a vertex in no pair goes to its dummy
         flows = np.empty(out.shape)
         flows[:, :m] = pairs
