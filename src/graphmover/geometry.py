@@ -220,16 +220,24 @@ def _plain_vertices(vertices, dim: int) -> bool:
     Python floats (exact types), each within MAX_COORD in magnitude, so that
     the constructor's per-vertex checks would pass and change no value.
 
-    The test runs over the input in place and builds nothing; anything
-    else, ints and numpy scalars included, and every fault, is left to the
-    per-vertex checks, which name the first faulty vertex.
+    The test builds one flat list of the coordinates; anything else, ints
+    and numpy scalars included, and every fault, is left to the per-vertex
+    checks, which name the first faulty vertex. An inf or a nan makes the
+    sum non-finite, and with every |x| <= 2**510 a sum of fewer than 2**513
+    terms cannot overflow; so a finite sum means finite coordinates, and
+    max and min then bound them (with a nan among them, max and min could
+    skip it). A coordinate past MAX_COORD fails max or min, or overflows
+    the sum. From Python 3.12 sum() of floats adds a compensation term,
+    but only where that term is finite, so the sum is finite just as
+    before. The sum is only tested, never used.
     """
-    return (type(vertices) in _SEQUENCES
-            and _SEQUENCES.issuperset(map(type, vertices))
-            and _FLOAT.issuperset(map(type, itertools.chain.from_iterable(vertices)))
+    if type(vertices) not in _SEQUENCES or not _SEQUENCES.issuperset(map(type, vertices)):
+        return False
+    flat = list(itertools.chain.from_iterable(vertices))
+    return (_FLOAT.issuperset(map(type, flat))
             and all(map(dim.__eq__, map(len, vertices)))
-            # abs(nan) fails the test too
-            and all(map(MAX_COORD.__ge__, map(abs, itertools.chain.from_iterable(vertices)))))
+            and math.isfinite(sum(flat))
+            and max(flat, default=0.0) <= MAX_COORD and min(flat, default=0.0) >= -MAX_COORD)
 
 
 def _edge_index(x, index: int) -> int:
@@ -334,15 +342,17 @@ def planarize(g: GeometricGraph) -> GeometricGraph:
     whose neighbours on both sides lie more than 2 * EPS away in x is
     within EPS of no other crossing: float subtraction and squaring are
     monotone, so its squared x distance to any other already exceeds
-    EPS * EPS. It is its own representative. Only the crowded rest take the
-    lowest-id rule in Python, in pair order: each looks for the earlier
-    representatives in the 3x3 block of grid cells of side 2 * EPS around
-    it, where one within EPS lies even after rounding in the cell index,
-    and joins the lowest-numbered within EPS, which is what a scan of all
-    representatives in creation order would return. A grid and not a scan
-    keeps this linear where many crossings share one x, as on a line
-    crossed by many others. A new vertex's id counts the representatives
-    before it in pair order.
+    EPS * EPS. It is its own representative. The sort need not be stable:
+    crossings of equal x lie 0 apart, so all of them are crowded in any
+    order, and a crossing next to them sees the same x on that side. Only
+    the crowded rest take the lowest-id rule in Python, back in pair order:
+    each looks for the earlier representatives in the 3x3 block of grid
+    cells of side 2 * EPS around it, where one within EPS lies even after
+    rounding in the cell index, and joins the lowest-numbered within EPS,
+    which is what a scan of all representatives in creation order would
+    return. A grid and not a scan keeps this linear where many crossings
+    share one x, as on a line crossed by many others. A new vertex's id
+    counts the representatives before it in pair order.
 
     A crossing splits both its edges there, and an endpoint inside an edge
     splits that edge. Where one edge meets one vertex more than once, the
@@ -372,7 +382,8 @@ def planarize(g: GeometricGraph) -> GeometricGraph:
         kept = None
         pairs = zip(itertools.count(), itertools.combinations(range(m), 2))
     else:
-        kept = _pairs_that_may_meet(pts, edges)
+        ids = _edge_ids(edges)
+        kept = _pairs_that_may_meet(pts, ids)
         undecided = np.flatnonzero(~kept[2])
         pairs = zip(undecided.tolist(),
                     zip(kept[0][undecided].tolist(), kept[1][undecided].tolist()))
@@ -402,25 +413,28 @@ def planarize(g: GeometricGraph) -> GeometricGraph:
         return g
 
     if kept is None:  # every pair went through the loop, and none is settled
+        ids = _edge_ids(edges)
         a, b = np.array(list(itertools.combinations(range(m), 2))).T
         kept = (a, b, np.zeros(len(a), dtype=bool), *np.zeros((4, len(a))))
     a, b, crossing, t, u, px, py = kept
-    found = np.array(found, dtype=float).reshape(-1, 5).T
-    k = found[0].astype(np.intp)
-    crossing[k] = True
-    t[k], u[k], px[k], py[k] = found[1:]
+    if found:
+        found = np.array(found, dtype=float).T
+        k = found[0].astype(np.intp)
+        crossing[k] = True
+        t[k], u[k], px[k], py[k] = found[1:]
     at = np.flatnonzero(crossing)
     a, b, t, u, px, py = a[at], b[at], t[at], u[at], px[at], py[at]
     rep = _representatives(px, py)
     new = rep == np.arange(len(rep))
     vid = g.n_vertices - 1 + np.cumsum(new)[rep]
 
-    touch_at, touch_edge, touch_t, touch_vid = np.array(touches, dtype=float).reshape(-1, 4).T
+    touch_at, touch_edge, touch_t, touch_vid = (
+        np.array(touches, dtype=float).T if touches else np.zeros((4, 0)))
     # only a touch or a merged crossing can meet an edge at a vertex it already meets
     when = None
     if touches or not new.all():
         when = np.concatenate([2 * at, 2 * at + 1, 2 * touch_at.astype(np.intp)])
-    pieces = _split(edges,
+    pieces = _split(ids,
                     np.concatenate([a, b, touch_edge.astype(np.intp)]),
                     np.concatenate([t, u, touch_t]),
                     np.concatenate([vid, vid, touch_vid.astype(np.intp)]),
@@ -432,9 +446,15 @@ def planarize(g: GeometricGraph) -> GeometricGraph:
 def _representatives(px, py):
     """For each crossing (px, py), in pair order, the index of the crossing
     whose vertex it joins: the lowest-indexed earlier representative within
-    EPS, else itself. `planarize` describes the screen and the grid."""
+    EPS, else itself. `planarize` describes the screen and the grid.
+
+    How the sort by x orders crossings of equal x changes nothing: a run
+    of equal x is crowded whatever its order, the gap from its end to the
+    next x is the same whichever crossing ends it, and the crowded ones
+    are sorted back into pair order before the grid sees them.
+    """
     rep = np.arange(len(px))
-    order = np.argsort(px, kind="stable")
+    order = np.argsort(px)
     apart = np.diff(px[order]) > 2 * EPS
     lonely = np.ones(len(px), dtype=bool)
     lonely[1:] &= apart
@@ -461,11 +481,12 @@ def _representatives(px, py):
     return rep
 
 
-def _split(edges, edge, t, vertex, when):
-    """The pieces of `edges` split at their events, sorted, as (low, high)
-    pairs of Python ints.
+def _split(ids, edge, t, vertex, when):
+    """The pieces of the edges whose vertex ids are the rows of `ids`
+    (m, 2), split at their events, sorted, as (low, high) pairs of Python
+    ints.
 
-    Event k puts `vertex[k]` at parameter `t[k]` along `edges[edge[k]]`;
+    Event k puts `vertex[k]` at parameter `t[k]` along edge `edge[k]`;
     where an edge meets a vertex more than once, the event with the lowest
     `when` counts. `when` None says that no edge meets a vertex twice, and
     then no event is dropped. Each edge's chain is its first end, its stops
@@ -474,21 +495,26 @@ def _split(edges, edge, t, vertex, when):
     ids in the smallest integer type that holds them, which numpy runs as
     a radix sort and which keeps t's order within each edge. np.lexsort,
     whose float pass is a merge sort, takes several times as long, so it
-    only runs where an edge holds two stops at equal t.
+    only runs where an edge holds two stops at equal t. The pieces are then
+    sorted by value as keys low * (h + 1) + high, h the largest high, which
+    order as the (low, high) pairs do, and decoded with divmod: 46 us at
+    4,500 pieces, where an argsort and two gathers took 75 (2-core x86_64,
+    numpy 2.4.6). A key that repeats raises, naming
+    the first piece in edge order that repeats an earlier one.
     """
     if when is not None:
         first = np.lexsort((when, vertex, edge))
         e, v = edge[first], vertex[first]
         first = first[np.concatenate(([True], (e[1:] != e[:-1]) | (v[1:] != v[:-1])))]
         edge, t, vertex = edge[first], t[first], vertex[first]
-    ids = np.arange(len(edges))
-    ends = np.array(edges).reshape(-1, 2)
-    inf = np.full(len(edges), np.inf)
-    edge = np.concatenate([ids, edge, ids])
+    m = len(ids)
+    own = np.arange(m)
+    inf = np.full(m, np.inf)
+    edge = np.concatenate([own, edge, own])
     t = np.concatenate([-inf, t, inf])
-    vertex = np.concatenate([ends[:, 0], vertex, ends[:, 1]])
+    vertex = np.concatenate([ids[:, 0], vertex, ids[:, 1]])
     chain = np.argsort(t)
-    chain = chain[np.argsort(edge[chain].astype(np.min_scalar_type(len(edges))), kind="stable")]
+    chain = chain[np.argsort(edge[chain].astype(np.min_scalar_type(m)), kind="stable")]
     owner, t = edge[chain], t[chain]
     if ((owner[1:] == owner[:-1]) & (t[1:] == t[:-1])).any():
         chain = chain[np.lexsort((vertex[chain], t, owner))]
@@ -497,23 +523,32 @@ def _split(edges, edge, t, vertex, when):
     v0, v1 = chain[:-1], chain[1:]
     keep = (owner[:-1] == owner[1:]) & (v0 != v1)
     owner, lo, hi = owner[:-1][keep], np.minimum(v0, v1)[keep], np.maximum(v0, v1)[keep]
-    piece = lo * (hi.max() + 1) + hi
-    order = np.argsort(piece)
-    if (piece[order][1:] == piece[order][:-1]).any():
+    base = hi.max() + 1
+    piece = lo * base + hi
+    key = np.sort(piece)
+    if (key[1:] == key[:-1]).any():
         # the first piece in edge order that an earlier piece repeats
         repeat = np.ones(len(piece), dtype=bool)
         repeat[np.unique(piece, return_index=True)[1]] = False
         r = np.flatnonzero(repeat)[0]
         raise CollinearOverlapError(
-            f"edge {edges[owner[r]]} overlaps another edge along "
+            f"edge {tuple(ids[owner[r]].tolist())} overlaps another edge along "
             f"{(int(lo[r]), int(hi[r]))} after splitting")
-    return tuple(zip(lo[order].tolist(), hi[order].tolist()))
+    lo, hi = np.divmod(key, base)
+    return tuple(zip(lo.tolist(), hi.tolist()))
 
 
-def _pairs_that_may_meet(pts, edges):
-    """The pairs a < b of indices into edges in lexicographic order, less
-    pairs that `segment_intersection` certainly calls "none", as arrays
-    (a, b, sure, t, u, px, py) over the kept pairs.
+def _edge_ids(edges):
+    """The (m, 2) array of the vertex ids of m edges."""
+    ids = np.fromiter(itertools.chain.from_iterable(edges), np.intp, 2 * len(edges))
+    return ids.reshape(-1, 2)
+
+
+def _pairs_that_may_meet(pts, ids):
+    """The pairs a < b of edges in lexicographic order, less pairs that
+    `segment_intersection` certainly calls "none", as arrays
+    (a, b, sure, t, u, px, py) over the kept pairs. `ids` holds the
+    vertex ids of edge k in row k, and `pts` the vertices.
 
     A pair is dropped where the non-parallel branch of `segment_intersection`
     returns "none": the cross product `denom` is clear of the parallel
@@ -554,15 +589,15 @@ def _pairs_that_may_meet(pts, edges):
     pairs; a block's kept pairs are gathered by their flat positions, in
     the same row-major (a, b) order.
     """
-    ends = np.array([pts[i] + pts[j] for i, j in edges])  # x0, y0, x1, y1 per edge
-    x0, y0, x1, y1 = ends.T
+    xy = np.fromiter(itertools.chain.from_iterable(pts), float, 2 * len(pts)).reshape(-1, 2)
+    x0, y0, x1, y1 = np.ascontiguousarray(xy[ids].reshape(-1, 4).T)
     rx, ry = x1 - x0, y1 - y0
     length = np.hypot(rx, ry)
     with np.errstate(divide="ignore", over="ignore"):  # inf for a (near) zero length
         # |t - 0.5| > half is t outside [-reach, 1 + reach]
         half = 0.5 + (2 * EPS / length + 1e-9)
     tol = 2e-12 * length
-    m = len(ends)
+    m = len(ids)
     none, empty = np.zeros(0, dtype=np.intp), np.zeros(0)
     blocks = [(none, none, empty, empty, empty)]
     r0 = 0
@@ -612,18 +647,17 @@ def _pairs_that_may_meet(pts, edges):
                 blocks.append((ka, kb, denom[flat], num_t[flat], num_u[flat]))
         r0 = a.stop
     ka, kb, denom, num_t, num_u = map(np.concatenate, zip(*blocks))
-    p, q = ends[ka], ends[kb]
     len_p, len_q = length[ka], length[kb]
     with np.errstate(all="ignore"):
         t = num_t / denom
         u = num_u / denom
-        px = p[:, 0] + t * (p[:, 2] - p[:, 0])
-        py = p[:, 1] + t * (p[:, 3] - p[:, 1])
+        px = x0[ka] + t * rx[ka]
+        py = y0[ka] + t * ry[ka]
         sure = (len_p > 2 * EPS) & (len_q > 2 * EPS)
         sure &= np.abs(denom) > 2e-12 * len_p * len_q
         sure &= (np.abs(num_u) / len_p > 2 * EPS) & (np.abs(num_t) / len_q > 2 * EPS)
         sure &= (0.0 <= t) & (t <= 1.0) & (0.0 <= u) & (u <= 1.0)
-        for x, y in (p[:, 0:2].T, p[:, 2:4].T, q[:, 0:2].T, q[:, 2:4].T):
+        for x, y in ((x0[ka], y0[ka]), (x1[ka], y1[ka]), (x0[kb], y0[kb]), (x1[kb], y1[kb])):
             dx, dy = x - px, y - py
             sure &= dx * dx + dy * dy > EPS * EPS
     return ka, kb, sure, t, u, px, py

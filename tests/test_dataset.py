@@ -495,6 +495,41 @@ def random_drawings(draw):
     return _segments([tuple(p) for pair in zip(centres - half, centres + half) for p in pair])
 
 
+@st.composite
+def ladders(draw):
+    """One to four verticals 1.25 to 3 EPS apart, crossed by 14 to 24
+    horizontals, so that planarize's numpy pass runs.
+
+    No two verticals overlap, yet their crossings with one horizontal lie
+    within 2 * EPS of each other in x, and every crossing computed along a
+    vertical has exactly that vertical's x: many crossings tie in x, so the
+    x screen meets long runs of equal keys. The horizontals lie a unit or
+    1.25 to 3 EPS apart, some tilted by up to EPS, and up to two diagonals
+    pass within EPS / 2 of the crossing of a vertical and a horizontal,
+    where their crossings merge with it. Everything sits at offset 0 or at
+    1e6 (where floats are 1.2e-10 apart), with shuffled vertex ids. A quarter
+    to a third of these drawings hold split pieces that coincide, and there
+    the error and its message must match the loop's.
+    """
+    offset = draw(st.sampled_from([0.0, 1e6]))
+    gap = st.floats(1.25 * EPS, 3 * EPS)
+    xs = list(itertools.accumulate([offset] + [draw(gap) for _ in range(draw(st.integers(0, 3)))]))
+    count = draw(st.integers(14, 24))
+    ys = list(itertools.accumulate([offset] + [draw(st.one_of(st.just(1.0), gap))
+                                               for _ in range(count - 1)]))
+    points = [p for x in xs for p in ((x, offset - 1.0), (x, ys[-1] + 1.0))]
+    for y in ys:
+        tilt = draw(st.one_of(st.just(0.0), st.floats(-EPS, EPS)))
+        points += [(offset - 1.0, y - tilt), (offset + 1.0, y + tilt)]
+    for _ in range(draw(st.integers(0, 2))):
+        x, y = draw(st.sampled_from(xs)), draw(st.sampled_from(ys))
+        x, y = x + draw(st.floats(-0.5, 0.5)) * EPS, y + draw(st.floats(-0.5, 0.5)) * EPS
+        angle = draw(st.floats(0.2, math.pi - 0.2))
+        dx, dy = 0.5 * math.cos(angle), 0.5 * math.sin(angle)
+        points += [(x - dx, y - dy), (x + dx, y + dy)]
+    return _shuffled(draw, points)
+
+
 def _crossing_onto_an_endpoint():
     # at 3.35e151 floats are 2**450 apart, so edge (0, 1) is 40 ulps long;
     # edge (2, 3) crosses it at t = 0.9975, far from its end by any margin
@@ -508,7 +543,7 @@ def _kept_pairs(pts, edges):
     """The pair pass's arrays as (a, b, crossing) per kept pair, where
     crossing is (t, u, (px, py)) for a settled pair and None for one left to
     the loop."""
-    a, b, sure, t, u, px, py = geometry._pairs_that_may_meet(pts, edges)
+    a, b, sure, t, u, px, py = geometry._pairs_that_may_meet(pts, geometry._edge_ids(edges))
     return [(ai, bi, (ti, ui, (xi, yi)) if ok else None)
             for ai, bi, ok, ti, ui, xi, yi in zip(a.tolist(), b.tolist(), sure.tolist(),
                                                   t.tolist(), u.tolist(), px.tolist(),
@@ -558,7 +593,7 @@ def _assert_matches_the_loop(g):
 
 
 @pytest.mark.parametrize("drawings", [near_concurrent_drawings, crowded_bundles, star_drawings,
-                                      random_drawings])
+                                      random_drawings, ladders])
 @settings(max_examples=200, deadline=None)
 @given(data=st.data())
 def test_planarize_matches_the_loop(drawings, data):

@@ -124,6 +124,9 @@ NOT_FINITE = r"has a coordinate that is not finite or exceeds 2\*\*510 in magnit
            ((0.0, True), r": coordinate True is not a number$"),
            ((float("nan"), 0.0), " " + NOT_FINITE),
            ((0.0, -BEYOND), " " + NOT_FINITE),
+           # the bulk test's sum is nan here, and 0.0 with both entries out of range
+           ((math.inf, -math.inf), " " + NOT_FINITE),
+           ((BEYOND, -BEYOND), " " + NOT_FINITE),
            (("3", 0.0), r": coordinate '3' is not a number$"),
            ((0.0, 1.0, 2.0), r" does not have dimension 2$"),
            ((0.0,), r" does not have dimension 2$"),
