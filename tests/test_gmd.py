@@ -229,6 +229,15 @@ def test_strided_stack_solves_as_its_c_ordered_copy(n):
         assert stacks_of(flows, layout[0])[0].tobytes() == expected_flows.tobytes()
 
 
+# reduced costs with a star of one column of the assignment, -1 below
+# -5e-324, beside a lone -5e-324: `_assign_rows`'s path sum -1 - 5e-324
+# rounds to -1, so it leaves the lone entry unmatched, which settling the star
+# directly would match
+ABSORBED = np.zeros((6, 7))
+ABSORBED[[0, 3, 4], [1, 2, 5]] = -1.0
+ABSORBED[[2, 5], [5, 4]] = -5e-324
+
+
 @settings(max_examples=300, deadline=None)
 # a star of one row whose least entries tie: `_assign_rows` gives the row its
 # last tied free column, which the solve does not settle on its own
@@ -240,6 +249,8 @@ def test_strided_stack_solves_as_its_c_ordered_copy(n):
 @example(np.array([[[-1.0 + 2.0 ** -53, 0.0, 0.0], [-1.0, 0.0, 0.0],
                     [0.0, -3.0, 0.0], [0.0, -2.0, 0.0], [0.0, 0.0, 0.0]]]))
 @example(np.zeros((2, 1, 4)))  # m = 0
+@example(np.pad(ABSORBED, (0, 1))[None])  # m < n
+@example(np.pad(ABSORBED.T, (0, 1))[None])  # m > n
 @given(cost_stacks())
 def test_direct_flows_equal_the_assignment_flows(entries):
     k, rows, cols = entries.shape
@@ -328,10 +339,12 @@ def negative_components(red: np.ndarray) -> list[tuple[set, set]]:
 def test_fused_solve_case_holds_crowded_and_direct_matrices(monkeypatch):
     """The first explicit case above is one set that holds matrices whose
     reduced costs below 0 lie in distinct rows and columns, matrices with a
-    star of them (two or more in one row, or in one column) whose least entry
-    is unique, and matrices with a component of at least 2 rows and 2
-    columns. Only the matrices with such a component, or with a star whose
-    least entries tie, go to `_assign_rows`, one call each."""
+    star of them along a row of the assignment (two or more in one row when
+    m <= n, or in one column when m > n) whose least entry is unique, and
+    matrices with a component of at least 2 rows and 2 columns. Only the
+    matrices with such a component, with a star along a column of the
+    assignment, or with a star whose least entries tie, go to
+    `_assign_rows`, one call each."""
     seed, dim, m, count, sizes, params, grid = FUSED_SOLVE_CASE
     queries = mixed_size_graphs(seed, dim, [m] * count, grid)
     (_, fused), = _reference_stacks(mixed_size_graphs(seed + 1, dim, sizes, grid))
@@ -347,7 +360,8 @@ def test_fused_solve_case_holds_crowded_and_direct_matrices(monkeypatch):
                 if len(rows) > 1 and len(columns) > 1:
                     kind = "component"
                     break
-                if len(least) > 1 and least[0] == least[1]:
+                across = rows if m <= n else columns
+                if len(across) > 1 or (len(least) > 1 and least[0] == least[1]):
                     kind = "assigned"
                 elif len(least) > 1 and kind == "direct":
                     kind = "star"
