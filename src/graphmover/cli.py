@@ -151,7 +151,7 @@ def _classify_level(directory, prototypes, params, ks):
 
 
 def _run_classify(args) -> int:
-    """Load and rank each level, then report them in the order given.
+    """Load and rank each level once, then report them in the order given.
 
     Each level is one job. The jobs run in a pool of one worker per usable
     CPU, at most one per level, or in this process when that is one worker.
@@ -159,7 +159,9 @@ def _run_classify(args) -> int:
     worker starts, and the first failing level in level order is the error.
     """
     root = Path(args.dataset)
-    levels = args.distortion or [lv for lv in DISTORTION_LEVELS if (root / lv).is_dir()]
+    # a level given twice runs once, in the place it was first given
+    levels = list(dict.fromkeys(
+        args.distortion or [lv for lv in DISTORTION_LEVELS if (root / lv).is_dir()]))
     if not levels:
         print(f"error: no distortion directories under {root}", file=sys.stderr)
         return 1

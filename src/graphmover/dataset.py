@@ -12,6 +12,9 @@ document order likewise defines the vertex order.
 from __future__ import annotations
 
 import json
+import os
+import reprlib
+import stat
 from contextlib import contextmanager
 from dataclasses import dataclass
 from pathlib import Path
@@ -139,10 +142,20 @@ def read_class_index(data: Union[bytes, str]) -> list[tuple[str, str]]:
     return pairs
 
 
+def _read_regular_file(path: Path) -> bytes:
+    """The bytes of the regular file at path. Anything else is refused
+    before it is opened, with a GraphFormatError: a FIFO would block the
+    read and a device such as /dev/zero need not end."""
+    if not stat.S_ISREG(path.stat().st_mode):
+        raise GraphFormatError("not a regular file")
+    return path.read_bytes()
+
+
 def read_graph_file(path) -> GeometricGraph:
-    """Read a graph file: GXL when the suffix is ``.gxl`` (any case), else native JSON."""
+    """Read a graph file: GXL when the suffix is ``.gxl`` (any case), else native
+    JSON. A path that is not a regular file is a GraphFormatError."""
     path = Path(path)
-    data = path.read_bytes()
+    data = _read_regular_file(path)
     if path.suffix.lower() == ".gxl":
         return read_gxl_letter(data)
     return read_json_graph(data)
@@ -154,9 +167,11 @@ def load_letter_directory(path) -> list[LetterRecord]:
     The directory's name, in any case, is the distortion level. Labels come
     from the directory's class files (any ``*.cxl``, concatenated in sorted
     filename order) or from a ``labels.json`` object mapping file names to
-    letters. Graphs are planarized so that downstream consumers see valid
-    geometric graphs. A data error in a file (labels, class or drawing) is
-    a GraphFormatError whose message starts with the file's path.
+    letters. Each listed drawing must be a plain file name in the directory,
+    so that a dataset reads no file outside it. Graphs are planarized so
+    that downstream consumers see valid geometric graphs. A data error in a
+    file (labels, class or drawing) is a GraphFormatError whose message
+    starts with the file's path.
     """
     root = Path(path)
     distortion = root.name.upper()
@@ -167,16 +182,17 @@ def load_letter_directory(path) -> list[LetterRecord]:
     class_files = sorted(root.glob("*.cxl"))
     if labels_json.exists():
         with _naming(labels_json):
-            mapping = _parse_json(labels_json.read_bytes())
+            mapping = _parse_json(_read_regular_file(labels_json))
         if not isinstance(mapping, dict):
             raise GraphFormatError(f"{labels_json} is not a JSON object")
         if not mapping:
             raise GraphFormatError(f"{labels_json} lists no drawings")
-        entries = sorted(mapping.items())
+        entries = sorted(_plain_names(mapping.items(), labels_json))
     elif class_files:
         for cf in class_files:
             with _naming(cf):
-                entries.extend(read_class_index(cf.read_bytes()))
+                pairs = read_class_index(_read_regular_file(cf))
+            entries.extend(_plain_names(pairs, cf))
     else:
         raise GraphFormatError(f"no labels.json or *.cxl class file in {root}")
     records = []
@@ -185,6 +201,18 @@ def load_letter_directory(path) -> list[LetterRecord]:
             records.append(LetterRecord(planarize(read_graph_file(root / fname)), label,
                                         distortion, Path(fname).stem))
     return records
+
+
+def _plain_names(entries, source: Path) -> list[tuple[str, str]]:
+    """The (file, class) entries of a labels or class file, each file a plain
+    name: not empty, "." or "..", and without a directory part, so not an
+    absolute path either. Else a GraphFormatError naming the source."""
+    entries = list(entries)
+    for fname, _ in entries:
+        if fname in ("", ".", "..") or os.path.basename(fname) != fname:
+            raise GraphFormatError(
+                f"{source}: entry {reprlib.repr(fname)} is not a plain file name")
+    return entries
 
 
 @contextmanager

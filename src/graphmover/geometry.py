@@ -14,7 +14,6 @@ import operator
 import reprlib
 import sys
 from dataclasses import dataclass
-from functools import cached_property
 from typing import Iterable, Optional, Sequence
 
 import numpy as np
@@ -177,23 +176,6 @@ class GeometricGraph:
     @property
     def n_edges(self) -> int:
         return len(self.edges)
-
-    @cached_property
-    def coords(self) -> np.ndarray:
-        a = np.asarray(self.vertices, dtype=float).reshape(len(self.vertices), self.dim)
-        a.flags.writeable = False
-        return a
-
-    @cached_property
-    def edge_set(self) -> frozenset[tuple[int, int]]:
-        return frozenset(self.edges)
-
-    @cached_property
-    def adjacency_length_matrix(self) -> np.ndarray:
-        """Symmetric matrix whose (i, k) entry is the length of edge (i, k), else 0."""
-        mat = adjacency_lengths(self.coords[None], [self.edges])[0]
-        mat.flags.writeable = False
-        return mat
 
 
 def adjacency_lengths(coords: np.ndarray, edges: Sequence) -> np.ndarray:

@@ -15,7 +15,7 @@ from typing import Iterator, Optional
 
 import numpy as np
 
-from .geometry import CostParams, GeometricGraph
+from .geometry import CostParams, GeometricGraph, adjacency_lengths
 
 MAX_EXACT_VERTICES = 7
 
@@ -76,30 +76,56 @@ def matching_cost(g: GeometricGraph, h: GeometricGraph, pi: InexactMatching,
 
     Vertex displacement for matched vertices, absolute length difference for
     edges mapped onto edges, and full length for every deleted edge on either
-    side. Deleting an isolated vertex is free.
+    side. Deleting an isolated vertex is free. ValueError when the
+    matching does not fit the pair or the dimensions differ.
     """
     if len(pi.targets) != g.n_vertices or pi.n_right != h.n_vertices:
         raise ValueError("matching does not fit this graph pair")
+    return _priced(_pair_table(g, h), pi.targets, params)
+
+
+def _pair_table(g: GeometricGraph, h: GeometricGraph) -> tuple:
+    """What `_priced` reads of a graph pair, as Python floats: each vertex
+    pair's displacement (m lists of n), g's edges as (a, b, length) and h's
+    edges as a dict from edge to length, both in edge order. A length or
+    displacement that overflows is inf, with numpy's overflow warning
+    unless the caller silences it. ValueError when the dimensions differ."""
+    if g.dim != h.dim:
+        raise ValueError(f"dimension mismatch: {g.dim} vs {h.dim}")
+    gc = np.array(g.vertices, dtype=float).reshape(g.n_vertices, g.dim)
+    hc = np.array(h.vertices, dtype=float).reshape(h.n_vertices, h.dim)
+    moves = [[float(np.linalg.norm(p - q)) for q in hc] for p in gc]
+    g_lengths = adjacency_lengths(gc[None], [g.edges])[0].tolist()
+    h_lengths = adjacency_lengths(hc[None], [h.edges])[0].tolist()
+    g_edges = [(a, b, g_lengths[a][b]) for a, b in g.edges]
+    h_edges = {(c, d): h_lengths[c][d] for c, d in h.edges}
+    return moves, g_edges, h_edges
+
+
+def _priced(table: tuple, targets: tuple[Optional[int], ...], params: CostParams) -> float:
+    """`matching_cost` of the matching with these targets, from the pair's
+    `_pair_table`: the terms added one by one, in the order vertex moves,
+    g's edges, h's deleted edges."""
+    moves, g_edges, h_edges = table
     cv, ce = params.vertex_cost, params.edge_cost
-    targets = pi.targets
     total = 0.0
-    for i, j in pi.matched:
-        total += cv * float(np.linalg.norm(g.coords[i] - h.coords[j]))
-    h_edges = h.edge_set
+    for i, j in enumerate(targets):
+        if j is not None:
+            total += cv * moves[i][j]
     kept = set()  # edges of h that are the image of an edge of g
-    for a, b in g.edges:
+    for a, b, length in g_edges:
         ta, tb = targets[a], targets[b]
-        length = g.adjacency_length_matrix[a, b]
         if ta is not None and tb is not None:
             image = (ta, tb) if ta < tb else (tb, ta)
-            if image in h_edges:
+            image_length = h_edges.get(image)
+            if image_length is not None:
                 kept.add(image)
-                total += ce * abs(length - h.adjacency_length_matrix[image[0], image[1]])
+                total += ce * abs(length - image_length)
                 continue
         total += ce * length
-    for c, d in h.edges:
-        if (c, d) not in kept:
-            total += ce * h.adjacency_length_matrix[c, d]
+    for edge, length in h_edges.items():
+        if edge not in kept:
+            total += ce * length
     return total
 
 
@@ -107,16 +133,16 @@ def ggd_exact(g: GeometricGraph, h: GeometricGraph,
               params: CostParams) -> tuple[float, InexactMatching]:
     """Minimum matching cost and a matching attaining it (first found wins ties).
 
-    ValueError when every matching's cost overflows to inf.
+    ValueError when the dimensions differ or every matching's cost overflows
+    to inf.
     """
-    if g.dim != h.dim:
-        raise ValueError(f"dimension mismatch: {g.dim} vs {h.dim}")
     best_value = np.inf
     best_matching = None
     # an edge length or a cost term that overflows is inf; no matching wins with it
     with np.errstate(over="ignore", invalid="ignore"):
+        table = _pair_table(g, h)
         for pi in enumerate_matchings(g, h):
-            value = matching_cost(g, h, pi, params)
+            value = _priced(table, pi.targets, params)
             if value < best_value:
                 best_value = value
                 best_matching = pi

@@ -17,8 +17,8 @@ import numpy as np
 import graphmover
 from graphmover.dataset import DISTORTION_LEVELS, LetterRecord, read_graph_file
 from graphmover.geometry import (EPS, CollinearOverlapError, CostParams, GeometricGraph,
-                                 _nearest_endpoint, segment_intersection)
-from graphmover.ggd import InstanceTooLargeError, enumerate_matchings
+                                 _nearest_endpoint, adjacency_lengths, segment_intersection)
+from graphmover.ggd import InexactMatching, InstanceTooLargeError, enumerate_matchings
 from graphmover.gmd import _OVERFLOW, _assign_rows, _fuse, _stack, ground_cost_matrix
 from graphmover.letters import _letter_records
 
@@ -35,12 +35,75 @@ def matching_count(m: int, n: int) -> int:
     return sum(math.comb(m, k) * math.perm(n, k) for k in range(min(m, n) + 1))
 
 
+def coordinates(g: GeometricGraph) -> np.ndarray:
+    """The vertices of g as an (n, dim) float array, also when n is 0."""
+    return np.asarray(g.vertices, dtype=float).reshape(g.n_vertices, g.dim)
+
+
+def adjacency_matrix(g: GeometricGraph) -> np.ndarray:
+    """The adjacency length matrix of g alone, by `adjacency_lengths`."""
+    return adjacency_lengths(coordinates(g)[None], [g.edges])[0]
+
+
 def adjacency_norm_loop(g: GeometricGraph) -> np.ndarray:
     """The adjacency length matrix of g, one `np.linalg.norm` per edge."""
+    pts = coordinates(g)
     mat = np.zeros((g.n_vertices, g.n_vertices))
     for i, j in g.edges:
-        mat[i, j] = mat[j, i] = float(np.linalg.norm(g.coords[i] - g.coords[j]))
+        mat[i, j] = mat[j, i] = float(np.linalg.norm(pts[i] - pts[j]))
     return mat
+
+
+def matching_cost_oracle(g: GeometricGraph, h: GeometricGraph, pi: InexactMatching,
+                         params: CostParams, g_arrays: tuple, h_arrays: tuple) -> float:
+    """`ggd.matching_cost` as the library computed it before it priced
+    matchings from a per-pair table: each term read from each graph's
+    arrays (`coordinates`, `adjacency_matrix`) in numpy floats, and added in
+    order."""
+    if len(pi.targets) != g.n_vertices or pi.n_right != h.n_vertices:
+        raise ValueError("matching does not fit this graph pair")
+    (g_coords, g_lengths), (h_coords, h_lengths) = g_arrays, h_arrays
+    cv, ce = params.vertex_cost, params.edge_cost
+    targets = pi.targets
+    total = 0.0
+    for i, j in pi.matched:
+        total += cv * float(np.linalg.norm(g_coords[i] - h_coords[j]))
+    h_edges = frozenset(h.edges)
+    kept = set()  # edges of h that are the image of an edge of g
+    for a, b in g.edges:
+        ta, tb = targets[a], targets[b]
+        length = g_lengths[a, b]
+        if ta is not None and tb is not None:
+            image = (ta, tb) if ta < tb else (tb, ta)
+            if image in h_edges:
+                kept.add(image)
+                total += ce * abs(length - h_lengths[image[0], image[1]])
+                continue
+        total += ce * length
+    for c, d in h.edges:
+        if (c, d) not in kept:
+            total += ce * h_lengths[c, d]
+    return total
+
+
+def ggd_loop(g: GeometricGraph, h: GeometricGraph,
+             params: CostParams) -> tuple[float, InexactMatching]:
+    """`ggd.ggd_exact` as a loop over `enumerate_matchings` that prices each
+    matching with `matching_cost_oracle`: the least value, the first matching
+    that attains it, and the same ValueError when every cost overflows."""
+    best_value = np.inf
+    best_matching = None
+    with np.errstate(over="ignore", invalid="ignore"):
+        g_arrays = coordinates(g), adjacency_matrix(g)
+        h_arrays = coordinates(h), adjacency_matrix(h)
+        for pi in enumerate_matchings(g, h):
+            value = matching_cost_oracle(g, h, pi, params, g_arrays, h_arrays)
+            if value < best_value:
+                best_value = value
+                best_matching = pi
+    if best_matching is None:
+        raise ValueError("no inexact matching has a finite cost: the costs overflow a float")
+    return float(best_value), best_matching
 
 
 def naive_ground_cost(g: GeometricGraph, h: GeometricGraph, params: CostParams) -> np.ndarray:
@@ -116,10 +179,10 @@ def dense_ground_cost(g: GeometricGraph, h: GeometricGraph, params: CostParams) 
     sum of its row of p = min(m, n) terms."""
     m, n = g.n_vertices, h.n_vertices
     p = min(m, n)
-    eg, eh = g.adjacency_length_matrix, h.adjacency_length_matrix
+    eg, eh = adjacency_matrix(g), adjacency_matrix(h)
     costs = np.zeros((m + 1, n + 1))
     if m and n:
-        diff = g.coords[:, None, :] - h.coords[None, :, :]
+        diff = coordinates(g)[:, None, :] - coordinates(h)[None, :, :]
         pos = params.vertex_cost * np.sqrt((diff * diff).sum(axis=-1))
         adj = np.abs(eg[:, None, :p] - eh[None, :, :p]).sum(axis=-1)
         costs[:m, :n] = pos + params.edge_cost * adj
@@ -280,7 +343,7 @@ def validate_graph(g: GeometricGraph) -> list[str]:
     if g.dim != 2:
         return []
     problems = []
-    pts = g.coords
+    pts = coordinates(g)
     edges = g.edges
     for a in range(len(edges)):
         for b in range(a + 1, len(edges)):
@@ -453,7 +516,7 @@ def hausdorff_vertices(a: GeometricGraph, b: GeometricGraph) -> float:
         raise ValueError(f"dimension mismatch: {a.dim} vs {b.dim}")
     if a.n_vertices == 0 or b.n_vertices == 0:
         raise ValueError("Hausdorff distance needs non-empty vertex sets")
-    return hausdorff_point_sets(a.coords, b.coords)
+    return hausdorff_point_sets(coordinates(a), coordinates(b))
 
 
 def hausdorff_point_sets(a: np.ndarray, b: np.ndarray) -> float:

@@ -1,5 +1,8 @@
 import json
+import os
 import re
+import reprlib
+import threading
 
 import pytest
 
@@ -350,6 +353,65 @@ def test_classify_without_a_second_worker_starts_no_pool(cpus, levels, tmp_path,
                  "--format", "csv"]) == 0
     rows = capsys.readouterr().out.splitlines()[1:]
     assert [row.split(",")[0] for row in rows[::3]] == levels
+
+
+@pytest.mark.parametrize("source", ["labels.json", "test.cxl"])
+@pytest.mark.parametrize("outside", ["dot-dot", "absolute"])
+def test_entry_outside_the_level_is_data_error(source, outside, tmp_path, capsys):
+    # a valid drawing beside the level, which classify must not read
+    drawing = tmp_path / "outside.json"
+    drawing.write_text(write_json_graph(packaged_graph("prototypes/A")))
+    name = "../outside.json" if outside == "dot-dot" else str(drawing)
+    level = tmp_path / "LOW"
+    level.mkdir()
+    listing = level / source
+    listing.write_text(json.dumps({name: "A"}) if source == "labels.json" else
+                       f'<GraphCollection><print file="{name}" class="A"/></GraphCollection>')
+    assert main(["classify", "--dataset", str(tmp_path)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (f"error: {listing}: entry {reprlib.repr(name)} "
+                            "is not a plain file name\n")
+
+
+@pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="os.mkfifo is missing on this platform")
+@pytest.mark.parametrize("fifo_name", ["drawing.json", "labels.json"])
+def test_fifo_in_a_level_is_data_error(fifo_name, tmp_path, capsys):
+    level = tmp_path / "LOW"
+    level.mkdir()
+    if fifo_name != "labels.json":
+        (level / "labels.json").write_text(json.dumps({fifo_name: "A"}))
+    fifo = level / fifo_name
+    os.mkfifo(fifo)
+
+    def write_nothing():
+        with open(fifo, "wb"):
+            pass
+
+    # a reader of the FIFO gets end of file from this writer instead of
+    # blocking, so a regression fails the test rather than hang it
+    writer = threading.Thread(target=write_nothing, daemon=True)
+    writer.start()
+    code = main(["classify", "--dataset", str(tmp_path)])
+    captured = capsys.readouterr()
+    released = os.open(fifo, os.O_RDONLY | os.O_NONBLOCK)  # lets the writer go
+    writer.join(timeout=10)
+    os.close(released)
+    assert not writer.is_alive()
+    assert code == 1
+    assert captured.out == ""
+    assert captured.err == f"error: {fifo}: not a regular file\n"
+
+
+def test_a_level_given_twice_runs_once(tmp_path, capsys):
+    dataset = tmp_path / "letters"
+    assert main(["synth", "--out", str(dataset), "--per-letter", "1", "--seed", "3"]) == 0
+    capsys.readouterr()
+    assert main(["classify", "--dataset", str(dataset), "--distortion", "MED", "LOW", "MED",
+                 "--k", "1", "--format", "csv"]) == 0
+    assert capsys.readouterr().out == ("distortion,k,accuracy\n"
+                                       "MED,1,0.466666667\n"
+                                       "LOW,1,1.000000000\n")
 
 
 def test_labels_json_without_drawings_is_data_error(tmp_path, capsys):

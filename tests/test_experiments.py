@@ -21,11 +21,12 @@ from graphmover.experiments import (bench_csv, classify_topk, confusion_csv,
                                     run_gmd_translation_suite, scaling_benchmark,
                                     stability_csv, triangle_inequality_survey)
 from graphmover.geometry import CostParams, GeometricGraph, perturb
+from graphmover.ggd import ggd_exact
 from graphmover.gmd import (_cost_stack, _distance_matrix, _reference_stacks, _solve_stack,
                             _stack, gmd)
 
 from conftest import LETTER_COSTS, UNIT_COSTS
-from helpers import dense_gmd_value, stacks_of
+from helpers import coordinates, dense_gmd_value, stacks_of
 
 
 @pytest.fixture(scope="module")
@@ -216,8 +217,21 @@ def test_empty_query_ranks_by_deletion_cost(prototypes):
     assert orders.tolist() == [order]
     # every prototype edge is paid at both endpoints
     assert values == pytest.approx([2 * LETTER_COSTS.edge_cost * sum(
-        float(np.linalg.norm(p.coords[i] - p.coords[j])) for i, j in p.edges) for p in protos])
+        float(np.linalg.norm(coordinates(p)[i] - coordinates(p)[j])) for i, j in p.edges)
+        for p in protos])
     assert classify_topk(as_records([(empty, "I")]), prototypes, LETTER_COSTS).n_tests == 1
+
+
+def test_distances_leave_a_graph_only_its_fields(prototypes):
+    """gmd, ggd_exact and classify_topk cache nothing on a graph: each one's
+    instance dict holds exactly its three fields afterwards."""
+    protos = [prototypes[label] for label in LETTER_LABELS]
+    queries = [perturb(p, 0.3, seed=1) for p in protos[:3]]
+    gmd(queries[0], protos[0], LETTER_COSTS)
+    ggd_exact(queries[1], protos[1], LETTER_COSTS)
+    classify_topk(as_records(zip(queries, LETTER_LABELS)), prototypes, LETTER_COSTS)
+    for g in queries + protos:
+        assert vars(g).keys() == {"dim", "vertices", "edges"}
 
 
 def test_prototype_stacks_are_kept_read_only_for_the_same_graphs(prototypes):

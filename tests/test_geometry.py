@@ -11,8 +11,8 @@ from graphmover.geometry import (MAX_COORD, CostParams, GeometricGraph, adjacenc
                                  perturb, segment_intersection, translate)
 
 from conftest import geometric_graphs
-from helpers import (adjacency_norm_loop, hausdorff_vertices, packaged_graph, total_length,
-                     validate_graph)
+from helpers import (adjacency_matrix, adjacency_norm_loop, coordinates, hausdorff_vertices,
+                     packaged_graph, total_length, validate_graph)
 
 
 def test_cost_params_require_positive_coefficients():
@@ -192,24 +192,24 @@ def test_nearly_parallel_pieces_meet_at_their_shared_vertex(long_end, short_end,
 
 def test_adjacency_lengths_zero_distance_twin_row():
     g = packaged_graph("figures/zero_gmd_twin_G")
-    row = g.adjacency_length_matrix[0]
+    row = adjacency_matrix(g)[0]
     assert row == pytest.approx([0.0, 0.0, 0.0, 2.0, math.sqrt(2.0)])
 
 
 def test_adjacency_lengths_subdivided_segment_middle_vertex(segment_pair):
     g, _ = segment_pair
-    assert g.adjacency_length_matrix[1] == pytest.approx([3.0, 0.0, 1.0])
+    assert adjacency_matrix(g)[1] == pytest.approx([3.0, 0.0, 1.0])
 
 
 def test_adjacency_lengths_isolated_vertex_and_range():
     g = GeometricGraph.build([(0, 0), (5, 5), (9, 1)], [(0, 2)])
-    assert g.adjacency_length_matrix[1].tolist() == [0.0, 0.0, 0.0]
+    assert adjacency_matrix(g)[1].tolist() == [0.0, 0.0, 0.0]
 
 
 @settings(max_examples=60, deadline=None)
 @given(geometric_graphs())
 def test_adjacency_matrix_is_symmetric_and_counts_each_edge_twice(g):
-    mat = g.adjacency_length_matrix
+    mat = adjacency_matrix(g)
     assert np.array_equal(mat, mat.T)
     assert mat.sum() == pytest.approx(2.0 * total_length(g), abs=1e-9)
 
@@ -218,7 +218,7 @@ def test_adjacency_matrix_is_symmetric_and_counts_each_edge_twice(g):
 @given(st.integers(1, 4).flatmap(
     lambda dim: geometric_graphs(max_vertices=8, dim=dim, min_vertices=0)))
 def test_adjacency_matrix_equals_the_per_edge_norm_loop(g):
-    assert g.adjacency_length_matrix.tobytes() == adjacency_norm_loop(g).tobytes()
+    assert adjacency_matrix(g).tobytes() == adjacency_norm_loop(g).tobytes()
 
 
 @st.composite
@@ -245,15 +245,16 @@ def same_size_graphs(draw):
 @given(same_size_graphs())
 def test_adjacency_lengths_of_a_group_equal_the_per_edge_norm_loop(graphs):
     """One `adjacency_lengths` pass over graphs of one size gives the bytes
-    of each graph's per-edge norms, inf where a length overflows, and of its
-    own `adjacency_length_matrix`."""
+    of each graph's per-edge norms, inf where a length overflows, and of a
+    pass over that graph alone."""
     n = graphs[0].n_vertices
     with np.errstate(over="ignore"):
         expected = [adjacency_norm_loop(g).tobytes() for g in graphs]
-        batch = adjacency_lengths(np.array([g.coords for g in graphs]), [g.edges for g in graphs])
+        batch = adjacency_lengths(np.array([coordinates(g) for g in graphs]),
+                                  [g.edges for g in graphs])
         assert batch.shape == (len(graphs), n, n)
         assert [mat.tobytes() for mat in batch] == expected
-        assert [g.adjacency_length_matrix.tobytes() for g in graphs] == expected
+        assert [adjacency_matrix(g).tobytes() for g in graphs] == expected
 
 
 def test_hausdorff_identical_and_shared_sets(shared_vertex_pair):
@@ -284,7 +285,7 @@ def test_translate_zero_is_identity_and_preserves_lengths():
     assert translate(g, (0.0, 0.0)) == g
     moved = translate(g, (1.0, 0.0))
     assert moved.vertices[0] == (1.0, 0.0)
-    assert np.allclose(moved.adjacency_length_matrix, g.adjacency_length_matrix)
+    assert np.allclose(adjacency_matrix(moved), adjacency_matrix(g))
     with pytest.raises(ValueError):
         translate(g, (1.0,))
 
@@ -323,5 +324,5 @@ def test_translate_preserves_adjacency_vectors(g):
     # shifted coordinates round, so lengths agree to the last few ulps only
     moved = translate(g, (2.5, -1.25))
     for i in range(g.n_vertices):
-        assert np.allclose(g.adjacency_length_matrix[i], moved.adjacency_length_matrix[i],
+        assert np.allclose(adjacency_matrix(g)[i], adjacency_matrix(moved)[i],
                            atol=1e-12, rtol=1e-12)

@@ -1,12 +1,16 @@
+import re
+
+import hypothesis.strategies as st
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
 
-from graphmover.geometry import CostParams, GeometricGraph, translate
+from graphmover.geometry import MAX_COORD, CostParams, GeometricGraph, translate
 from graphmover.ggd import (InexactMatching, InstanceTooLargeError, enumerate_matchings,
                             ggd_exact, matching_cost)
 
-from conftest import UNIT_COSTS
-from helpers import (hausdorff_point_sets, hausdorff_vertices, matching_count,
+from conftest import LETTER_COSTS, UNIT_COSTS, geometric_graphs
+from helpers import (ggd_loop, hausdorff_point_sets, hausdorff_vertices, matching_count,
                      random_graph_pair, sample_realization, total_length)
 
 
@@ -141,6 +145,16 @@ def test_deleting_isolated_vertex_is_free():
     assert argmin.targets == (None, None)
 
 
+def test_dimension_mismatch_rejected():
+    # a 1D vertex against a 2D one would broadcast to a distance of 5
+    g = GeometricGraph.build([(0.0,)], [], dim=1)
+    h = GeometricGraph.build([(3.0, 4.0)], [])
+    with pytest.raises(ValueError, match="dimension mismatch: 1 vs 2"):
+        matching_cost(g, h, InexactMatching((0,), 1), UNIT_COSTS)
+    with pytest.raises(ValueError, match="dimension mismatch: 1 vs 2"):
+        ggd_exact(g, h, UNIT_COSTS)
+
+
 def test_exact_size_cap():
     big = GeometricGraph.build([(i, 0) for i in range(8)], [], dim=2)
     small = GeometricGraph.build([(0, 0)], [], dim=2)
@@ -157,3 +171,28 @@ def test_empty_pair_has_distance_zero():
     h = GeometricGraph.build([(0, 0), (0, 3)], [(0, 1)])
     value, _ = ggd_exact(empty, h, UNIT_COSTS)
     assert value == pytest.approx(3.0)
+
+
+# a 4D pair whose one edge, in g, is too long for a float: h has no edge to
+# keep it, so every matching deletes it and no matching has a finite cost
+_FAR = (MAX_COORD,) * 4
+
+
+@settings(max_examples=40, deadline=None)
+@example(GeometricGraph(4, (_FAR, tuple(-x for x in _FAR)), ((0, 1),)),
+         GeometricGraph(4, (_FAR,), ()), UNIT_COSTS)
+@given(geometric_graphs(min_vertices=0), geometric_graphs(min_vertices=0),
+       st.sampled_from([UNIT_COSTS, LETTER_COSTS, CostParams(0.1, 3.0)]))
+def test_exact_distance_equals_the_loop_over_matchings(g, h, params):
+    """`ggd_exact` returns the value (==) and the matching of the loop over
+    `enumerate_matchings` that prices each matching with the arrays' terms,
+    so pricing from the per-pair table changes no bit and no tie."""
+    try:
+        expected = ggd_loop(g, h, params)
+    except ValueError as exc:
+        with pytest.raises(ValueError, match=re.escape(str(exc))):
+            ggd_exact(g, h, params)
+        return
+    value, pi = ggd_exact(g, h, params)
+    assert (value, pi) == expected
+    assert matching_cost(g, h, pi, params) == value

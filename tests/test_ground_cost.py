@@ -12,7 +12,8 @@ from graphmover.gmd import (_SEQUENTIAL_TERMS, _cost_stack, _fuse, _reference_st
                             gmd, ground_cost_matrix)
 
 from conftest import LETTER_COSTS, UNIT_COSTS, geometric_graphs
-from helpers import dense_ground_cost, mixed_size_graphs, naive_ground_cost, stacks_of
+from helpers import (adjacency_matrix, coordinates, dense_ground_cost, mixed_size_graphs,
+                     naive_ground_cost, stacks_of)
 
 
 def test_matched_twin_vertices_cost_zero(zero_distance_pair):
@@ -99,7 +100,7 @@ def test_blocked_l1_term_is_bounded_and_exact(n_second):
     flow stack is the size of the matrix."""
     rng = np.random.default_rng(200)
     g, h = random_graph(rng, 200), random_graph(rng, n_second)
-    eg, eh = g.adjacency_length_matrix, h.adjacency_length_matrix  # cached before tracing
+    eg, eh = adjacency_matrix(g), adjacency_matrix(h)  # built before tracing
     tracemalloc.start()
     try:
         entries = ground_cost_matrix(g, h, UNIT_COSTS).entries
@@ -112,7 +113,7 @@ def test_blocked_l1_term_is_bounded_and_exact(n_second):
     assert peak < 48e6
     assert gmd_peak < 48e6
     p = min(g.n_vertices, h.n_vertices)
-    diff = g.coords[:, None, :] - h.coords[None, :, :]
+    diff = coordinates(g)[:, None, :] - coordinates(h)[None, :, :]
     whole = (np.sqrt((diff * diff).sum(axis=-1))
              + np.abs(eg[:, None, :p] - eh[None, :, :p]).sum(axis=-1))
     assert entries[:-1, :-1].tobytes() == whole.tobytes()

@@ -5,11 +5,9 @@ zero its layer's metrics silently; these tests fail instead.
 """
 
 import sys
-from functools import cached_property
 
 import graphmover
 from graphmover import dataset, experiments, geometry, letters
-from graphmover.geometry import GeometricGraph
 
 from conftest import UNIT_COSTS
 
@@ -38,4 +36,3 @@ def test_the_patched_names_exist():
         assert callable(getattr(owner, name, None)), name
     # the tracer patches the planarizer where the dataset loader calls it
     assert dataset.planarize is geometry.planarize
-    assert isinstance(GeometricGraph.__dict__["adjacency_length_matrix"], cached_property)
