@@ -142,20 +142,10 @@ def read_class_index(data: Union[bytes, str]) -> list[tuple[str, str]]:
     return pairs
 
 
-def _read_regular_file(path: Path) -> bytes:
-    """The bytes of the regular file at path. Anything else is refused
-    before it is opened, with a GraphFormatError: a FIFO would block the
-    read and a device such as /dev/zero need not end."""
-    if not stat.S_ISREG(path.stat().st_mode):
-        raise GraphFormatError("not a regular file")
-    return path.read_bytes()
-
-
 def read_graph_file(path) -> GeometricGraph:
-    """Read a graph file: GXL when the suffix is ``.gxl`` (any case), else native
-    JSON. A path that is not a regular file is a GraphFormatError."""
+    """Read a graph file: GXL when the suffix is ``.gxl`` (any case), else native JSON."""
     path = Path(path)
-    data = _read_regular_file(path)
+    data = path.read_bytes()
     if path.suffix.lower() == ".gxl":
         return read_gxl_letter(data)
     return read_json_graph(data)
@@ -168,7 +158,8 @@ def load_letter_directory(path) -> list[LetterRecord]:
     from the directory's class files (any ``*.cxl``, concatenated in sorted
     filename order) or from a ``labels.json`` object mapping file names to
     letters. Each listed drawing must be a plain file name in the directory,
-    so that a dataset reads no file outside it. Graphs are planarized so
+    and every file read must pass `_listed`, so that a dataset reads only
+    regular files and none outside its directory. Graphs are planarized so
     that downstream consumers see valid geometric graphs. A data error in a
     file (labels, class or drawing) is a GraphFormatError whose message
     starts with the file's path.
@@ -182,7 +173,7 @@ def load_letter_directory(path) -> list[LetterRecord]:
     class_files = sorted(root.glob("*.cxl"))
     if labels_json.exists():
         with _naming(labels_json):
-            mapping = _parse_json(_read_regular_file(labels_json))
+            mapping = _parse_json(_listed(root, labels_json).read_bytes())
         if not isinstance(mapping, dict):
             raise GraphFormatError(f"{labels_json} is not a JSON object")
         if not mapping:
@@ -191,14 +182,15 @@ def load_letter_directory(path) -> list[LetterRecord]:
     elif class_files:
         for cf in class_files:
             with _naming(cf):
-                pairs = read_class_index(_read_regular_file(cf))
+                pairs = read_class_index(_listed(root, cf).read_bytes())
             entries.extend(_plain_names(pairs, cf))
     else:
         raise GraphFormatError(f"no labels.json or *.cxl class file in {root}")
     records = []
     for fname, label in entries:
-        with _naming(root / fname):
-            records.append(LetterRecord(planarize(read_graph_file(root / fname)), label,
+        drawing = root / fname
+        with _naming(drawing):
+            records.append(LetterRecord(planarize(read_graph_file(_listed(root, drawing))), label,
                                         distortion, Path(fname).stem))
     return records
 
@@ -215,6 +207,18 @@ def _plain_names(entries, source: Path) -> list[tuple[str, str]]:
     return entries
 
 
+def _listed(root: Path, path: Path) -> Path:
+    """path, a file that the dataset directory root lists, once it is known
+    to be a regular file and, if it is a symbolic link, to resolve inside
+    root. Else a GraphFormatError, raised before the file is opened: a FIFO
+    would block the read and a device such as /dev/zero need not end."""
+    if path.is_symlink() and not path.resolve().is_relative_to(root.resolve()):
+        raise GraphFormatError(f"links to {path.resolve()}, outside {root}")
+    if not stat.S_ISREG(path.stat().st_mode):
+        raise GraphFormatError("not a regular file")
+    return path
+
+
 @contextmanager
 def _naming(path):
     """Turn a ValueError raised inside into a GraphFormatError that starts
@@ -229,7 +233,9 @@ def load_prototypes(path=None) -> dict[str, GeometricGraph]:
     """The 15 letter prototypes, keyed by letter, in alphabetical label order.
 
     Reads ``<LETTER>.json`` from the given directory, or from the package's
-    ``data/prototypes`` directory when no path is given.
+    ``data/prototypes`` directory when no path is given. Each file must pass
+    `_listed`, and a data error in one is a GraphFormatError whose message
+    starts with its path.
     """
     root = Path(__file__).parent / "data" / "prototypes" if path is None else Path(path)
     protos = {}
@@ -237,5 +243,6 @@ def load_prototypes(path=None) -> dict[str, GeometricGraph]:
         target = root / f"{label}.json"
         if not target.exists():
             raise GraphFormatError(f"missing prototype for letter {label}: {target}")
-        protos[label] = read_graph_file(target)
+        with _naming(target):
+            protos[label] = read_graph_file(_listed(root, target))
     return protos

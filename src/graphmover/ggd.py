@@ -10,8 +10,8 @@ all matchings, so the search is exponential and capped at 7 vertices per graph.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations, permutations
-from typing import Iterator, Optional
+from itertools import combinations, permutations, product
+from typing import Iterable, Iterator, Optional
 
 import numpy as np
 
@@ -53,13 +53,19 @@ def enumerate_matchings(g: GeometricGraph, h: GeometricGraph) -> Iterator[Inexac
 
     Ordered by number of matched pairs, then lexicographically by the matched
     left set, right set, and the assignment, which makes downstream argmin
-    tie-breaking reproducible.
+    tie-breaking reproducible. InstanceTooLargeError, raised by the call
+    itself, when either graph has more than MAX_EXACT_VERTICES vertices.
     """
     m, n = g.n_vertices, h.n_vertices
     if m > MAX_EXACT_VERTICES or n > MAX_EXACT_VERTICES:
-        raise InstanceTooLargeError(
-            f"exhaustive matching enumeration is capped at {MAX_EXACT_VERTICES} "
-            f"vertices per graph, got {m} and {n}")
+        raise InstanceTooLargeError(f"exhaustive matching enumeration is capped at "
+                                    f"{MAX_EXACT_VERTICES} vertices per graph, got {m} and {n}")
+    return _matchings(m, n)
+
+
+def _matchings(m: int, n: int) -> Iterator[InexactMatching]:
+    """The inexact matchings of an m- and an n-vertex graph, in the order
+    `enumerate_matchings` documents."""
     for k in range(min(m, n) + 1):
         for left in combinations(range(m), k):
             for right in combinations(range(n), k):
@@ -81,20 +87,20 @@ def matching_cost(g: GeometricGraph, h: GeometricGraph, pi: InexactMatching,
     """
     if len(pi.targets) != g.n_vertices or pi.n_right != h.n_vertices:
         raise ValueError("matching does not fit this graph pair")
-    return _priced(_pair_table(g, h), pi.targets, params)
+    return _priced(_pair_table(g, h, pi.matched), pi.targets, params)
 
 
-def _pair_table(g: GeometricGraph, h: GeometricGraph) -> tuple:
-    """What `_priced` reads of a graph pair, as Python floats: each vertex
-    pair's displacement (m lists of n), g's edges as (a, b, length) and h's
-    edges as a dict from edge to length, both in edge order. A length or
-    displacement that overflows is inf, with numpy's overflow warning
-    unless the caller silences it. ValueError when the dimensions differ."""
+def _pair_table(g: GeometricGraph, h: GeometricGraph, pairs: Iterable[tuple[int, int]]) -> tuple:
+    """What `_priced` reads of a graph pair, as Python floats: the
+    displacement of each vertex pair (i, j) in pairs, as a dict, g's edges
+    as (a, b, length) and h's edges as a dict from edge to length, both in
+    edge order. A length or displacement that overflows is inf, with
+    numpy's overflow warning unless the caller silences it. ValueError when
+    the dimensions differ."""
     if g.dim != h.dim:
         raise ValueError(f"dimension mismatch: {g.dim} vs {h.dim}")
-    gc = np.array(g.vertices, dtype=float).reshape(g.n_vertices, g.dim)
-    hc = np.array(h.vertices, dtype=float).reshape(h.n_vertices, h.dim)
-    moves = [[float(np.linalg.norm(p - q)) for q in hc] for p in gc]
+    gc, hc = (np.array(x.vertices, dtype=float).reshape(x.n_vertices, x.dim) for x in (g, h))
+    moves = {(i, j): float(np.linalg.norm(gc[i] - hc[j])) for i, j in pairs}
     g_lengths = adjacency_lengths(gc[None], [g.edges])[0].tolist()
     h_lengths = adjacency_lengths(hc[None], [h.edges])[0].tolist()
     g_edges = [(a, b, g_lengths[a][b]) for a, b in g.edges]
@@ -111,7 +117,7 @@ def _priced(table: tuple, targets: tuple[Optional[int], ...], params: CostParams
     total = 0.0
     for i, j in enumerate(targets):
         if j is not None:
-            total += cv * moves[i][j]
+            total += cv * moves[i, j]
     kept = set()  # edges of h that are the image of an edge of g
     for a, b, length in g_edges:
         ta, tb = targets[a], targets[b]
@@ -138,10 +144,11 @@ def ggd_exact(g: GeometricGraph, h: GeometricGraph,
     """
     best_value = np.inf
     best_matching = None
+    matchings = enumerate_matchings(g, h)  # the size cap, before the table is built
     # an edge length or a cost term that overflows is inf; no matching wins with it
     with np.errstate(over="ignore", invalid="ignore"):
-        table = _pair_table(g, h)
-        for pi in enumerate_matchings(g, h):
+        table = _pair_table(g, h, product(range(g.n_vertices), range(h.n_vertices)))
+        for pi in matchings:
             value = _priced(table, pi.targets, params)
             if value < best_value:
                 best_value = value

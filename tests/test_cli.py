@@ -403,6 +403,78 @@ def test_fifo_in_a_level_is_data_error(fifo_name, tmp_path, capsys):
     assert captured.err == f"error: {fifo}: not a regular file\n"
 
 
+@pytest.mark.skipif(not hasattr(os, "symlink"), reason="os.symlink is missing on this platform")
+@pytest.mark.parametrize("linked", ["drawing.json", "labels.json", "test.cxl"])
+def test_link_out_of_the_level_is_data_error(linked, tmp_path, capsys):
+    # a link named by a plain name still must not lead the loader out of the level
+    prototype = write_json_graph(packaged_graph("prototypes/A"))
+    outside = tmp_path / "outside" / linked
+    outside.parent.mkdir()
+    outside.write_text({"drawing.json": prototype,
+                        "labels.json": json.dumps({"kept.json": "A"}),
+                        "test.cxl": '<GraphCollection><print file="kept.json" class="A"/>'
+                                    "</GraphCollection>"}[linked])
+    level = tmp_path / "LOW"
+    level.mkdir()
+    (level / "kept.json").write_text(prototype)
+    if linked == "drawing.json":
+        (level / "labels.json").write_text(json.dumps({"kept.json": "A", linked: "A"}))
+    link = level / linked
+    try:
+        link.symlink_to(outside)
+    except OSError as exc:
+        pytest.skip(f"cannot make a symbolic link here: {exc}")
+    assert main(["classify", "--dataset", str(tmp_path)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {link}: links to {outside.resolve()}, outside {level}\n"
+
+
+@pytest.mark.skipif(not hasattr(os, "symlink"), reason="os.symlink is missing on this platform")
+def test_link_within_the_level_is_read(tmp_path, capsys):
+    level = tmp_path / "LOW"
+    level.mkdir()
+    (level / "kept.json").write_text(write_json_graph(packaged_graph("prototypes/A")))
+    (level / "labels.json").write_text(json.dumps({"alias.json": "A"}))
+    try:
+        (level / "alias.json").symlink_to("kept.json")
+    except OSError as exc:
+        pytest.skip(f"cannot make a symbolic link here: {exc}")
+    assert main(["classify", "--dataset", str(tmp_path), "--k", "1", "--format", "csv"]) == 0
+    assert capsys.readouterr().out == "distortion,k,accuracy\nLOW,1,1.000000000\n"
+
+
+@pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="os.mkfifo is missing on this platform")
+def test_pair_command_reads_a_pipe(tmp_path, capsys):
+    # a path named on the command line may be a pipe, such as /dev/stdin
+    fifo = tmp_path / "graph.json"
+    os.mkfifo(fifo)
+    text = write_json_graph(packaged_graph("prototypes/A"))
+
+    def write_graph():
+        with open(fifo, "w") as out:
+            out.write(text)
+
+    writer = threading.Thread(target=write_graph, daemon=True)
+    writer.start()
+    assert main(["convert", str(fifo)]) == 0
+    writer.join(timeout=10)
+    assert capsys.readouterr().out == text + "\n"
+
+
+def test_prototype_data_error_names_the_file(tmp_path, capsys):
+    dataset = tmp_path / "letters"
+    assert main(["synth", "--out", str(dataset), "--per-letter", "1", "--seed", "3"]) == 0
+    bad = dataset / "prototypes" / "A.json"
+    bad.write_text('{"d": 2, "vertices": [[0, 0]], "edges": [[0, 5]]}')
+    capsys.readouterr()
+    assert main(["classify", "--dataset", str(dataset),
+                 "--prototypes", str(dataset / "prototypes")]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {bad}: edge (0, 5): index out of range for 1 vertices\n"
+
+
 def test_a_level_given_twice_runs_once(tmp_path, capsys):
     dataset = tmp_path / "letters"
     assert main(["synth", "--out", str(dataset), "--per-letter", "1", "--seed", "3"]) == 0

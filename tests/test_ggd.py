@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings
 
+from graphmover import ggd
 from graphmover.geometry import MAX_COORD, CostParams, GeometricGraph, translate
 from graphmover.ggd import (InexactMatching, InstanceTooLargeError, enumerate_matchings,
                             ggd_exact, matching_cost)
@@ -162,6 +163,18 @@ def test_exact_size_cap():
         ggd_exact(big, small, UNIT_COSTS)
 
 
+def test_size_cap_comes_before_the_pair_table(monkeypatch):
+    # a pair far over the cap is refused without pricing a single vertex pair
+    def no_table(*args):
+        raise AssertionError("the pair table was built")
+
+    monkeypatch.setattr(ggd, "_pair_table", no_table)
+    big = GeometricGraph.build([(i, 0) for i in range(2000)], [], dim=2)
+    small = GeometricGraph.build([(i, 1) for i in range(8)], [], dim=2)
+    with pytest.raises(InstanceTooLargeError, match="got 8 and 2000"):
+        ggd_exact(small, big, UNIT_COSTS)
+
+
 def test_empty_pair_has_distance_zero():
     empty = GeometricGraph(2, (), ())
     value, argmin = ggd_exact(empty, empty, UNIT_COSTS)
@@ -176,6 +189,14 @@ def test_empty_pair_has_distance_zero():
 # a 4D pair whose one edge, in g, is too long for a float: h has no edge to
 # keep it, so every matching deletes it and no matching has a finite cost
 _FAR = (MAX_COORD,) * 4
+
+
+@pytest.mark.filterwarnings("error")
+def test_matching_cost_prices_only_its_matched_pairs():
+    # the far vertices' displacement overflows, but this matching deletes them
+    g = GeometricGraph(4, (_FAR, (0.0,) * 4), ())
+    h = GeometricGraph(4, (tuple(-x for x in _FAR), (1.0, 0.0, 0.0, 0.0)), ())
+    assert matching_cost(g, h, InexactMatching((None, 1), 2), UNIT_COSTS) == 1.0
 
 
 @settings(max_examples=40, deadline=None)
