@@ -6,8 +6,7 @@ feasible for small graphs, where it doubles as an oracle.
 """
 
 from .geometry import CostParams, GeometricGraph, perturb, translate
-from .ggd import (InexactMatching, InstanceTooLargeError, enumerate_matchings,
-                  ggd_exact, matching_cost)
+from .ggd import InexactMatching, InstanceTooLargeError, ggd_exact
 from .gmd import Flow, GmdResult, GroundCostMatrix, gmd, ground_cost_matrix
 
 __all__ = [
@@ -18,11 +17,9 @@ __all__ = [
     "GroundCostMatrix",
     "InexactMatching",
     "InstanceTooLargeError",
-    "enumerate_matchings",
     "ggd_exact",
     "gmd",
     "ground_cost_matrix",
-    "matching_cost",
     "perturb",
     "translate",
 ]

@@ -10,8 +10,8 @@ all matchings, so the search is exponential and capped at 7 vertices per graph.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations, permutations, product
-from typing import Iterable, Iterator, Optional
+from itertools import combinations, permutations
+from typing import Iterator, Optional
 
 import numpy as np
 
@@ -48,59 +48,17 @@ class InexactMatching:
         return tuple((i, t) for i, t in enumerate(self.targets) if t is not None)
 
 
-def enumerate_matchings(g: GeometricGraph, h: GeometricGraph) -> Iterator[InexactMatching]:
-    """Yield every inexact matching exactly once.
-
-    Ordered by number of matched pairs, then lexicographically by the matched
-    left set, right set, and the assignment, which makes downstream argmin
-    tie-breaking reproducible. InstanceTooLargeError, raised by the call
-    itself, when either graph has more than MAX_EXACT_VERTICES vertices.
-    """
-    m, n = g.n_vertices, h.n_vertices
-    if m > MAX_EXACT_VERTICES or n > MAX_EXACT_VERTICES:
-        raise InstanceTooLargeError(f"exhaustive matching enumeration is capped at "
-                                    f"{MAX_EXACT_VERTICES} vertices per graph, got {m} and {n}")
-    return _matchings(m, n)
-
-
-def _matchings(m: int, n: int) -> Iterator[InexactMatching]:
-    """The inexact matchings of an m- and an n-vertex graph, in the order
-    `enumerate_matchings` documents."""
-    for k in range(min(m, n) + 1):
-        for left in combinations(range(m), k):
-            for right in combinations(range(n), k):
-                for image in permutations(right):
-                    targets: list[Optional[int]] = [None] * m
-                    for i, j in zip(left, image):
-                        targets[i] = j
-                    yield InexactMatching(tuple(targets), n)
-
-
-def matching_cost(g: GeometricGraph, h: GeometricGraph, pi: InexactMatching,
-                  params: CostParams) -> float:
-    """Cost of one inexact matching.
-
-    Vertex displacement for matched vertices, absolute length difference for
-    edges mapped onto edges, and full length for every deleted edge on either
-    side. Deleting an isolated vertex is free. ValueError when the
-    matching does not fit the pair or the dimensions differ.
-    """
-    if len(pi.targets) != g.n_vertices or pi.n_right != h.n_vertices:
-        raise ValueError("matching does not fit this graph pair")
-    return _priced(_pair_table(g, h, pi.matched), pi.targets, params)
-
-
-def _pair_table(g: GeometricGraph, h: GeometricGraph, pairs: Iterable[tuple[int, int]]) -> tuple:
+def _pair_table(g: GeometricGraph, h: GeometricGraph) -> tuple:
     """What `_priced` reads of a graph pair, as Python floats: the
-    displacement of each vertex pair (i, j) in pairs, as a dict, g's edges
-    as (a, b, length) and h's edges as a dict from edge to length, both in
-    edge order. A length or displacement that overflows is inf, with
-    numpy's overflow warning unless the caller silences it. ValueError when
-    the dimensions differ."""
+    displacement of each vertex pair (i, j) as `moves[i][j]`, g's edges as
+    (a, b, length) and h's edges as a dict from edge to length, both in edge
+    order. A length or displacement that overflows is inf, with numpy's
+    overflow warning unless the caller silences it. ValueError when the
+    dimensions differ."""
     if g.dim != h.dim:
         raise ValueError(f"dimension mismatch: {g.dim} vs {h.dim}")
     gc, hc = (np.array(x.vertices, dtype=float).reshape(x.n_vertices, x.dim) for x in (g, h))
-    moves = {(i, j): float(np.linalg.norm(gc[i] - hc[j])) for i, j in pairs}
+    moves = [[float(np.linalg.norm(p - q)) for q in hc] for p in gc]
     g_lengths = adjacency_lengths(gc[None], [g.edges])[0].tolist()
     h_lengths = adjacency_lengths(hc[None], [h.edges])[0].tolist()
     g_edges = [(a, b, g_lengths[a][b]) for a, b in g.edges]
@@ -108,8 +66,22 @@ def _pair_table(g: GeometricGraph, h: GeometricGraph, pairs: Iterable[tuple[int,
     return moves, g_edges, h_edges
 
 
+def _target_tuples(m: int, n: int) -> Iterator[tuple[Optional[int], ...]]:
+    """The targets of every inexact matching of an m- and an n-vertex graph,
+    each once: ordered by number of matched pairs, then lexicographically by
+    the matched left set, right set and image."""
+    for k in range(min(m, n) + 1):
+        for left in combinations(range(m), k):
+            for right in combinations(range(n), k):
+                for image in permutations(right):
+                    targets: list[Optional[int]] = [None] * m
+                    for i, j in zip(left, image):
+                        targets[i] = j
+                    yield tuple(targets)
+
+
 def _priced(table: tuple, targets: tuple[Optional[int], ...], params: CostParams) -> float:
-    """`matching_cost` of the matching with these targets, from the pair's
+    """Cost of the matching with these targets, from the pair's
     `_pair_table`: the terms added one by one, in the order vertex moves,
     g's edges, h's deleted edges."""
     moves, g_edges, h_edges = table
@@ -117,7 +89,7 @@ def _priced(table: tuple, targets: tuple[Optional[int], ...], params: CostParams
     total = 0.0
     for i, j in enumerate(targets):
         if j is not None:
-            total += cv * moves[i, j]
+            total += cv * moves[i][j]
     kept = set()  # edges of h that are the image of an edge of g
     for a, b, length in g_edges:
         ta, tb = targets[a], targets[b]
@@ -137,22 +109,28 @@ def _priced(table: tuple, targets: tuple[Optional[int], ...], params: CostParams
 
 def ggd_exact(g: GeometricGraph, h: GeometricGraph,
               params: CostParams) -> tuple[float, InexactMatching]:
-    """Minimum matching cost and a matching attaining it (first found wins ties).
+    """Minimum matching cost and a matching attaining it. Of matchings of
+    equal cost the first wins, in the order of fewest matched pairs, then
+    lexicographically by matched left set, right set and image.
 
-    ValueError when the dimensions differ or every matching's cost overflows
-    to inf.
+    InstanceTooLargeError when either graph has more than MAX_EXACT_VERTICES
+    vertices; ValueError when the dimensions differ or every matching's cost
+    overflows to inf.
     """
+    m, n = g.n_vertices, h.n_vertices
+    if m > MAX_EXACT_VERTICES or n > MAX_EXACT_VERTICES:
+        raise InstanceTooLargeError(f"exhaustive matching enumeration is capped at "
+                                    f"{MAX_EXACT_VERTICES} vertices per graph, got {m} and {n}")
     best_value = np.inf
-    best_matching = None
-    matchings = enumerate_matchings(g, h)  # the size cap, before the table is built
+    best_targets = None
     # an edge length or a cost term that overflows is inf; no matching wins with it
     with np.errstate(over="ignore", invalid="ignore"):
-        table = _pair_table(g, h, product(range(g.n_vertices), range(h.n_vertices)))
-        for pi in matchings:
-            value = _priced(table, pi.targets, params)
+        table = _pair_table(g, h)
+        for targets in _target_tuples(m, n):
+            value = _priced(table, targets, params)
             if value < best_value:
                 best_value = value
-                best_matching = pi
-    if best_matching is None:
+                best_targets = targets
+    if best_targets is None:
         raise ValueError("no inexact matching has a finite cost: the costs overflow a float")
-    return float(best_value), best_matching
+    return float(best_value), InexactMatching(best_targets, n)

@@ -18,7 +18,7 @@ import graphmover
 from graphmover.dataset import DISTORTION_LEVELS, LetterRecord, read_graph_file
 from graphmover.geometry import (EPS, CollinearOverlapError, CostParams, GeometricGraph,
                                  _nearest_endpoint, adjacency_lengths, segment_intersection)
-from graphmover.ggd import InexactMatching, InstanceTooLargeError, enumerate_matchings
+from graphmover.ggd import MAX_EXACT_VERTICES, InexactMatching, InstanceTooLargeError
 from graphmover.gmd import _OVERFLOW, _assign_rows, _fuse, _stack, ground_cost_matrix
 from graphmover.letters import _letter_records
 
@@ -54,9 +54,55 @@ def adjacency_norm_loop(g: GeometricGraph) -> np.ndarray:
     return mat
 
 
+def enumerate_matchings(g: GeometricGraph, h: GeometricGraph) -> list[InexactMatching]:
+    """Every inexact matching of the pair exactly once, in the order whose
+    first least-cost matching `ggd.ggd_exact` returns: by number of matched
+    pairs, then lexicographically by the matched left set, the matched
+    right set (sorted) and the image (the targets in left order). Built by
+    sending each left vertex to deletion or to a free right vertex, then
+    sorting. InstanceTooLargeError when either graph has more than
+    MAX_EXACT_VERTICES vertices."""
+    m, n = g.n_vertices, h.n_vertices
+    if m > MAX_EXACT_VERTICES or n > MAX_EXACT_VERTICES:
+        raise InstanceTooLargeError(f"exhaustive matching enumeration is capped at "
+                                    f"{MAX_EXACT_VERTICES} vertices per graph, got {m} and {n}")
+    found = []
+
+    def extend(targets: tuple) -> None:
+        if len(targets) == m:
+            found.append(targets)
+            return
+        extend(targets + (None,))
+        for j in range(n):
+            if j not in targets:
+                extend(targets + (j,))
+
+    extend(())
+
+    def order(targets: tuple) -> tuple:
+        left = tuple(i for i, t in enumerate(targets) if t is not None)
+        image = tuple(targets[i] for i in left)
+        return len(left), left, tuple(sorted(image)), image
+
+    return [InexactMatching(targets, n) for targets in sorted(found, key=order)]
+
+
+def matching_cost(g: GeometricGraph, h: GeometricGraph, pi: InexactMatching,
+                  params: CostParams) -> float:
+    """Cost of one inexact matching, by `matching_cost_oracle` on the pair's
+    arrays: vertex displacement for matched vertices, absolute length
+    difference for edges mapped onto edges, and full length for every
+    deleted edge on either side. ValueError when the dimensions differ or
+    the matching does not fit the pair."""
+    if g.dim != h.dim:
+        raise ValueError(f"dimension mismatch: {g.dim} vs {h.dim}")
+    return matching_cost_oracle(g, h, pi, params, (coordinates(g), adjacency_matrix(g)),
+                                (coordinates(h), adjacency_matrix(h)))
+
+
 def matching_cost_oracle(g: GeometricGraph, h: GeometricGraph, pi: InexactMatching,
                          params: CostParams, g_arrays: tuple, h_arrays: tuple) -> float:
-    """`ggd.matching_cost` as the library computed it before it priced
+    """The cost of one matching as the library computed it before it priced
     matchings from a per-pair table: each term read from each graph's
     arrays (`coordinates`, `adjacency_matrix`) in numpy floats, and added in
     order."""

@@ -7,12 +7,12 @@ from hypothesis import example, given, settings
 
 from graphmover import ggd
 from graphmover.geometry import MAX_COORD, CostParams, GeometricGraph, translate
-from graphmover.ggd import (InexactMatching, InstanceTooLargeError, enumerate_matchings,
-                            ggd_exact, matching_cost)
+from graphmover.ggd import InexactMatching, InstanceTooLargeError, ggd_exact
 
 from conftest import LETTER_COSTS, UNIT_COSTS, geometric_graphs
-from helpers import (ggd_loop, hausdorff_point_sets, hausdorff_vertices, matching_count,
-                     random_graph_pair, sample_realization, total_length)
+from helpers import (enumerate_matchings, ggd_loop, hausdorff_point_sets, hausdorff_vertices,
+                     matching_cost, matching_count, random_graph_pair, sample_realization,
+                     total_length)
 
 
 def pair_graphs(n, m):
@@ -200,14 +200,19 @@ def test_matching_cost_prices_only_its_matched_pairs():
 
 
 @settings(max_examples=40, deadline=None)
+# a tie: matching g's vertex 0 to h's vertex 0 or to its copy, vertex 2, costs
+# 2.0 either way, and (0, 1) comes first in the enumeration
+@example(GeometricGraph(2, ((0.0, 0.0), (0.0, 2.0)), ((0, 1),)),
+         GeometricGraph(2, ((0.0, 0.0), (0.0, 2.0), (0.0, 0.0)), ((0, 1), (1, 2))), UNIT_COSTS)
 @example(GeometricGraph(4, (_FAR, tuple(-x for x in _FAR)), ((0, 1),)),
          GeometricGraph(4, (_FAR,), ()), UNIT_COSTS)
 @given(geometric_graphs(min_vertices=0), geometric_graphs(min_vertices=0),
        st.sampled_from([UNIT_COSTS, LETTER_COSTS, CostParams(0.1, 3.0)]))
 def test_exact_distance_equals_the_loop_over_matchings(g, h, params):
     """`ggd_exact` returns the value (==) and the matching of the loop over
-    `enumerate_matchings` that prices each matching with the arrays' terms,
-    so pricing from the per-pair table changes no bit and no tie."""
+    the helpers' own `enumerate_matchings` that prices each matching with
+    the arrays' terms, so its search order and its pricing from the per-pair
+    table change no bit and no tie."""
     try:
         expected = ggd_loop(g, h, params)
     except ValueError as exc:
