@@ -35,25 +35,25 @@ share a row or a column. The optimal partial injection splits over the
 components this makes, as no pair with red >= 0 lowers its cost. A
 component that is a star, one row or one column, can give only one pair, so
 its least entry is its optimum, the only one when that entry is unique; a
-lone entry is a star of one. The flows written directly are the ones
-`_assign_rows` gives, not merely as good. It adds rows one at a time, and a
-row that takes a column from an earlier row moves that row on by a path sum
-that can round (-1 - 5e-324 is -1), after which it can leave a tiny red < 0
-of a later row unmatched. So only stars along the rows of the assignment
-(rows of red when m <= n, else columns) are settled directly: while no
-column of the assignment holds two red < 0, each row that holds one gets its
-least entry through path sums that are single entries, all exact, and
-every other row a column without one. One numpy pass over a whole fused set
-keeps each red < 0 that is least in its row of its graph and in its column,
-which is each such star's least entry, and writes those flows directly. A
-graph's whole matrix goes to `_assign_rows` when a column of the assignment
-holds two red < 0, as in every component of at least 2 rows and 2 columns,
-or when the least entry of a row of the assignment is tied, where the pass
-keeps both and the assignment's tie rule picks one. Of the 20,250 matrices
-of the 1,350 seed-601 letter queries of `perfbench` against the 15
-prototypes, 1,201 need an assignment; 317 did when every star was settled,
-and 3,758 when only entries in distinct rows and columns were written
-directly. The value is the flow's objective, sum(flow * costs).
+lone entry is a star of one. This holds for stars along either side of the
+assignment, so one numpy pass over a whole fused set keeps each red < 0
+that is least in its row of its graph and in its column, which is each
+star's least entry, and writes those flows directly. A graph's whole matrix
+goes to `_assign_rows` only when a component has at least 2 rows and 2
+columns (it holds a red < 0 whose row and column each hold another), or
+when a star's least entry is tied, where the pass keeps both and the
+assignment's tie rule picks one. What holds is optimality, not byte
+equality with `_assign_rows`: the assignment adds rows one at a time, and
+a row that takes a column from an earlier row moves that row on by a path
+sum that can round (-1 - 5e-324 is -1), after which it can leave a tiny
+red < 0 of a later row unmatched. On a star along a column of the
+assignment its flow can so differ from the one written here, which matches
+the tiny entry too and is no worse; the tests prove every flow optimal by an
+LP duality certificate. Of the 20,250 matrices of the 1,350 seed-601 letter
+queries of `perfbench` against the 15 prototypes, 317 need an assignment;
+1,201 did when stars along a column of the assignment went to it, and 3,758
+when only entries in distinct rows and columns were written directly. The
+value is the flow's objective, sum(flow * costs).
 
 Every step works on stacks of graphs, so that `gmd` (one pair) and the
 letter ranker (a group of same-size drawings against the 15 prototypes)
@@ -345,19 +345,22 @@ def _solve_stack(out: np.ndarray, references) -> tuple[np.ndarray, np.ndarray]:
         if not np.isfinite(red).all():
             raise ValueError(_OVERFLOW)
         # the matched pairs: each red < 0 that is least in its row of its
-        # graph and in its column, which settles every star of red < 0 along
-        # one row of the assignment whose least entry is unique; the graphs
-        # with a tie, or with two red < 0 in one column of the assignment (a
-        # column of red when m <= n, else a row), are assigned
+        # graph and in its column, which settles every star of red < 0 (one
+        # row, or one column) whose least entry is unique, an optimal flow
+        # but not always `_assign_rows`' flow; the graphs with a tie or with
+        # a component of 2 rows and 2 columns are assigned
         negative = red < 0.0
         row_least = np.minimum.reduceat(red, firsts, axis=2)[:, :, column_graphs]
         col_least = red.min(axis=1, initial=np.inf)  # inf when m = 0
         pairs = negative & (red == row_least) & (red == col_least[:, None])
         per_row = np.add.reduceat(pairs, firsts, axis=2)  # (Q, m, K)
         per_col = pairs.sum(axis=1)  # (Q, C)
-        many_in_row = (np.add.reduceat(negative, firsts, axis=2) > 1).any(axis=1)
-        many_in_col = np.logical_or.reduceat(negative.sum(axis=1) > 1, firsts, axis=1)
-        crowded = (np.where(dummies - firsts >= m, many_in_col, many_in_row)
+        # a component of 2 rows and 2 columns holds a red < 0 whose row and
+        # whose column each hold another
+        many_in_row = np.add.reduceat(negative, firsts, axis=2) > 1
+        many_in_col = negative.sum(axis=1) > 1
+        meshed = negative & many_in_row[:, :, column_graphs] & many_in_col[:, None]
+        crowded = (np.logical_or.reduceat(meshed.any(axis=1), firsts, axis=1)
                    | (per_row > 1).any(axis=1)
                    | (np.maximum.reduceat(per_col, firsts, axis=1) > 1))
         if crowded.any():

@@ -251,7 +251,13 @@ def assigned_flow(costs: np.ndarray) -> np.ndarray:
         cols = np.arange(n)
         rows = np.array(_assign_rows(np.minimum(red.T, 0.0).tolist(), m), dtype=int)
     keep = red[rows, cols] < 0.0
-    rows, cols = rows[keep], cols[keep]
+    return matched_flow(m, n, rows[keep], cols[keep])
+
+
+def matched_flow(m: int, n: int, rows, cols) -> np.ndarray:
+    """The 0/1 flow (m+1) x (n+1) that matches each row rows[k] to the
+    column cols[k] and sends every other vertex to its dummy."""
+    rows, cols = np.asarray(rows, dtype=int), np.asarray(cols, dtype=int)
     flow = np.zeros((m + 1, n + 1))
     flow[rows, cols] = 1.0
     flow[:m, n] = 1.0
@@ -260,6 +266,69 @@ def assigned_flow(costs: np.ndarray) -> np.ndarray:
     flow[m, cols] = 0.0
     flow[m, n] = len(rows)
     return flow
+
+
+def certify_flow(costs: np.ndarray, flow: np.ndarray, value: float) -> list[str]:
+    """Every reason why `flow` is not an optimal flow of the graph mover's
+    transport problem on the (m+1) x (n+1) ground cost matrix `costs`, or
+    why `value` is not its objective; [] proves it optimal by LP duality.
+
+    The supplies are 1 per real row and n for the dummy row, the demands 1
+    per real column and m for the dummy column. The flow must be integral,
+    non-negative and meet them exactly, and `value` must be the bits of
+    sum(flow * costs) in C order. Potentials come from Bellman-Ford on the
+    flow's residual network (an arc row -> column of cost c[i, j] for every
+    cell, and one back of cost -c[i, j] where the flow is positive), from a
+    source joined to every vertex at cost 0: alpha = -distance of a row and
+    beta = distance of a column. They must satisfy alpha[i] + beta[j] <=
+    c[i, j] + tol on every cell and hold with equality within tol on the
+    flow's support. A flow that is not optimal lies on a residual cycle of
+    negative cost, and any potentials break some arc of it by at least that
+    cost over the cycle's length, so no potentials pass. Uses neither
+    `_assign_rows` nor `_solve_stack`.
+
+    tol is 8 (m + n + 2)^2 float64 epsilons of the largest |entry|: the
+    m + n + 2 vertices bound the arcs of a shortest path, so a potential
+    sums at most that many entries, each partial sum at most that many
+    times the largest; and the reduced costs that the library compares
+    round each entry with two deletion prices."""
+    costs, flow = np.asarray(costs, dtype=float), np.asarray(flow, dtype=float)
+    if flow.shape != costs.shape:
+        return [f"flow shape {flow.shape} differs from cost shape {costs.shape}"]
+    m, n = costs.shape[0] - 1, costs.shape[1] - 1
+    supplies = np.append(np.ones(m), n)
+    demands = np.append(np.ones(n), m)
+    problems = []
+    if not np.array_equal(flow, np.round(flow)):
+        problems.append("the flow is not integral")
+    if (flow < 0.0).any():
+        problems.append("the flow has a negative entry")
+    for i in np.flatnonzero(flow.sum(axis=1) != supplies):
+        problems.append(f"row {i} ships {float(flow[i].sum())!r} instead of {float(supplies[i])!r}")
+    for j in np.flatnonzero(flow.sum(axis=0) != demands):
+        problems.append(f"column {j} receives {float(flow[:, j].sum())!r} "
+                        f"instead of {float(demands[j])!r}")
+    objective = (flow * costs).reshape(-1).sum()
+    if np.float64(value).tobytes() != objective.tobytes():
+        problems.append(f"value {float(value)!r} is not the flow's objective "
+                        f"{float(objective)!r}")
+    if problems:
+        return problems
+    support = flow > 0.0
+    to_row, to_col = np.zeros(m + 1), np.zeros(n + 1)
+    for _ in range(m + n + 2):
+        cols = np.minimum(to_col, (to_row[:, None] + costs).min(axis=0))
+        rows = np.minimum(to_row, np.where(support, cols - costs, np.inf).min(axis=1))
+        if np.array_equal(rows, to_row) and np.array_equal(cols, to_col):
+            break
+        to_row, to_col = rows, cols
+    slack = costs + to_row[:, None] - to_col  # c[i, j] - alpha[i] - beta[j]
+    tol = 8.0 * (m + n + 2) ** 2 * np.finfo(float).eps * float(np.abs(costs).max())
+    for i, j in zip(*np.nonzero(slack < -tol)):
+        problems.append(f"the dual constraint of cell ({i}, {j}) fails by {float(-slack[i, j])!r}")
+    for i, j in zip(*np.nonzero(support & (np.abs(slack) > tol))):
+        problems.append(f"cell ({i}, {j}) carries flow at reduced cost {float(slack[i, j])!r}")
+    return problems
 
 
 def solve_stack(entries: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

@@ -12,8 +12,8 @@ from graphmover.gmd import _cost_stack, _reference_stacks, _solve_stack, _stack,
 from graphmover.transport import TransportInstance, check_flow, solve_transport
 
 from conftest import LETTER_COSTS, UNIT_COSTS
-from helpers import (assigned_flow, gmd_bruteforce, mixed_size_graphs, random_graph_pair,
-                     solve_layout, solve_stack, stacks_of)
+from helpers import (assigned_flow, certify_flow, gmd_bruteforce, matched_flow,
+                     mixed_size_graphs, random_graph_pair, solve_layout, solve_stack, stacks_of)
 
 
 def test_zero_distance_pair_is_zero(zero_distance_pair):
@@ -153,6 +153,7 @@ def test_assignment_path_matches_transport_and_bruteforce(pair, params):
     assert np.array_equal(result.flow.values, np.round(result.flow.values))
     assert result.flow.objective == result.value
     assert check_flow(inst, result.flow, tol) == []
+    assert certify_flow(result.matrix.entries, result.flow.values, result.value) == []
 
 
 # reduced costs where a float tie or an absorbed term could change an
@@ -232,10 +233,62 @@ def test_strided_stack_solves_as_its_c_ordered_copy(n):
 # reduced costs with a star of one column of the assignment, -1 below
 # -5e-324, beside a lone -5e-324: `_assign_rows`'s path sum -1 - 5e-324
 # rounds to -1, so it leaves the lone entry unmatched, which settling the star
-# directly would match
+# directly matches
 ABSORBED = np.zeros((6, 7))
 ABSORBED[[0, 3, 4], [1, 2, 5]] = -1.0
 ABSORBED[[2, 5], [5, 4]] = -5e-324
+
+
+def test_certificate_rejects_broken_flows_and_accepts_absorbed_ones():
+    """`certify_flow` rejects a flow that breaks a row or a column sum, a
+    non-integral flow, a flow with two matched pairs swapped so that the
+    cost rises, one with a matched pair moved to a free column that costs 1
+    more, and a value 1 ulp off; it accepts both flows of each `ABSORBED`
+    matrix, whose objectives differ by 5e-324."""
+    # 3 x 4 vertices: the pairs (i, i) cost 0, (0, 3) costs 1, every other
+    # real pair 5 and every deletion 3, so matching (i, i) is the optimum
+    costs = np.full((4, 5), 5.0)
+    costs[[0, 1, 2], [0, 1, 2]] = 0.0
+    costs[0, 3] = 1.0
+    costs[:3, 4] = costs[3, :4] = 3.0
+    costs[3, 4] = 0.0
+    flow = matched_flow(3, 4, [0, 1, 2], [0, 1, 2])
+
+    def objective(flow):
+        return (flow * costs).reshape(-1).sum()
+
+    value = objective(flow)
+    assert certify_flow(costs, flow, value) == []
+    moved_in_column = flow.copy()
+    moved_in_column[[0, 1], 0] = [0.0, 2.0]  # the column sums hold
+    moved_in_row = flow.copy()
+    moved_in_row[0, [0, 1]] = [0.0, 2.0]  # the row sums hold
+    for broken, where in ((moved_in_column, "row 0 ships"), (moved_in_column, "row 1 ships"),
+                          (moved_in_row, "column 0 receives"),
+                          (moved_in_row, "column 1 receives")):
+        assert any(where in problem for problem in certify_flow(costs, broken, objective(broken)))
+    swapped = matched_flow(3, 4, [0, 1, 2], [1, 0, 2])
+    assert objective(swapped) >= value + 1.0
+    assert certify_flow(costs, swapped, objective(swapped)) != []
+    to_free = matched_flow(3, 4, [0, 1, 2], [3, 1, 2])
+    assert objective(to_free) == value + 1.0
+    assert certify_flow(costs, to_free, objective(to_free)) != []
+    for off in (np.inf, -np.inf):
+        assert certify_flow(costs, flow, np.nextafter(value, off)) != []
+    # on zero costs every feasible flow is optimal, so only integrality fails
+    zeros = np.zeros((3, 3))
+    half = matched_flow(2, 2, [0, 1], [0, 1])
+    half[:2, :2] = 0.5
+    assert certify_flow(zeros, half, 0.0) == ["the flow is not integral"]
+    assert certify_flow(zeros, matched_flow(2, 2, [0, 1], [1, 0]), 0.0) == []
+    # the assigned flows leave the lone -5e-324 unmatched, the direct ones match it
+    direct = ([0, 3, 4, 5], [1, 2, 5, 4])
+    for red, (rows, cols) in ((ABSORBED, direct), (ABSORBED.T, direct[::-1])):
+        costs = np.pad(red, (0, 1))
+        flows = assigned_flow(costs), matched_flow(*red.shape, rows, cols)
+        assert flows[0].tobytes() != flows[1].tobytes()
+        for flow in flows:
+            assert certify_flow(costs, flow, (flow * costs).reshape(-1).sum()) == []
 
 
 @settings(max_examples=300, deadline=None)
@@ -252,14 +305,20 @@ ABSORBED[[2, 5], [5, 4]] = -5e-324
 @example(np.pad(ABSORBED, (0, 1))[None])  # m < n
 @example(np.pad(ABSORBED.T, (0, 1))[None])  # m > n
 @given(cost_stacks())
-def test_direct_flows_equal_the_assignment_flows(entries):
+def test_direct_flows_are_optimal_and_assigned_without_a_column_star(entries):
+    """Every flow of the solve passes `certify_flow`, its value the bits of
+    the flow's C-order sum. A matrix without a star of one column of the
+    assignment gets the bytes of `assigned_flow`; one with such a star may
+    get another optimal flow, as `_assign_rows`' path sums can round (the
+    `ABSORBED` examples)."""
     k, rows, cols = entries.shape
     values, flows = _solve_stack(entries.swapaxes(0, 1).reshape(1, rows, -1),
                                  solve_layout([(k, cols - 1)]))
     for t, costs in enumerate(entries):
-        expected = assigned_flow(costs)
-        assert flows[0, :, t * cols:(t + 1) * cols].tobytes() == expected.tobytes()
-        assert values[0, t] == (expected * costs).reshape(-1).sum()
+        flow = flows[0, :, t * cols:(t + 1) * cols]
+        assert certify_flow(costs, flow, values[0, t]) == []
+        if not holds_column_star(costs):
+            assert flow.tobytes() == assigned_flow(costs).tobytes()
 
 
 def solve_each_stack_alone(out, fused):
@@ -300,7 +359,11 @@ FUSED_SOLVE_CASE = (5, 2, 5, 3, [3, 7, 5, 0, 6, 7, 2, 0], LETTER_COSTS, False)
        st.sampled_from((LETTER_COSTS, UNIT_COSTS, CostParams(0.1, 3.0))), st.booleans())
 def test_fused_solve_equals_each_stack_solved_alone(seed, dim, m, count, sizes, params, grid):
     """One `_solve_stack` call over a set of `_reference_stacks` gives the
-    bytes of the values and flows of each of its stacks solved alone."""
+    bytes of the values and flows of each of its stacks solved alone, every
+    flow passing `certify_flow`. A matrix with a star of one column of the
+    assignment is settled at the star's least entry, which the oracle
+    assigns: there both flows pass the certificate and the values agree
+    within 1e-9 (relative above 1)."""
     queries = mixed_size_graphs(seed, dim, [m] * count, grid)
     references = mixed_size_graphs(seed + 1, dim, sizes, grid)
     for columns, fused in _reference_stacks(references):
@@ -309,8 +372,19 @@ def test_fused_solve_equals_each_stack_solved_alone(seed, dim, m, count, sizes, 
         expected_values, expected_flows = solve_each_stack_alone(out, fused)
         assert values.shape == (count, len(columns))
         assert flows.shape == out.shape
-        assert values.tobytes() == expected_values.tobytes()
-        assert flows.tobytes() == expected_flows.tobytes()
+        graph = 0
+        for costs, flow, expected_flow in zip(*(stacks_of(array, fused[0])
+                                                for array in (out, flows, expected_flows))):
+            for t, a in np.ndindex(costs.shape[:2]):
+                value, expected = values[t, graph + a], expected_values[t, graph + a]
+                assert certify_flow(costs[t, a], flow[t, a], value) == []
+                if holds_column_star(costs[t, a]):
+                    assert certify_flow(costs[t, a], expected_flow[t, a], expected) == []
+                    assert abs(value - expected) <= 1e-9 * max(1.0, abs(expected))
+                else:
+                    assert value.tobytes() == expected.tobytes()
+                    assert flow[t, a].tobytes() == expected_flow[t, a].tobytes()
+            graph += costs.shape[1]
 
 
 def negative_components(red: np.ndarray) -> list[tuple[set, set]]:
@@ -336,15 +410,27 @@ def negative_components(red: np.ndarray) -> list[tuple[set, set]]:
     return list(components.values())
 
 
+def holds_column_star(costs: np.ndarray) -> bool:
+    """Whether the reduced costs of one (m+1) x (n+1) cost matrix hold a star
+    of one column of the assignment: two or more red < 0 in one column of
+    red when m <= n (in one row when m > n), each alone in its row (its
+    column), which the solve settles at its least entry without
+    `_assign_rows`."""
+    m, n = costs.shape[0] - 1, costs.shape[1] - 1
+    red = costs[:m, :n] - costs[:m, n:] - costs[m:, :n]
+    if m > n:
+        red = red.T
+    return any(len(rows) > 1 and len(columns) == 1
+               for rows, columns in negative_components(red))
+
+
 def test_fused_solve_case_holds_crowded_and_direct_matrices(monkeypatch):
     """The first explicit case above is one set that holds matrices whose
     reduced costs below 0 lie in distinct rows and columns, matrices with a
-    star of them along a row of the assignment (two or more in one row when
-    m <= n, or in one column when m > n) whose least entry is unique, and
-    matrices with a component of at least 2 rows and 2 columns. Only the
-    matrices with such a component, with a star along a column of the
-    assignment, or with a star whose least entries tie, go to
-    `_assign_rows`, one call each."""
+    star of them (two or more in one row, or in one column) whose least
+    entry is unique, and matrices with a component of at least 2 rows and 2
+    columns. Only the matrices with such a component, or with a star whose
+    least entries tie, go to `_assign_rows`, one call each."""
     seed, dim, m, count, sizes, params, grid = FUSED_SOLVE_CASE
     queries = mixed_size_graphs(seed, dim, [m] * count, grid)
     (_, fused), = _reference_stacks(mixed_size_graphs(seed + 1, dim, sizes, grid))
@@ -360,8 +446,7 @@ def test_fused_solve_case_holds_crowded_and_direct_matrices(monkeypatch):
                 if len(rows) > 1 and len(columns) > 1:
                     kind = "component"
                     break
-                across = rows if m <= n else columns
-                if len(across) > 1 or (len(least) > 1 and least[0] == least[1]):
+                if len(least) > 1 and least[0] == least[1]:
                     kind = "assigned"
                 elif len(least) > 1 and kind == "direct":
                     kind = "star"

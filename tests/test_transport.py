@@ -166,6 +166,8 @@ def test_assignment_rectangular_with_negative_costs():
     cols = _assign_rows(cost.tolist(), 4)
     assert cols == [2, 1]
     assert assignment_cost(cost, cols) == -7.0
+    # the tie rule: among tied columns the last free one ends the path
+    assert _assign_rows([[-1.0, -1.0, 0.0]], 3) == [1]
 
 
 def test_assignment_all_zero_and_empty():
